@@ -5,17 +5,18 @@ try:
 except ImportError:
     cythonize = None
 
-extensions = [
-    Extension(
-        "hyperrank._kernels._ckernels",
-        ["src/hyperrank/_kernels/_ckernels.pyx"],
-        extra_compile_args=["-O3"],
-    )
-]
-for ext in extensions:
-    # the package falls back to the NumPy kernels if this build fails
+# Only the walk stepper is compiled, and only from the .pyx: without Cython
+# nothing is built and the package runs on its pure-Python fallback.
+ext_modules = []
+if cythonize is not None:
+    ext_modules = cythonize(
+        [Extension("hyperrank._kernels._ckernels",
+                   ["src/hyperrank/_kernels/_ckernels.pyx"],
+                   extra_compile_args=["-O3"])],
+        language_level="3")
+for ext in ext_modules:
+    # set after cythonize, which builds new Extension objects; a failed
+    # compile then leaves the fallback in place
     ext.optional = True
 
-setup(
-    ext_modules=cythonize(extensions, language_level="3") if cythonize else [],
-)
+setup(ext_modules=ext_modules)

@@ -1,27 +1,29 @@
-"""Kernel backend selection.
+"""The numeric kernels: the CSR transposed multiply and the walk stepper.
 
-The compiled extension is preferred when it imported cleanly; set
-``HYPERRANK_PURE_PYTHON=1`` to force the NumPy/bisect fallback. Both
-backends produce identical results; the compiled one is just faster.
+The multiply has one NumPy implementation. The walk stepper is compiled
+when the optional Cython extension was built and falls back to the bisect
+loop in ``_pykernels`` otherwise; both give bit-identical results, and
+``BACKEND`` names the one in use.
 """
 
-import os
+import numpy as np
 
-from . import _pykernels
+try:
+    from ._ckernels import walk_steps
 
-if os.environ.get("HYPERRANK_PURE_PYTHON", "") not in ("", "0"):
-    _impl = _pykernels
+    BACKEND = "cython"
+except ImportError:
+    from ._pykernels import walk_steps
+
     BACKEND = "python"
-else:
-    try:
-        from . import _ckernels as _impl
 
-        BACKEND = "cython"
-    except ImportError:
-        _impl = _pykernels
-        BACKEND = "python"
 
-csr_left_multiply = _impl.csr_left_multiply
-walk_steps = _impl.walk_steps
+def csr_left_multiply(indptr, indices, data, x, out):
+    """Write y = xᵀA into ``out`` for a CSR matrix A, i.e. a row-major scatter."""
+    # bincount adds its weights in input order, so each column sums its
+    # products in the same row-major order as a plain loop would.
+    out[:] = np.bincount(indices, weights=data * np.repeat(x, np.diff(indptr)),
+                         minlength=out.size)
+
 
 __all__ = ["BACKEND", "csr_left_multiply", "walk_steps"]

@@ -1,26 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled hot loops: CSR left-multiply (scatter) and random-walk stepping.
+"""Compiled random-walk stepping.
 
-Bitwise-compatible with _pykernels by construction: identical accumulation
-order, bisection bounds, and float truncation.
+Bitwise-compatible with _pykernels by construction: identical bisection
+bounds and float truncation.
 """
 
 from libc.stdint cimport int64_t
-
-
-def csr_left_multiply(const int64_t[::1] indptr, const int64_t[::1] indices,
-                      const double[::1] data, const double[::1] x,
-                      double[::1] out):
-    """Write y = xT A into ``out`` for a CSR matrix A."""
-    cdef Py_ssize_t n_rows = indptr.shape[0] - 1
-    cdef Py_ssize_t i, j
-    cdef double xi
-    out[:] = 0.0
-    with nogil:
-        for i in range(n_rows):
-            xi = x[i]
-            for j in range(indptr[i], indptr[i + 1]):
-                out[indices[j]] += data[j] * xi
 
 
 def walk_steps(const int64_t[::1] arc_ptr, const double[::1] arc_cum,

@@ -1,23 +1,12 @@
-"""Pure NumPy/stdlib fallback for the compiled kernels.
+"""Pure-Python fallback for the compiled walk stepper.
 
-The two backends must stay bitwise-compatible: same accumulation order in
-the scatter multiply, same bisection bounds and float truncation in the
-walk stepper. Parity is enforced by tests/test_kernels.py.
+The two backends must stay bitwise-compatible: same bisection bounds and
+float truncation. Parity is enforced by tests/test_kernels.py.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-
-import numpy as np
-
-
-def csr_left_multiply(indptr, indices, data, x, out):
-    """Write y = xᵀA into ``out`` for a CSR matrix A, i.e. a row-major scatter."""
-    out[:] = 0.0
-    # ufunc.at applies its updates sequentially in element order, which is
-    # exactly the compiled row-major loop.
-    np.add.at(out, indices, data * np.repeat(x, np.diff(indptr)))
 
 
 def walk_steps(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts,

@@ -144,7 +144,12 @@ def cmd_laplacian(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     hg = _maybe_prune(ns, _load(ns))
-    start = ns.start if ns.start is not None else hg.vertices[0]
+    if ns.start is not None:
+        start = ns.start
+    elif hg.vertices:
+        start = hg.vertices[0]
+    else:
+        raise ValueError("the network has no vertices to walk on")
     empirical = simulate_walk(hg, start, ns.steps, ns.seed)
     P = build_transition(hg)
     try:

@@ -22,6 +22,7 @@ TAIL_HEAD_OVERLAP = "TailHeadOverlap"
 NONPOSITIVE_WEIGHT = "NonpositiveWeight"
 UNKNOWN_VERTEX = "UnknownVertex"
 DUPLICATE_VERTEX_ID = "DuplicateVertexId"
+DUPLICATE_ARC_ID = "DuplicateArcId"
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,12 @@ def validate(hg: DirectedHypergraph) -> ValidationReport:
                                         "vertex id occurs more than once"))
         seen.add(v)
     n = hg.n_vertices
+    seen_arcs: set[str] = set()
     for arc in hg.arcs:
+        if arc.id in seen_arcs:
+            violations.append(Violation(DUPLICATE_ARC_ID, arc.id,
+                                        "arc id occurs more than once"))
+        seen_arcs.add(arc.id)
         bad_index = [i for i in arc.tail + arc.head if not 0 <= i < n]
         if bad_index:
             violations.append(Violation(UNKNOWN_VERTEX, arc.id,

@@ -232,6 +232,8 @@ def load_canonical(text: str) -> DirectedHypergraph:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}",
                           line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nesting is too deep") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     for key in doc:

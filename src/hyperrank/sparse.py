@@ -101,9 +101,10 @@ class SparseRealMatrix:
         return self.indices[a:b], self.data[a:b]
 
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.rows)
-        np.add.at(out, np.repeat(np.arange(self.rows), np.diff(self.indptr)), self.data)
-        return out
+        rows = np.repeat(np.arange(self.rows), np.diff(self.indptr))
+        # bincount returns integer zeros when there are no entries at all
+        return np.bincount(rows, weights=self.data,
+                           minlength=self.rows).astype(np.float64, copy=False)
 
     def left_multiply(self, x, out: np.ndarray | None = None) -> np.ndarray:
         """Return y = xᵀA as a 1-d array of length ``cols``."""

@@ -202,6 +202,32 @@ def test_simulate_custom_start(hg3_path, capsys):
     assert out.splitlines()[0].startswith("v1\t")
 
 
+@pytest.mark.parametrize("doc, extra", [
+    ({"vertices": [], "arcs": []}, []),
+    ({"vertices": ["a", "b"],
+      "arcs": [{"id": "e", "tail": ["a"], "head": ["b"], "weight": 1.0}]}, ["--prune"]),
+])
+def test_simulate_without_vertices_is_diagnosed(tmp_path, capsys, doc, extra):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--steps", "10"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "hyperrank: the network has no vertices to walk on"
+
+
+def test_validate_reports_duplicate_arc_ids(tmp_path, capsys):
+    src = tmp_path / "net.reactions"
+    src.write_text("R1: A -> B\nR1: B -> A\n")
+    assert main(["validate", str(src), "--format", "reactions"]) == 1
+    assert capsys.readouterr().out == "DuplicateArcId: R1: arc id occurs more than once\n"
+    src.write_text("R1: A <-> B\nR1_fwd: A -> B\n")
+    assert main(["ingest", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DuplicateArcId: R1_fwd" in captured.err
+
+
 def test_missing_file_is_diagnosed(capsys):
     assert main(["rank", "/nonexistent/net.json"]) == 1
     assert "hyperrank:" in capsys.readouterr().err

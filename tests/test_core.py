@@ -37,6 +37,11 @@ def test_validate_weight_and_reference_rules():
     assert validate(hg).codes() == {"UnknownVertex"}
     hg = DirectedHypergraph(("a", "a"), ())
     assert validate(hg).codes() == {"DuplicateVertexId"}
+    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,), 1.0),
+                                         HyperArc("e", (1,), (0,), 1.0)))
+    report = validate(hg)
+    assert report.codes() == {"DuplicateArcId"}
+    assert len(report.violations) == 1
 
 
 def test_validate_collects_every_violation():

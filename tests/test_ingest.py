@@ -262,6 +262,25 @@ def test_load_schema_errors():
             load_canonical(text)
 
 
+def test_load_rejects_deep_nesting_as_schema_error():
+    for text in ("[" * 200_000, '{"vertices": ' + "[" * 200_000 + "]" * 200_000 + "}"):
+        with pytest.raises(SchemaError, match="nesting is too deep"):
+            load_canonical(text)
+
+
+def test_duplicate_arc_ids_rejected_on_both_ingest_paths():
+    doc = {"vertices": ["a", "b"],
+           "arcs": [{"id": "e", "tail": ["a"], "head": ["b"], "weight": 1},
+                    {"id": "e", "tail": ["b"], "head": ["a"], "weight": 1}]}
+    with pytest.raises(ValidationError) as exc:
+        load_canonical(json.dumps(doc))
+    assert exc.value.report.codes() == {"DuplicateArcId"}
+    for text in ("R1: A -> B\nR1: B -> A\n", "R1: A <-> B\nR1_fwd: A -> B\n"):
+        with pytest.raises(ValidationError) as exc:
+            reactions_to_hypergraph(parse_reactions_text(text))
+        assert exc.value.report.codes() == {"DuplicateArcId"}
+
+
 def test_save_uses_full_precision():
     hg = DirectedHypergraph(("a", "b"),
                             (HyperArc("e", (0,), (1,), 0.1234567890123456789),))

@@ -1,21 +1,24 @@
-"""Backend parity: the compiled and pure-Python kernels must agree bitwise."""
-
-import os
-import subprocess
-import sys
+"""Kernel checks: the SpMV against its loop oracle, and backend parity of
+the walk stepper where the compiled extension is built."""
 
 import numpy as np
 import pytest
 
 import hyperrank
+from hyperrank import _kernels, simulate_walk
 from hyperrank._kernels import _pykernels
 from hyperrank.walk import _walk_tables
 
+import oracles
 from randgen import random_pruned_hypergraph
 
-_ckernels = pytest.importorskip(
-    "hyperrank._kernels._ckernels",
-    reason="compiled kernels unavailable; install built the pure fallback")
+try:
+    from hyperrank._kernels import _ckernels
+except ImportError:
+    _ckernels = None
+
+needs_ckernels = pytest.mark.skipif(
+    _ckernels is None, reason="compiled kernels unavailable; install built the pure fallback")
 
 
 def _random_csr_arrays(rng, rows, cols, density=0.4):
@@ -33,21 +36,22 @@ def _random_csr_arrays(rng, rows, cols, density=0.4):
             np.array(data), dense)
 
 
-def test_csr_left_multiply_parity():
+def test_csr_left_multiply_matches_loop_oracle_bitwise():
     rng = np.random.default_rng(61)
     for _ in range(30):
         rows = int(rng.integers(1, 40))
         cols = int(rng.integers(1, 40))
         indptr, indices, data, dense = _random_csr_arrays(rng, rows, cols)
         x = rng.random(rows)
-        out_c = np.zeros(cols)
-        out_py = np.zeros(cols)
-        _ckernels.csr_left_multiply(indptr, indices, data, x, out_c)
-        _pykernels.csr_left_multiply(indptr, indices, data, x, out_py)
-        np.testing.assert_array_equal(out_c, out_py)
-        np.testing.assert_allclose(out_c, x @ dense, rtol=0, atol=1e-13)
+        out = np.full(cols, np.nan)
+        expected = np.zeros(cols)
+        _kernels.csr_left_multiply(indptr, indices, data, x, out)
+        oracles.csr_left_multiply(indptr, indices, data, x, expected)
+        assert out.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(out, x @ dense, rtol=0, atol=1e-13)
 
 
+@needs_ckernels
 def test_walk_steps_parity():
     rng = np.random.default_rng(67)
     for _ in range(10):
@@ -69,6 +73,7 @@ def test_walk_steps_parity():
         assert counts_c.sum() == 5000
 
 
+@needs_ckernels
 def test_walk_steps_handles_boundary_draws():
     # draws of exactly 0.0 and values just below 1.0 must stay in range
     hg = random_pruned_hypergraph(np.random.default_rng(71), max_vertices=6,
@@ -89,30 +94,16 @@ def test_walk_steps_handles_boundary_draws():
         np.testing.assert_array_equal(counts_c, counts_py)
 
 
-def test_default_backend_is_compiled_here():
-    assert hyperrank.KERNEL_BACKEND == "cython"
+def test_backend_is_compiled_exactly_when_the_extension_imports():
+    assert hyperrank.KERNEL_BACKEND == ("python" if _ckernels is None else "cython")
+    expected = _pykernels if _ckernels is None else _ckernels
+    assert _kernels.walk_steps is expected.walk_steps
 
 
-def test_env_var_forces_pure_python_backend():
-    env = dict(os.environ, HYPERRANK_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import hyperrank; print(hyperrank.KERNEL_BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "python"
-
-
-def test_simulation_identical_across_backends(hg3):
-    code = (
-        "import hyperrank, json;"
-        "hg = hyperrank.DirectedHypergraph.from_named_arcs("
-        "[('e1', ['v1'], ['v2', 'v3'], 1.0), ('e2', ['v2'], ['v3'], 2.0),"
-        " ('e3', ['v3'], ['v1'], 1.0)]);"
-        "print(json.dumps(hyperrank.simulate_walk(hg, 'v1', 50000, seed=3)))"
-    )
-    runs = {}
-    for label, force in (("cython", "0"), ("python", "1")):
-        env = dict(os.environ, HYPERRANK_PURE_PYTHON=force)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env, check=True)
-        runs[label] = out.stdout
-    assert runs["cython"] == runs["python"]
+@needs_ckernels
+def test_simulation_identical_across_backends(hg3, monkeypatch):
+    runs = []
+    for backend in (_ckernels, _pykernels):
+        monkeypatch.setattr(_kernels, "walk_steps", backend.walk_steps)
+        runs.append(simulate_walk(hg3, "v1", 50000, seed=3))
+    assert runs[0] == runs[1]

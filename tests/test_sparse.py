@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperrank import SparseRealMatrix
+
+import oracles
 
 
 def test_from_coo_sums_duplicates_and_drops_zeros():
@@ -69,3 +73,36 @@ def test_arrays_are_frozen():
     m = SparseRealMatrix.from_coo(1, 1, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         m.data[0] = 2.0
+
+
+# bounded so that no product or sum overflows to inf and then to nan
+_reals = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@st.composite
+def csr_with_vector(draw):
+    # few columns and more rows, so that columns collect several products
+    rows = draw(st.integers(0, 10))
+    cols = draw(st.integers(1, 5))
+    indptr, indices = [0], []
+    for _ in range(rows):
+        indices += sorted(draw(st.sets(st.integers(0, cols - 1))))
+        indptr.append(len(indices))
+    data = draw(st.lists(_reals.filter(bool), min_size=len(indices),
+                         max_size=len(indices)))
+    x = draw(st.lists(_reals, min_size=rows, max_size=rows))
+    return SparseRealMatrix(rows, cols, indptr, indices, data), np.array(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_with_vector())
+def test_products_match_loop_oracles_bitwise(case):
+    m, x = case
+    expected = np.zeros(m.cols)
+    oracles.csr_left_multiply(m.indptr, m.indices, m.data, x, expected)
+    got = m.left_multiply(x)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+    sums = m.row_sums()
+    assert sums.dtype == np.float64
+    assert sums.tobytes() == oracles.row_sums(m.indptr, m.data).tobytes()
