@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,6 +72,38 @@ class HyperArc:
         object.__setattr__(self, "weight", float(self.weight))
 
 
+@dataclass(frozen=True, eq=False)
+class ArcLayout:
+    """The arcs as two CSR blocks over the vertex indices, plus their weights.
+
+    Arc j's tail is ``tail_idx[tail_ptr[j]:tail_ptr[j + 1]]`` and its head
+    is the same slice of ``head_idx``; both are sorted. Arrays are frozen.
+    """
+
+    tail_ptr: np.ndarray
+    tail_idx: np.ndarray
+    head_ptr: np.ndarray
+    head_idx: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def tail_arc(self) -> np.ndarray:
+        """The arc of each entry of ``tail_idx``."""
+        return np.repeat(np.arange(self.weight.size), np.diff(self.tail_ptr))
+
+    @property
+    def head_arc(self) -> np.ndarray:
+        """The arc of each entry of ``head_idx``."""
+        return np.repeat(np.arange(self.weight.size), np.diff(self.head_ptr))
+
+
+def _csr(sides: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    ptr = np.zeros(len(sides) + 1, dtype=np.int64)
+    np.cumsum([len(side) for side in sides], out=ptr[1:])
+    idx = np.fromiter(chain.from_iterable(sides), dtype=np.int64, count=ptr[-1])
+    return ptr, idx
+
+
 @dataclass(frozen=True)
 class DirectedHypergraph:
     """Ordered vertices plus ordered hyper-arcs over their indices."""
@@ -93,6 +126,18 @@ class DirectedHypergraph:
     @cached_property
     def index_of(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def layout(self) -> ArcLayout:
+        """The flat arrays every degree, matrix and pruning pass runs over."""
+        tail_ptr, tail_idx = _csr([a.tail for a in self.arcs])
+        head_ptr, head_idx = _csr([a.head for a in self.arcs])
+        weight = np.fromiter((a.weight for a in self.arcs), dtype=np.float64,
+                             count=len(self.arcs))
+        arrays = (tail_ptr, tail_idx, head_ptr, head_idx, weight)
+        for arr in arrays:
+            arr.setflags(write=False)
+        return ArcLayout(*arrays)
 
     @property
     def arc_ids(self) -> tuple[str, ...]:
@@ -214,18 +259,15 @@ class DegreeTables:
 
 def compute_degrees(hg: DirectedHypergraph) -> DegreeTables:
     ensure_valid(hg)
-    nv, na = hg.n_vertices, hg.n_arcs
-    vertex_tail = np.zeros(nv)
-    vertex_head = np.zeros(nv)
-    arc_tail = np.zeros(na, dtype=np.int64)
-    arc_head = np.zeros(na, dtype=np.int64)
-    for j, arc in enumerate(hg.arcs):
-        arc_tail[j] = len(arc.tail)
-        arc_head[j] = len(arc.head)
-        for u in arc.tail:
-            vertex_tail[u] += arc.weight
-        for v in arc.head:
-            vertex_head[v] += arc.weight
+    lay = hg.layout
+    nv = hg.n_vertices
+    arc_tail = np.diff(lay.tail_ptr)
+    arc_head = np.diff(lay.head_ptr)
+    # bincount adds each vertex's weights in arc order, like a running sum
+    vertex_tail = np.bincount(lay.tail_idx, weights=np.repeat(lay.weight, arc_tail),
+                              minlength=nv).astype(np.float64, copy=False)
+    vertex_head = np.bincount(lay.head_idx, weights=np.repeat(lay.weight, arc_head),
+                              minlength=nv).astype(np.float64, copy=False)
     for arr in (vertex_tail, vertex_head, arc_tail, arc_head):
         arr.setflags(write=False)
     return DegreeTables(hg.vertices, hg.arc_ids,
@@ -235,11 +277,12 @@ def compute_degrees(hg: DirectedHypergraph) -> DegreeTables:
 def build_incidence(hg: DirectedHypergraph) -> tuple[SparseRealMatrix, SparseRealMatrix]:
     """The |V|x|E| 0/1 tail and head membership matrices, in that order."""
     ensure_valid(hg)
+    lay = hg.layout
     nv, na = hg.n_vertices, hg.n_arcs
-    tail_entries = [(u, j, 1.0) for j, arc in enumerate(hg.arcs) for u in arc.tail]
-    head_entries = [(v, j, 1.0) for j, arc in enumerate(hg.arcs) for v in arc.head]
-    return (SparseRealMatrix.from_coo(nv, na, tail_entries),
-            SparseRealMatrix.from_coo(nv, na, head_entries))
+    return (SparseRealMatrix.from_coo(nv, na, lay.tail_idx, lay.tail_arc,
+                                      np.ones(lay.tail_idx.size)),
+            SparseRealMatrix.from_coo(nv, na, lay.head_idx, lay.head_arc,
+                                      np.ones(lay.head_idx.size)))
 
 
 @dataclass(frozen=True)
@@ -248,6 +291,15 @@ class PruneEvent:
     kind: str  # "vertex" | "arc"
     identifier: str
     reason: str
+
+
+# indexed by (zero tail degree, zero head degree) and (tail emptied, head emptied)
+_VERTEX_REASONS = {(True, True): "zero tail and head degree",
+                   (True, False): "zero tail degree",
+                   (False, True): "zero head degree"}
+_ARC_REASONS = {(True, True): "tail and head emptied",
+                (True, False): "tail emptied",
+                (False, True): "head emptied"}
 
 
 def prune_to_core(hg: DirectedHypergraph) -> tuple[DirectedHypergraph, list[PruneEvent]]:
@@ -259,64 +311,45 @@ def prune_to_core(hg: DirectedHypergraph) -> tuple[DirectedHypergraph, list[Prun
     hypergraph is a legal output.
     """
     ensure_valid(hg)
-    n = hg.n_vertices
-    alive_vertex = [True] * n
-    tails = [set(a.tail) for a in hg.arcs]
-    heads = [set(a.head) for a in hg.arcs]
-    alive_arc = [True] * hg.n_arcs
+    lay = hg.layout
+    n, m = hg.n_vertices, hg.n_arcs
+    tail_arc, head_arc = lay.tail_arc, lay.head_arc
+    alive_vertex = np.ones(n, dtype=bool)
+    alive_arc = np.ones(m, dtype=bool)
     events: list[PruneEvent] = []
     rnd = 0
     while True:
         rnd += 1
-        tail_deg = [0] * n
-        head_deg = [0] * n
-        for k in range(hg.n_arcs):
-            if not alive_arc[k]:
-                continue
-            for u in tails[k]:
-                tail_deg[u] += 1
-            for v in heads[k]:
-                head_deg[v] += 1
-        doomed = set()
-        for v in range(n):
-            if not alive_vertex[v]:
-                continue
-            no_tail = tail_deg[v] == 0
-            no_head = head_deg[v] == 0
-            if no_tail or no_head:
-                if no_tail and no_head:
-                    reason = "zero tail and head degree"
-                elif no_tail:
-                    reason = "zero tail degree"
-                else:
-                    reason = "zero head degree"
-                events.append(PruneEvent(rnd, "vertex", hg.vertices[v], reason))
-                alive_vertex[v] = False
-                doomed.add(v)
-        if not doomed:
+        # a removed vertex is stripped from every live arc, so counting the
+        # live arcs' original sides is exact for the vertices still alive
+        no_tail = np.bincount(lay.tail_idx[alive_arc[tail_arc]], minlength=n) == 0
+        no_head = np.bincount(lay.head_idx[alive_arc[head_arc]], minlength=n) == 0
+        doomed = alive_vertex & (no_tail | no_head)
+        if not doomed.any():
             break
-        for k in range(hg.n_arcs):
-            if not alive_arc[k]:
-                continue
-            tails[k] -= doomed
-            heads[k] -= doomed
-            if not tails[k] or not heads[k]:
-                if not tails[k] and not heads[k]:
-                    reason = "tail and head emptied"
-                elif not tails[k]:
-                    reason = "tail emptied"
-                else:
-                    reason = "head emptied"
-                events.append(PruneEvent(rnd, "arc", hg.arcs[k].id, reason))
-                alive_arc[k] = False
-    keep = [v for v in range(n) if alive_vertex[v]]
-    remap = {old: new for new, old in enumerate(keep)}
-    vertices = tuple(hg.vertices[v] for v in keep)
-    arcs = tuple(
-        HyperArc(hg.arcs[k].id,
-                 tuple(remap[u] for u in tails[k]),
-                 tuple(remap[v] for v in heads[k]),
-                 hg.arcs[k].weight)
-        for k in range(hg.n_arcs) if alive_arc[k]
-    )
+        for v in np.flatnonzero(doomed).tolist():
+            events.append(PruneEvent(rnd, "vertex", hg.vertices[v],
+                                     _VERTEX_REASONS[no_tail[v], no_head[v]]))
+        alive_vertex &= ~doomed
+        emptied_tail = np.bincount(tail_arc[alive_vertex[lay.tail_idx]], minlength=m) == 0
+        emptied_head = np.bincount(head_arc[alive_vertex[lay.head_idx]], minlength=m) == 0
+        dying = alive_arc & (emptied_tail | emptied_head)
+        for k in np.flatnonzero(dying).tolist():
+            events.append(PruneEvent(rnd, "arc", hg.arcs[k].id,
+                                     _ARC_REASONS[emptied_tail[k], emptied_head[k]]))
+        alive_arc &= ~dying
+    remap = np.cumsum(alive_vertex) - 1
+    tails = _surviving_sides(lay.tail_ptr, lay.tail_idx, alive_vertex, remap)
+    heads = _surviving_sides(lay.head_ptr, lay.head_idx, alive_vertex, remap)
+    vertices = tuple(hg.vertices[v] for v in np.flatnonzero(alive_vertex).tolist())
+    arcs = tuple(HyperArc(hg.arcs[k].id, tails[k], heads[k], hg.arcs[k].weight)
+                 for k in np.flatnonzero(alive_arc).tolist())
     return DirectedHypergraph(vertices, arcs), events
+
+
+def _surviving_sides(ptr, idx, alive_vertex, remap) -> list[tuple[int, ...]]:
+    """Every arc's side restricted to the live vertices, in the new numbering."""
+    keep = alive_vertex[idx]
+    bounds = np.concatenate(([0], np.cumsum(keep)))[ptr].tolist()
+    flat = remap[idx[keep]].tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -18,10 +18,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .core import (DUPLICATE_VERTEX_ID, EMPTY_HEAD, EMPTY_TAIL,
-                   NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP, UNKNOWN_VERTEX,
-                   DirectedHypergraph, HyperArc, ValidationReport, Violation,
-                   ensure_valid)
+from .core import (UNKNOWN_VERTEX, DirectedHypergraph, HyperArc,
+                   ValidationReport, Violation, ensure_valid, validate)
 from .errors import (BadWeightError, EmptySideError, ReactionSyntaxError,
                      SchemaError, TailHeadOverlapError, ValidationError)
 
@@ -246,16 +244,12 @@ def load_canonical(text: str) -> DirectedHypergraph:
     if not isinstance(doc["arcs"], list):
         raise SchemaError('"arcs" must be an array')
 
-    violations: list[Violation] = []
-    seen: set[str] = set()
     index: dict[str, int] = {}
     for v in vertices:
-        if v in seen:
-            violations.append(Violation(DUPLICATE_VERTEX_ID, v,
-                                        "vertex id occurs more than once"))
-        seen.add(v)
         index.setdefault(v, len(index))
 
+    # names must resolve to build an arc at all; validate checks the rest
+    unknown: list[Violation] = []
     arcs: list[HyperArc] = []
     for pos, raw in enumerate(doc["arcs"]):
         where = f"arcs[{pos}]"
@@ -275,37 +269,22 @@ def load_canonical(text: str) -> DirectedHypergraph:
         weight = raw["weight"]
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             raise SchemaError(f"{where}: \"weight\" must be a number")
-        ok = True
-        for name in tail_names + head_names:
-            if name not in index:
-                violations.append(Violation(UNKNOWN_VERTEX, arc_id,
-                                            f"unknown vertex id {name!r}"))
-                ok = False
-        if not (weight > 0) or not math.isfinite(weight):
-            violations.append(Violation(NONPOSITIVE_WEIGHT, arc_id,
-                                        f"weight {weight!r} is not a positive real"))
-            ok = False
-        tail = set(tail_names)
-        head = set(head_names)
-        if not tail:
-            violations.append(Violation(EMPTY_TAIL, arc_id, "tail is empty"))
-            ok = False
-        if not head:
-            violations.append(Violation(EMPTY_HEAD, arc_id, "head is empty"))
-            ok = False
-        shared = sorted(tail & head)
-        if shared:
-            violations.append(Violation(TAIL_HEAD_OVERLAP, arc_id,
-                                        f"tail and head share: {', '.join(shared)}"))
-            ok = False
-        if ok:
+        try:
+            weight = float(weight)
+        except OverflowError:  # an integer beyond the float range
+            weight = math.inf
+        missing = [name for name in tail_names + head_names if name not in index]
+        unknown += [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
+                    for name in missing]
+        if not missing:
             arcs.append(HyperArc(arc_id,
                                  tuple(index[n] for n in tail_names),
                                  tuple(index[n] for n in head_names),
-                                 float(weight)))
-    if violations:
-        raise ValidationError(ValidationReport(tuple(violations)))
-    return ensure_valid(DirectedHypergraph(tuple(vertices), tuple(arcs)))
+                                 weight))
+    hg = DirectedHypergraph(tuple(vertices), tuple(arcs))
+    if unknown:
+        raise ValidationError(ValidationReport(validate(hg).violations + tuple(unknown)))
+    return ensure_valid(hg)
 
 
 def save_canonical(hg: DirectedHypergraph) -> str:

@@ -52,8 +52,11 @@ def build_laplacians(P: TransitionMatrix, pi: RankVector,
 
     pi must carry the L1 tag (a probability vector), be strictly positive,
     and actually be stationary for P within `stationarity_tol` in L1.
-    Dense on purpose: the intended scales are desk-sized.
+    Dense on purpose: the intended scales are desk-sized, so more than
+    DENSE_LIMIT vertices is refused before anything n×n is allocated.
     """
+    if P.n > DENSE_LIMIT:
+        raise DenseLimitExceededError(P.n, DENSE_LIMIT)
     if pi.normalization != L1:
         raise ValueError("pi must be L1-normalized (a probability vector)")
     if tuple(pi.vertices) != tuple(P.vertex_order):

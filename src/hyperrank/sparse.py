@@ -7,8 +7,6 @@ transposed vector product. Arrays are frozen after construction.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from . import _kernels
@@ -57,27 +55,29 @@ class SparseRealMatrix:
                 raise ValueError("columns must be strictly increasing within a row")
 
     @classmethod
-    def from_coo(cls, rows: int, cols: int,
-                 entries: Iterable[tuple[int, int, float]]) -> "SparseRealMatrix":
-        """Build from (row, col, value) triples; duplicates sum, zeros drop."""
-        acc: dict[tuple[int, int], float] = {}
-        for i, j, v in entries:
-            i = int(i)
-            j = int(j)
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
-            key = (i, j)
-            acc[key] = acc.get(key, 0.0) + float(v)
-        kept = sorted((ij, v) for ij, v in acc.items() if v != 0.0)
+    def from_coo(cls, rows: int, cols: int, row, col, value) -> "SparseRealMatrix":
+        """Build from parallel (row, col, value) arrays; duplicates sum, zeros drop.
+
+        Duplicates are summed in input order, starting from 0.0.
+        """
+        row = np.asarray(row, dtype=np.int64)
+        col = np.asarray(col, dtype=np.int64)
+        value = np.asarray(value, dtype=np.float64)
+        if not (row.ndim == col.ndim == value.ndim == 1
+                and row.size == col.size == value.size):
+            raise ValueError("row, col and value must be aligned 1-d arrays")
+        outside = np.flatnonzero((row < 0) | (row >= rows) | (col < 0) | (col >= cols))
+        if outside.size:
+            k = outside[0]
+            raise IndexError(f"entry ({row[k]}, {col[k]}) outside {rows}x{cols}")
+        keys, slot = np.unique(row * cols + col, return_inverse=True)
+        # bincount adds each key's values in input order, like a running sum
+        sums = np.bincount(slot, weights=value, minlength=keys.size)
+        kept = sums != 0.0
+        keys, sums = keys[kept], sums[kept]
         indptr = np.zeros(rows + 1, dtype=np.int64)
-        indices = np.empty(len(kept), dtype=np.int64)
-        data = np.empty(len(kept), dtype=np.float64)
-        for k, ((i, j), v) in enumerate(kept):
-            indptr[i + 1] += 1
-            indices[k] = j
-            data[k] = v
-        np.cumsum(indptr, out=indptr)
-        return cls(rows, cols, indptr, indices, data)
+        np.cumsum(np.bincount(keys // cols, minlength=rows), out=indptr[1:])
+        return cls(rows, cols, indptr, keys % cols, sums)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseRealMatrix":
@@ -86,7 +86,7 @@ class SparseRealMatrix:
             raise ValueError("expected a 2-d array")
         rows, cols = dense.shape
         ii, jj = np.nonzero(dense)
-        return cls.from_coo(rows, cols, zip(ii, jj, dense[ii, jj]))
+        return cls.from_coo(rows, cols, ii, jj, dense[ii, jj])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))

@@ -167,31 +167,22 @@ def build_transition(hg: DirectedHypergraph,
     if n == 0:
         raise ValueError("cannot build a transition matrix for an empty hypergraph")
     deg = compute_degrees(hg)
-    dangling_ids = [hg.vertices[int(i)] for i in np.flatnonzero(deg.vertex_tail == 0.0)]
-    if dangling_ids and dangling == ON_DANGLING_ERROR:
-        raise DanglingVertexError(dangling_ids)
-    rows: list[dict[int, float]] = [{} for _ in range(n)]
-    for j, arc in enumerate(hg.arcs):
-        share = arc.weight / deg.arc_head[j]
-        for u in arc.tail:
-            step = share / deg.vertex_tail[u]
-            row = rows[u]
-            for v in arc.head:
-                row[v] = row.get(v, 0.0) + step
-    if dangling_ids:
-        uniform = 1.0 / n
-        for name in dangling_ids:
-            rows[hg.index_of[name]] = {v: uniform for v in range(n)}
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for u in range(n):
-        cols = sorted(rows[u])
-        indices.extend(cols)
-        data.extend(rows[u][c] for c in cols)
-        indptr[u + 1] = len(indices)
-    matrix = SparseRealMatrix(n, n, indptr, np.array(indices, dtype=np.int64),
-                              np.array(data))
+    jumpers = np.flatnonzero(deg.vertex_tail == 0.0)
+    if jumpers.size and dangling == ON_DANGLING_ERROR:
+        raise DanglingVertexError([hg.vertices[i] for i in jumpers.tolist()])
+    lay = hg.layout
+    # one (u, v, step) entry per arc, tail vertex and head vertex, in that
+    # nesting order, so that from_coo sums each pair's steps in arc order
+    tail_arc = lay.tail_arc
+    step = (lay.weight / deg.arc_head)[tail_arc] / deg.vertex_tail[lay.tail_idx]
+    fan = deg.arc_head[tail_arc]
+    head_pos = (np.repeat(lay.head_ptr[tail_arc] - (np.cumsum(fan) - fan), fan)
+                + np.arange(fan.sum()))
+    # then each dangling vertex's uniform row, which has no arc entries
+    rows = np.concatenate([np.repeat(lay.tail_idx, fan), np.repeat(jumpers, n)])
+    cols = np.concatenate([lay.head_idx[head_pos], np.tile(np.arange(n), jumpers.size)])
+    vals = np.concatenate([np.repeat(step, fan), np.full(jumpers.size * n, 1.0 / n)])
+    matrix = SparseRealMatrix.from_coo(n, n, rows, cols, vals)
     return TransitionMatrix(matrix, hg.vertices)
 
 
@@ -271,32 +262,19 @@ def _walk_tables(hg: DirectedHypergraph) -> _WalkTables:
     dangling = [hg.vertices[int(i)] for i in np.flatnonzero(deg.vertex_tail == 0.0)]
     if dangling:
         raise DanglingVertexError(dangling)
-    n = hg.n_vertices
-    outgoing: list[list[int]] = [[] for _ in range(n)]
-    for j, arc in enumerate(hg.arcs):
-        for u in arc.tail:
-            outgoing[u].append(j)
-    arc_ptr = np.zeros(n + 1, dtype=np.int64)
-    arc_cum: list[float] = []
-    arc_of_slot: list[int] = []
-    for u in range(n):
-        total = deg.vertex_tail[u]
-        acc = 0.0
-        for j in outgoing[u]:
-            acc += hg.arcs[j].weight / total
-            arc_cum.append(acc)
-            arc_of_slot.append(j)
-        arc_ptr[u + 1] = len(arc_of_slot)
-    head_ptr = np.zeros(hg.n_arcs + 1, dtype=np.int64)
-    head_verts: list[int] = []
-    for j, arc in enumerate(hg.arcs):
-        head_verts.extend(arc.head)
-        head_ptr[j + 1] = len(head_verts)
-    return _WalkTables(arc_ptr,
-                       np.array(arc_cum),
-                       np.array(arc_of_slot, dtype=np.int64),
-                       head_ptr,
-                       np.array(head_verts, dtype=np.int64))
+    lay = hg.layout
+    # each vertex's outgoing arcs in arc order: a stable sort of the tail slots
+    order = np.argsort(lay.tail_idx, kind="stable")
+    arc_of_slot = lay.tail_arc[order]
+    arc_ptr = np.zeros(hg.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lay.tail_idx, minlength=hg.n_vertices), out=arc_ptr[1:])
+    prob = lay.weight[arc_of_slot] / deg.vertex_tail[lay.tail_idx[order]]
+    # one sequential cumsum per vertex: each running total restarts at zero
+    arc_cum = np.empty_like(prob)
+    bounds = arc_ptr.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        np.cumsum(prob[a:b], out=arc_cum[a:b])
+    return _WalkTables(arc_ptr, arc_cum, arc_of_slot, lay.head_ptr, lay.head_idx)
 
 
 def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,

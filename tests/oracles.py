@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from hyperrank import (DirectedHypergraph, HyperArc, PruneEvent,
+                       SparseRealMatrix)
+
 
 def csr_left_multiply(indptr, indices, data, x, out) -> None:
     """y = xᵀA into ``out`` by a row-major scatter, the former compiled loop."""
@@ -28,3 +31,175 @@ def row_sums(indptr, data) -> np.ndarray:
         for j in range(ptr[i], ptr[i + 1]):
             acc[i] += vals[j]
     return np.array(acc, dtype=np.float64)
+
+
+def csr_bytes(m: SparseRealMatrix):
+    """Shape and the raw bytes of the three CSR arrays, for bitwise comparison."""
+    return (m.rows, m.cols, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes())
+
+
+def from_coo(rows, cols, row, col, value) -> SparseRealMatrix:
+    """COO to CSR through a dict of running sums; duplicates sum, zeros drop."""
+    acc: dict[tuple[int, int], float] = {}
+    for i, j, v in zip(row, col, value):
+        i = int(i)
+        j = int(j)
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
+        acc[i, j] = acc.get((i, j), 0.0) + float(v)
+    kept = sorted((ij, v) for ij, v in acc.items() if v != 0.0)
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    for (i, _), _ in kept:
+        indptr[i + 1] += 1
+    return SparseRealMatrix(rows, cols, np.cumsum(indptr),
+                            [j for (_, j), _ in kept], [v for _, v in kept])
+
+
+def compute_degrees(hg: DirectedHypergraph):
+    """(vertex tail, vertex head, arc tail, arc head) degrees, arc by arc."""
+    nv, na = hg.n_vertices, hg.n_arcs
+    vertex_tail = np.zeros(nv)
+    vertex_head = np.zeros(nv)
+    arc_tail = np.zeros(na, dtype=np.int64)
+    arc_head = np.zeros(na, dtype=np.int64)
+    for j, arc in enumerate(hg.arcs):
+        arc_tail[j] = len(arc.tail)
+        arc_head[j] = len(arc.head)
+        for u in arc.tail:
+            vertex_tail[u] += arc.weight
+        for v in arc.head:
+            vertex_head[v] += arc.weight
+    return vertex_tail, vertex_head, arc_tail, arc_head
+
+
+def build_incidence(hg: DirectedHypergraph):
+    """The tail and head 0/1 membership matrices from per-arc entry lists."""
+    nv, na = hg.n_vertices, hg.n_arcs
+    pairs = ([(u, j) for j, arc in enumerate(hg.arcs) for u in arc.tail],
+             [(v, j) for j, arc in enumerate(hg.arcs) for v in arc.head])
+    return tuple(from_coo(nv, na, [i for i, _ in p], [j for _, j in p], [1.0] * len(p))
+                 for p in pairs)
+
+
+def prune_to_core(hg: DirectedHypergraph):
+    """The pruning cascade on per-arc vertex sets, one round at a time."""
+    n = hg.n_vertices
+    alive_vertex = [True] * n
+    tails = [set(a.tail) for a in hg.arcs]
+    heads = [set(a.head) for a in hg.arcs]
+    alive_arc = [True] * hg.n_arcs
+    events: list[PruneEvent] = []
+    rnd = 0
+    while True:
+        rnd += 1
+        tail_deg = [0] * n
+        head_deg = [0] * n
+        for k in range(hg.n_arcs):
+            if not alive_arc[k]:
+                continue
+            for u in tails[k]:
+                tail_deg[u] += 1
+            for v in heads[k]:
+                head_deg[v] += 1
+        doomed = set()
+        for v in range(n):
+            if not alive_vertex[v]:
+                continue
+            no_tail = tail_deg[v] == 0
+            no_head = head_deg[v] == 0
+            if no_tail or no_head:
+                if no_tail and no_head:
+                    reason = "zero tail and head degree"
+                elif no_tail:
+                    reason = "zero tail degree"
+                else:
+                    reason = "zero head degree"
+                events.append(PruneEvent(rnd, "vertex", hg.vertices[v], reason))
+                alive_vertex[v] = False
+                doomed.add(v)
+        if not doomed:
+            break
+        for k in range(hg.n_arcs):
+            if not alive_arc[k]:
+                continue
+            tails[k] -= doomed
+            heads[k] -= doomed
+            if not tails[k] or not heads[k]:
+                if not tails[k] and not heads[k]:
+                    reason = "tail and head emptied"
+                elif not tails[k]:
+                    reason = "tail emptied"
+                else:
+                    reason = "head emptied"
+                events.append(PruneEvent(rnd, "arc", hg.arcs[k].id, reason))
+                alive_arc[k] = False
+    keep = [v for v in range(n) if alive_vertex[v]]
+    remap = {old: new for new, old in enumerate(keep)}
+    vertices = tuple(hg.vertices[v] for v in keep)
+    arcs = tuple(
+        HyperArc(hg.arcs[k].id,
+                 tuple(remap[u] for u in tails[k]),
+                 tuple(remap[v] for v in heads[k]),
+                 hg.arcs[k].weight)
+        for k in range(hg.n_arcs) if alive_arc[k]
+    )
+    return DirectedHypergraph(vertices, arcs), events
+
+
+def build_transition(hg: DirectedHypergraph,
+                     uniform_jump: bool = False) -> SparseRealMatrix:
+    """P as a dict of running sums per row, arc by arc, tail by tail, head by head.
+
+    With ``uniform_jump`` a row with no outgoing arc becomes uniform.
+    """
+    vertex_tail, _, _, arc_head = compute_degrees(hg)
+    n = hg.n_vertices
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
+    for j, arc in enumerate(hg.arcs):
+        share = arc.weight / arc_head[j]
+        for u in arc.tail:
+            step = share / vertex_tail[u]
+            row = rows[u]
+            for v in arc.head:
+                row[v] = row.get(v, 0.0) + step
+    if uniform_jump:
+        for u in np.flatnonzero(vertex_tail == 0.0):
+            rows[u] = {v: 1.0 / n for v in range(n)}
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices: list[int] = []
+    data: list[float] = []
+    for u in range(n):
+        cols = sorted(rows[u])
+        indices.extend(cols)
+        data.extend(rows[u][c] for c in cols)
+        indptr[u + 1] = len(indices)
+    return SparseRealMatrix(n, n, indptr, indices, data)
+
+
+def walk_tables(hg: DirectedHypergraph):
+    """(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts), vertex by vertex."""
+    vertex_tail = compute_degrees(hg)[0]
+    n = hg.n_vertices
+    outgoing: list[list[int]] = [[] for _ in range(n)]
+    for j, arc in enumerate(hg.arcs):
+        for u in arc.tail:
+            outgoing[u].append(j)
+    arc_ptr = np.zeros(n + 1, dtype=np.int64)
+    arc_cum: list[float] = []
+    arc_of_slot: list[int] = []
+    for u in range(n):
+        total = vertex_tail[u]
+        acc = 0.0
+        for j in outgoing[u]:
+            acc += hg.arcs[j].weight / total
+            arc_cum.append(acc)
+            arc_of_slot.append(j)
+        arc_ptr[u + 1] = len(arc_of_slot)
+    head_ptr = np.zeros(hg.n_arcs + 1, dtype=np.int64)
+    head_verts: list[int] = []
+    for j, arc in enumerate(hg.arcs):
+        head_verts.extend(arc.head)
+        head_ptr[j + 1] = len(head_verts)
+    return (arc_ptr, np.array(arc_cum, dtype=np.float64),
+            np.array(arc_of_slot, dtype=np.int64), head_ptr,
+            np.array(head_verts, dtype=np.int64))

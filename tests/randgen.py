@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from hyperrank import DirectedHypergraph, HyperArc, prune_to_core
 
@@ -65,4 +66,24 @@ def random_ergodic_hypergraph(rng, min_vertices: int = 3, max_vertices: int = 12
                              tuple(int(x) for x in tail),
                              tuple(int(x) for x in head),
                              _weight(rng)))
+    return DirectedHypergraph(tuple(f"v{i}" for i in range(n)), tuple(arcs))
+
+
+# mixed magnitudes, so that a sum taken in another order rounds differently
+_weights = st.one_of(st.floats(min_value=1e-6, max_value=1e6),
+                     st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7, 1e-9, 1e9]))
+
+
+@st.composite
+def hypergraphs(draw, max_vertices: int = 6, max_arcs: int = 12) -> DirectedHypergraph:
+    """Valid hypergraphs over few vertices: pairs recur across arcs, and
+    isolated vertices, dangling vertices and prunable fringes are common."""
+    n = draw(st.integers(2, max_vertices))
+    arcs = []
+    for j in range(draw(st.integers(0, max_arcs))):
+        perm = draw(st.permutations(range(n)))
+        ts = draw(st.integers(1, n - 1))
+        hs = draw(st.integers(1, n - ts))
+        arcs.append(HyperArc(f"e{j}", tuple(perm[:ts]), tuple(perm[ts:ts + hs]),
+                             draw(_weights)))
     return DirectedHypergraph(tuple(f"v{i}" for i in range(n)), tuple(arcs))

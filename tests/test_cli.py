@@ -243,3 +243,31 @@ def test_prune_log_goes_to_stderr(tmp_path, capsys):
     assert "prune round 1" in captured.err
     assert "removed vertex X" in captured.err
     assert captured.out.splitlines()[0] == "rank\tvertex\tvalue"
+
+
+def test_integer_weight_beyond_float_range_is_a_violation(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], '
+                    '"head": ["b"], "weight": 1' + "0" * 400 + "}]}")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "NonpositiveWeight: e: weight inf is not a positive real\n"
+    assert captured.err == ""
+    assert main(["rank", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("hyperrank: NonpositiveWeight: e: weight inf "
+                            "is not a positive real\n")
+
+
+def test_laplacian_beyond_the_dense_limit_is_diagnosed(tmp_path, capsys):
+    n = 600
+    doc = {"vertices": [f"v{i}" for i in range(n)],
+           "arcs": [{"id": f"e{i}", "tail": [f"v{i}"], "head": [f"v{(i + 1) % n}"],
+                     "weight": 1.0} for i in range(n)]}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["laplacian", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hyperrank: dense solve limited to 512 vertices, got 600\n"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hyperrank import (DirectedHypergraph, HyperArc, build_incidence,
                        compute_degrees, prune_to_core, validate)
 from hyperrank.errors import ValidationError
 
-from randgen import random_hypergraph, random_pruned_hypergraph
+import oracles
+from randgen import hypergraphs, random_hypergraph, random_pruned_hypergraph
 
 
 def test_validate_minimal_legal_arc():
@@ -205,3 +207,67 @@ def test_random_pruned_generator_yields_cores():
     hg = random_pruned_hypergraph(rng)
     deg = compute_degrees(hg)
     assert deg.vertex_tail.min() > 0 and deg.vertex_head.min() > 0
+
+
+# ------------------------------------------- flat layout vs loop oracles
+
+def test_layout_flattens_the_arcs(hg3):
+    lay = hg3.layout
+    assert lay.tail_ptr.tolist() == [0, 1, 2, 3]
+    assert lay.tail_idx.tolist() == [0, 1, 2]
+    assert lay.head_ptr.tolist() == [0, 2, 3, 4]
+    assert lay.head_idx.tolist() == [1, 2, 2, 0]
+    assert lay.weight.tolist() == [1.0, 2.0, 1.0]
+    assert lay.tail_arc.tolist() == [0, 1, 2]
+    assert lay.head_arc.tolist() == [0, 0, 1, 2]
+    assert hg3.layout is lay
+    with pytest.raises(ValueError):
+        lay.weight[0] = 5.0
+
+
+def test_layout_of_an_empty_hypergraph():
+    lay = DirectedHypergraph().layout
+    assert lay.tail_ptr.tolist() == [0] and lay.head_ptr.tolist() == [0]
+    assert lay.tail_idx.size == lay.head_idx.size == lay.weight.size == 0
+
+
+def _assert_passes_match_oracles(hg):
+    deg = compute_degrees(hg)
+    got = (deg.vertex_tail, deg.vertex_head, deg.arc_tail, deg.arc_head)
+    for mine, ref in zip(got, oracles.compute_degrees(hg)):
+        assert mine.dtype == ref.dtype
+        assert mine.tobytes() == ref.tobytes()
+    for mine, ref in zip(build_incidence(hg), oracles.build_incidence(hg)):
+        assert oracles.csr_bytes(mine) == oracles.csr_bytes(ref)
+    pruned, events = prune_to_core(hg)
+    ref_pruned, ref_events = oracles.prune_to_core(hg)
+    assert pruned == ref_pruned
+    assert events == ref_events
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+def test_passes_match_loop_oracles_on_generated_hypergraphs(hg):
+    _assert_passes_match_oracles(hg)
+
+
+def test_passes_match_loop_oracles_on_seeded_hypergraphs():
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        _assert_passes_match_oracles(random_hypergraph(rng))
+    for _ in range(20):
+        _assert_passes_match_oracles(random_pruned_hypergraph(rng))
+
+
+def test_prune_to_empty_matches_loop_oracle(chain):
+    # b survives round 1 and goes in round 2, once both of its arcs are gone
+    pruned, events = prune_to_core(chain)
+    assert (pruned, events) == oracles.prune_to_core(chain)
+    assert pruned == DirectedHypergraph()
+    assert [(e.round, e.kind, e.identifier, e.reason) for e in events] == [
+        (1, "vertex", "a", "zero head degree"),
+        (1, "vertex", "c", "zero tail degree"),
+        (1, "arc", "e1", "tail emptied"),
+        (1, "arc", "e2", "head emptied"),
+        (2, "vertex", "b", "zero tail and head degree"),
+    ]

@@ -233,11 +233,32 @@ def test_load_rejects_nonpositive_weight():
 def test_load_reports_every_violation():
     doc = {"vertices": ["a", "b", "b"],
            "arcs": [{"id": "e1", "tail": ["a"], "head": ["a"], "weight": 1},
-                    {"id": "e2", "tail": [], "head": ["b"], "weight": 0}]}
+                    {"id": "e2", "tail": [], "head": ["b"], "weight": 0},
+                    {"id": "e1", "tail": ["a"], "head": ["b"], "weight": 1}]}
     with pytest.raises(ValidationError) as exc:
         load_canonical(json.dumps(doc))
     assert exc.value.report.codes() == {"DuplicateVertexId", "TailHeadOverlap",
-                                        "EmptyTail", "NonpositiveWeight"}
+                                        "EmptyTail", "NonpositiveWeight",
+                                        "DuplicateArcId"}
+
+
+def test_load_reports_unknown_vertices_with_every_other_violation():
+    doc = {"vertices": ["a", "b"],
+           "arcs": [{"id": "e1", "tail": ["a"], "head": ["zz"], "weight": 1},
+                    {"id": "e2", "tail": ["a"], "head": ["a"], "weight": 1}]}
+    with pytest.raises(ValidationError) as exc:
+        load_canonical(json.dumps(doc))
+    assert [(v.code, v.subject) for v in exc.value.report.violations] == [
+        ("TailHeadOverlap", "e2"), ("UnknownVertex", "e1")]
+
+
+def test_load_treats_an_integer_beyond_float_range_as_nonpositive_weight():
+    text = ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], '
+            '"head": ["b"], "weight": 1' + "0" * 400 + "}]}")
+    with pytest.raises(ValidationError) as exc:
+        load_canonical(text)
+    assert exc.value.report.codes() == {"NonpositiveWeight"}
+    assert str(exc.value) == "NonpositiveWeight: e: weight inf is not a positive real"
 
 
 def test_load_schema_errors():

@@ -1,6 +1,11 @@
 """Kernel checks: the SpMV against its loop oracle, and backend parity of
 the walk stepper where the compiled extension is built."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -107,3 +112,15 @@ def test_simulation_identical_across_backends(hg3, monkeypatch):
         monkeypatch.setattr(_kernels, "walk_steps", backend.walk_steps)
         runs.append(simulate_walk(hg3, "v1", 50000, seed=3))
     assert runs[0] == runs[1]
+
+
+def test_bench_kernels_runs_at_tiny_size():
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    src = str(Path(hyperrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(script), "--vertices", "50",
+                           "--arcs", "150", "--steps", "1000"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "network: 50 vertices, 150 arcs" in proc.stdout

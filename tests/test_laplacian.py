@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hyperrank import (PowerOptions, RankVector, build_laplacians,
-                       build_transition, pagerank_power, spectral_report,
-                       stationary_dense_oracle)
+from hyperrank import (DirectedHypergraph, PowerOptions, RankVector,
+                       TransitionMatrix, build_laplacians, build_transition,
+                       pagerank_power, spectral_report, stationary_dense_oracle)
 from hyperrank.errors import (DenseLimitExceededError, NonpositivePiError,
                               NotStationaryError)
 
@@ -103,6 +103,22 @@ def test_spectral_report_dense_limit(hg3):
     pair = build_laplacians(P, pagerank_power(P))
     with pytest.raises(DenseLimitExceededError):
         spectral_report(pair, dense_limit=2)
+
+
+def test_build_refuses_more_than_the_dense_limit_before_densifying(monkeypatch):
+    n = 600
+    cycle = DirectedHypergraph.from_named_arcs(
+        [(f"e{i}", [f"v{i}"], [f"v{(i + 1) % n}"], 1.0) for i in range(n)])
+    P = build_transition(cycle)
+    pi = RankVector(P.vertex_order, np.full(n, 1.0 / n))  # stationary: P is a permutation
+
+    def densify(self):
+        raise AssertionError("densified before the size check")
+
+    monkeypatch.setattr(TransitionMatrix, "to_dense", densify)
+    with pytest.raises(DenseLimitExceededError) as exc:
+        build_laplacians(P, pi)
+    assert (exc.value.size, exc.value.limit) == (600, 512)
 
 
 def test_uniform_pi_on_symmetric_chain(three_cycle):

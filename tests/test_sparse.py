@@ -9,8 +9,8 @@ import oracles
 
 
 def test_from_coo_sums_duplicates_and_drops_zeros():
-    m = SparseRealMatrix.from_coo(2, 3, [(0, 1, 2.0), (0, 1, 3.0), (1, 0, 4.0),
-                                         (1, 2, 1.0), (1, 2, -1.0)])
+    m = SparseRealMatrix.from_coo(2, 3, [0, 0, 1, 1, 1], [1, 1, 0, 2, 2],
+                                  [2.0, 3.0, 4.0, 1.0, -1.0])
     assert m.nnz == 2
     assert m.to_dense().tolist() == [[0.0, 5.0, 0.0], [4.0, 0.0, 0.0]]
 
@@ -24,16 +24,16 @@ def test_from_dense_round_trip():
 
 
 def test_structural_equality():
-    a = SparseRealMatrix.from_coo(2, 2, [(0, 1, 1.0)])
-    b = SparseRealMatrix.from_coo(2, 2, [(0, 1, 1.0)])
-    c = SparseRealMatrix.from_coo(2, 2, [(1, 0, 1.0)])
+    a = SparseRealMatrix.from_coo(2, 2, [0], [1], [1.0])
+    b = SparseRealMatrix.from_coo(2, 2, [0], [1], [1.0])
+    c = SparseRealMatrix.from_coo(2, 2, [1], [0], [1.0])
     assert a == b
     assert a != c
 
 
 def test_rejects_out_of_range_entries():
     with pytest.raises(IndexError):
-        SparseRealMatrix.from_coo(2, 2, [(0, 5, 1.0)])
+        SparseRealMatrix.from_coo(2, 2, [0], [5], [1.0])
 
 
 def test_rejects_malformed_csr():
@@ -60,7 +60,7 @@ def test_left_multiply_matches_dense_oracle():
 
 
 def test_row_sums_and_row_access():
-    m = SparseRealMatrix.from_coo(3, 3, [(0, 0, 1.0), (0, 2, 2.0), (2, 1, 5.0)])
+    m = SparseRealMatrix.from_coo(3, 3, [0, 0, 2], [0, 2, 1], [1.0, 2.0, 5.0])
     np.testing.assert_array_equal(m.row_sums(), [3.0, 0.0, 5.0])
     cols, vals = m.row(0)
     assert cols.tolist() == [0, 2]
@@ -70,7 +70,7 @@ def test_row_sums_and_row_access():
 
 
 def test_arrays_are_frozen():
-    m = SparseRealMatrix.from_coo(1, 1, [(0, 0, 1.0)])
+    m = SparseRealMatrix.from_coo(1, 1, [0], [0], [1.0])
     with pytest.raises(ValueError):
         m.data[0] = 2.0
 
@@ -106,3 +106,54 @@ def test_products_match_loop_oracles_bitwise(case):
     sums = m.row_sums()
     assert sums.dtype == np.float64
     assert sums.tobytes() == oracles.row_sums(m.indptr, m.data).tobytes()
+
+
+@st.composite
+def coo_entries(draw):
+    # a small grid, so that keys repeat; values that cancel or are zero
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    size = draw(st.integers(0, 30)) if rows and cols else 0
+    row = draw(st.lists(st.integers(0, max(rows - 1, 0)), min_size=size, max_size=size))
+    col = draw(st.lists(st.integers(0, max(cols - 1, 0)), min_size=size, max_size=size))
+    special = st.sampled_from([0.0, -0.0, 0.1, -0.1, 1e16])
+    value = draw(st.lists(st.one_of(_reals, special), min_size=size, max_size=size))
+    return rows, cols, row, col, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_entries())
+def test_from_coo_matches_dict_oracle_bitwise(case):
+    got = SparseRealMatrix.from_coo(*case)
+    assert oracles.csr_bytes(got) == oracles.csr_bytes(oracles.from_coo(*case))
+
+
+def test_from_coo_sums_duplicates_in_input_order():
+    values = [1e16, 1.0, -1e16, 1.0]
+    case = (1, 2, [0] * 4, [1] * 4, values)
+    m = SparseRealMatrix.from_coo(*case)
+    assert m.data.tolist() == [((0.0 + 1e16) + 1.0 - 1e16) + 1.0]
+    assert oracles.csr_bytes(m) == oracles.csr_bytes(oracles.from_coo(*case))
+    # entries that cancel exactly are dropped like explicit zeros
+    m = SparseRealMatrix.from_coo(2, 2, [0, 1, 1, 0], [0, 1, 1, 1],
+                                  [0.0, 2.5, -2.5, 3.0])
+    assert m.indptr.tolist() == [0, 1, 1]
+    assert (m.indices.tolist(), m.data.tolist()) == ([1], [3.0])
+
+
+@pytest.mark.parametrize("row, col", [([0, 2], [0, 0]), ([0, 0], [1, -1]),
+                                      ([-1], [0]), ([1], [3])])
+def test_from_coo_rejects_entries_outside_the_shape(row, col):
+    value = [1.0] * len(row)
+    with pytest.raises(IndexError) as got:
+        SparseRealMatrix.from_coo(2, 3, row, col, value)
+    with pytest.raises(IndexError) as ref:
+        oracles.from_coo(2, 3, row, col, value)
+    assert str(got.value) == str(ref.value)
+
+
+def test_from_coo_rejects_misaligned_arrays():
+    with pytest.raises(ValueError):
+        SparseRealMatrix.from_coo(2, 2, [0, 1], [0], [1.0])
+    with pytest.raises(ValueError):
+        SparseRealMatrix.from_coo(2, 2, [[0]], [[0]], [[1.0]])

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hyperrank import (DirectedHypergraph, HyperArc, PowerOptions, RankVector,
                        build_incidence, build_transition, compute_degrees,
-                       pagerank_power, simulate_walk, stationary_dense_oracle,
-                       top_k, tv_distance)
+                       pagerank_power, prune_to_core, simulate_walk,
+                       stationary_dense_oracle, top_k, tv_distance)
 from hyperrank.errors import (DanglingVertexError, DenseLimitExceededError,
                               MultipleSolutionsError, NoConvergenceError)
+from hyperrank.walk import _walk_tables
 
-from randgen import random_ergodic_hypergraph, random_pruned_hypergraph
+import oracles
+from randgen import (hypergraphs, random_ergodic_hypergraph, random_hypergraph,
+                     random_pruned_hypergraph)
 
 HG3_PI = np.array([0.4, 0.2, 0.4])
 
@@ -108,6 +112,80 @@ def test_transition_type_enforces_stochasticity():
                          ("a", "b"))
     with pytest.raises(ValueError, match="shape"):
         TransitionMatrix(SparseRealMatrix.from_dense([[1.0]]), ("a", "b"))
+
+
+def _assert_transition_matches_oracle(hg):
+    if not hg.n_vertices:
+        return
+    ref = oracles.build_transition(hg, uniform_jump=True)
+    got = build_transition(hg, dangling="uniform-jump").matrix
+    assert oracles.csr_bytes(got) == oracles.csr_bytes(ref)
+    if compute_degrees(hg).vertex_tail.min() > 0:
+        assert oracles.csr_bytes(build_transition(hg).matrix) == oracles.csr_bytes(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+def test_transition_matches_loop_oracle_bitwise(hg):
+    _assert_transition_matches_oracle(hg)
+    _assert_transition_matches_oracle(prune_to_core(hg)[0])
+
+
+def test_transition_matches_loop_oracle_on_seeded_hypergraphs():
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        _assert_transition_matches_oracle(random_hypergraph(rng))  # has dangling rows
+        _assert_transition_matches_oracle(random_pruned_hypergraph(rng))
+
+
+def test_transition_sums_a_pair_over_its_arcs_in_arc_order():
+    # a reaches b through all three arcs; the three steps only sum to the
+    # stored value when added in arc order
+    hg = DirectedHypergraph.from_named_arcs([
+        ("e1", ["a"], ["b"], 0.1),
+        ("e2", ["a"], ["b", "c"], 0.2),
+        ("e3", ["a"], ["b"], 0.3),
+        ("back", ["b", "c"], ["a"], 1.0),
+    ])
+    deg = compute_degrees(hg)
+    steps = [w / h / deg.vertex_tail[0] for w, h in ((0.1, 1), (0.2, 2), (0.3, 1))]
+    in_order = (0.0 + steps[0] + steps[1]) + steps[2]
+    assert in_order != (0.0 + steps[2] + steps[1]) + steps[0]
+    P = build_transition(hg)
+    assert P.to_dense()[0, 1] == in_order
+    assert oracles.csr_bytes(P.matrix) == oracles.csr_bytes(oracles.build_transition(hg))
+
+
+def test_transition_uniform_jump_rows_match_loop_oracle(chain):
+    P = build_transition(chain, dangling="uniform-jump")
+    ref = oracles.build_transition(chain, uniform_jump=True)
+    assert oracles.csr_bytes(P.matrix) == oracles.csr_bytes(ref)
+    assert P.matrix.row(2)[0].tolist() == [0, 1, 2]
+
+
+def _assert_walk_tables_match_oracle(hg):
+    tables = _walk_tables(hg)
+    got = (tables.arc_ptr, tables.arc_cum, tables.arc_of_slot, tables.head_ptr,
+           tables.head_verts)
+    for mine, ref in zip(got, oracles.walk_tables(hg)):
+        assert mine.dtype == ref.dtype
+        assert mine.flags.c_contiguous
+        assert mine.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs())
+def test_walk_tables_match_loop_oracle_bitwise(hg):
+    core, _ = prune_to_core(hg)
+    if core.n_vertices:
+        _assert_walk_tables_match_oracle(core)
+
+
+def test_walk_tables_match_loop_oracle_on_seeded_cores():
+    rng = np.random.default_rng(79)
+    for _ in range(30):
+        _assert_walk_tables_match_oracle(random_pruned_hypergraph(rng))
+        _assert_walk_tables_match_oracle(random_ergodic_hypergraph(rng))
 
 
 # ----------------------------------------------------------- power method
