@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+_BLOCK = 1 << 14
+
 
 def walk_steps(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts,
                start, r_arc, r_head, counts):
@@ -21,23 +23,24 @@ def walk_steps(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts,
     arc_of = arc_of_slot.tolist()
     hptr = head_ptr.tolist()
     hv = head_verts.tolist()
-    ra = r_arc.tolist()
-    rh = r_head.tolist()
     cnt = counts.tolist()
     u = int(start)
-    for t in range(len(ra)):
-        lo = ptr[u]
-        hi = ptr[u + 1]
-        slot = bisect_right(cum, ra[t], lo, hi)
-        if slot >= hi:
-            slot = hi - 1
-        e = arc_of[slot]
-        hs = hptr[e]
-        hn = hptr[e + 1] - hs
-        idx = int(rh[t] * hn)
-        if idx >= hn:
-            idx = hn - 1
-        u = hv[hs + idx]
-        cnt[u] += 1
+    # the draws become Python floats a block at a time, which bounds the
+    # memory the lists take whatever the caller's chunk size
+    for b in range(0, len(r_arc), _BLOCK):
+        for ra, rh in zip(r_arc[b:b + _BLOCK].tolist(), r_head[b:b + _BLOCK].tolist()):
+            lo = ptr[u]
+            hi = ptr[u + 1]
+            slot = bisect_right(cum, ra, lo, hi)
+            if slot >= hi:
+                slot = hi - 1
+            e = arc_of[slot]
+            hs = hptr[e]
+            hn = hptr[e + 1] - hs
+            idx = int(rh * hn)
+            if idx >= hn:
+                idx = hn - 1
+            u = hv[hs + idx]
+            cnt[u] += 1
     counts[:] = cnt
     return u

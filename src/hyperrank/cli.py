@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import DirectedHypergraph, prune_to_core
-from .errors import (DanglingVertexError, HyperrankError, IngestError,
-                     NoConvergenceError, ValidationError)
+from .errors import (DanglingVertexError, DenseLimitExceededError,
+                     HyperrankError, IngestError, NoConvergenceError,
+                     NotStationaryError, ValidationError)
 from .ingest import (SPLIT, REVERSIBLE_POLICIES, IngestReport, load_canonical,
                      parse_reactions_text, reactions_to_hypergraph,
                      save_canonical)
@@ -129,7 +130,15 @@ def cmd_laplacian(ns) -> int:
     hg = _maybe_prune(ns, _load(ns))
     P = build_transition(hg)
     pi = pagerank_power(P, _power_options(ns, normalization=L1))
-    pair = build_laplacians(P, pi)
+    try:
+        pair = build_laplacians(P, pi)
+    except NotStationaryError as exc:
+        if ns.damping == 1.0:
+            raise
+        _note(f"hyperrank: {exc}")
+        _note("hint: the Laplacians need the undamped stationary vector; "
+              "drop --damping")
+        return 1
     matrix = pair.unnormalized if ns.kind == "unnormalized" else pair.symmetric_normalized
     report = spectral_report(pair)
     for line in report.lines():
@@ -150,13 +159,20 @@ def cmd_simulate(ns) -> int:
         start = hg.vertices[0]
     else:
         raise ValueError("the network has no vertices to walk on")
-    empirical = simulate_walk(hg, start, ns.steps, ns.seed)
     P = build_transition(hg)
     try:
         pi = pagerank_power(P, _power_options(ns, normalization=L1))
-    except NoConvergenceError:
-        _note("power iteration did not converge; comparing against the dense solve")
-        pi = stationary_dense_oracle(P)
+    except NoConvergenceError as exc:
+        fallback = "power iteration did not converge; comparing against the dense solve"
+        try:
+            pi = stationary_dense_oracle(P)
+        except DenseLimitExceededError:
+            raise exc from None  # no fallback was made; the damping hint applies
+        except HyperrankError:
+            _note(fallback)
+            raise
+        _note(fallback)
+    empirical = simulate_walk(hg, start, ns.steps, ns.seed)
     lines = [f"{v}\t{_fmt(freq, ns.precision)}" for v, freq in empirical.items()]
     lines.append(f"# tv_distance\t{tv_distance(empirical, pi):.6f}")
     _write_output("\n".join(lines) + "\n", ns.output)

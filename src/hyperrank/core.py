@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,12 +71,13 @@ class HyperArc:
         object.__setattr__(self, "weight", float(self.weight))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ArcLayout:
     """The arcs as two CSR blocks over the vertex indices, plus their weights.
 
     Arc j's tail is ``tail_idx[tail_ptr[j]:tail_ptr[j + 1]]`` and its head
-    is the same slice of ``head_idx``; both are sorted. Arrays are frozen.
+    is the same slice of ``head_idx``; both are sorted and hold each vertex
+    once. Arrays are frozen, and layouts compare by value.
     """
 
     tail_ptr: np.ndarray
@@ -85,6 +85,30 @@ class ArcLayout:
     head_ptr: np.ndarray
     head_idx: np.ndarray
     weight: np.ndarray
+
+    def __post_init__(self):
+        for arr in self._arrays():
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_sides(cls, tail_len, tail_idx, head_len, head_idx, weight) -> "ArcLayout":
+        """The layout of arcs given as side lengths plus concatenated vertex indices.
+
+        Each side is sorted and its repeated vertices dropped, as in HyperArc.
+        """
+        return cls(*_side(tail_len, tail_idx), *_side(head_len, head_idx),
+                   np.array(weight, dtype=np.float64))
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.tail_ptr, self.tail_idx, self.head_ptr, self.head_idx, self.weight)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ArcLayout):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._arrays(), other._arrays()))
+
+    def __hash__(self) -> int:
+        return hash((self.tail_idx.size, self.head_idx.size, self.weight.size))
 
     @property
     def tail_arc(self) -> np.ndarray:
@@ -97,23 +121,82 @@ class ArcLayout:
         return np.repeat(np.arange(self.weight.size), np.diff(self.head_ptr))
 
 
-def _csr(sides: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    ptr = np.zeros(len(sides) + 1, dtype=np.int64)
-    np.cumsum([len(side) for side in sides], out=ptr[1:])
-    idx = np.fromiter(chain.from_iterable(sides), dtype=np.int64, count=ptr[-1])
-    return ptr, idx
+def _side(lengths, idx) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (ptr, idx) of one side of every arc, each slice sorted and deduplicated."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    idx = np.asarray(idx, dtype=np.int64)
+    arc = np.repeat(np.arange(lengths.size), lengths)
+    idx = idx[np.lexsort((idx, arc))]  # arc is nondecreasing, so it stays aligned
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = (idx[1:] != idx[:-1]) | (arc[1:] != arc[:-1])
+    ptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arc[first], minlength=lengths.size), out=ptr[1:])
+    return ptr, idx[first]
 
 
-@dataclass(frozen=True)
+class FlatArcs:
+    """Arcs appended one by one to flat lists: ids, weights, and each side's
+    length plus its vertex indices, concatenated in arc order."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.weights: list[float] = []
+        self.tail_len: list[int] = []
+        self.tail_idx: list[int] = []
+        self.head_len: list[int] = []
+        self.head_idx: list[int] = []
+
+    def add(self, arc_id: str, tail: Sequence[int], head: Sequence[int],
+            weight: float) -> None:
+        self.ids.append(arc_id)
+        self.weights.append(weight)
+        self.tail_len.append(len(tail))
+        self.tail_idx += tail
+        self.head_len.append(len(head))
+        self.head_idx += head
+
+    def layout(self) -> ArcLayout:
+        return ArcLayout.from_sides(self.tail_len, self.tail_idx, self.head_len,
+                                    self.head_idx, self.weights)
+
+    def hypergraph(self, vertices: Iterable[str]) -> "DirectedHypergraph":
+        return DirectedHypergraph.from_layout(vertices, self.ids, self.layout())
+
+
+@dataclass(frozen=True, init=False)
 class DirectedHypergraph:
-    """Ordered vertices plus ordered hyper-arcs over their indices."""
+    """Ordered vertices plus ordered hyper-arcs over their indices.
 
-    vertices: tuple[str, ...] = ()
-    arcs: tuple[HyperArc, ...] = ()
+    The state is the vertex ids, the arc ids and the flat ``layout``;
+    ``arcs`` is a view of them as HyperArc records, built on first use.
+    Instances are immutable and compare by value.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    vertices: tuple[str, ...]
+    arc_ids: tuple[str, ...]
+    layout: ArcLayout
+
+    def __init__(self, vertices: Iterable[str] = (), arcs: Iterable[HyperArc] = ()):
+        flat = FlatArcs()
+        for a in arcs:
+            flat.add(a.id, a.tail, a.head, a.weight)
+        self._assign(vertices, flat.ids, flat.layout())
+
+    def _assign(self, vertices, arc_ids, layout: ArcLayout) -> None:
+        arc_ids = tuple(arc_ids)
+        if len(arc_ids) != layout.weight.size:
+            raise ValueError(f"{len(arc_ids)} arc ids for {layout.weight.size} arcs")
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "arc_ids", arc_ids)
+        object.__setattr__(self, "layout", layout)
+
+    @classmethod
+    def from_layout(cls, vertices: Iterable[str], arc_ids: Iterable[str],
+                    layout: ArcLayout) -> "DirectedHypergraph":
+        """Wrap a layout as it is: its sides must already be normalised."""
+        hg = cls.__new__(cls)
+        hg._assign(vertices, arc_ids, layout)
+        return hg
 
     @property
     def n_vertices(self) -> int:
@@ -121,27 +204,26 @@ class DirectedHypergraph:
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.arc_ids)
 
     @cached_property
     def index_of(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def layout(self) -> ArcLayout:
-        """The flat arrays every degree, matrix and pruning pass runs over."""
-        tail_ptr, tail_idx = _csr([a.tail for a in self.arcs])
-        head_ptr, head_idx = _csr([a.head for a in self.arcs])
-        weight = np.fromiter((a.weight for a in self.arcs), dtype=np.float64,
-                             count=len(self.arcs))
-        arrays = (tail_ptr, tail_idx, head_ptr, head_idx, weight)
-        for arr in arrays:
-            arr.setflags(write=False)
-        return ArcLayout(*arrays)
+    def arcs(self) -> tuple[HyperArc, ...]:
+        """The arcs as records, for reading; nothing in the pipeline needs them."""
+        lay = self.layout
+        tail_ptr, tail_idx = lay.tail_ptr.tolist(), lay.tail_idx.tolist()
+        head_ptr, head_idx = lay.head_ptr.tolist(), lay.head_idx.tolist()
+        return tuple(HyperArc(arc_id, tuple(tail_idx[tail_ptr[j]:tail_ptr[j + 1]]),
+                              tuple(head_idx[head_ptr[j]:head_ptr[j + 1]]), weight)
+                     for j, (arc_id, weight)
+                     in enumerate(zip(self.arc_ids, lay.weight.tolist())))
 
-    @property
-    def arc_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.arcs)
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _check(self)
 
     @classmethod
     def from_named_arcs(cls, named_arcs: Iterable[Sequence],
@@ -161,7 +243,7 @@ class DirectedHypergraph:
         else:
             vertex_list = list(vertices)
         index = {v: i for i, v in enumerate(vertex_list)}
-        arcs = []
+        flat = FlatArcs()
         for r in rows:
             arc_id, tail, head = r[0], r[1], r[2]
             weight = float(r[3]) if len(r) > 3 else 1.0
@@ -170,46 +252,77 @@ class DirectedHypergraph:
                     report = ValidationReport((Violation(
                         UNKNOWN_VERTEX, str(arc_id), f"unknown vertex id {name!r}"),))
                     raise ValidationError(report)
-            arcs.append(HyperArc(str(arc_id),
-                                 tuple(index[v] for v in tail),
-                                 tuple(index[v] for v in head),
-                                 weight))
-        return cls(tuple(vertex_list), tuple(arcs))
+            flat.add(str(arc_id), [index[v] for v in tail], [index[v] for v in head],
+                     weight)
+        return flat.hypergraph(vertex_list)
 
 
 def validate(hg: DirectedHypergraph) -> ValidationReport:
-    """Check every structural invariant; report all violations, not just one."""
+    """Check every structural invariant; report all violations, not just one.
+
+    The report is worked out once per hypergraph, which is immutable, and
+    reused by every later call.
+    """
+    return hg._report
+
+
+def _check(hg: DirectedHypergraph) -> ValidationReport:
+    """Masks over the layout flag the offending arcs; only those are
+    described, each with its violations in a fixed order."""
     violations: list[Violation] = []
-    seen: set[str] = set()
-    for v in hg.vertices:
-        if v in seen:
-            violations.append(Violation(DUPLICATE_VERTEX_ID, v,
-                                        "vertex id occurs more than once"))
-        seen.add(v)
-    n = hg.n_vertices
-    seen_arcs: set[str] = set()
-    for arc in hg.arcs:
-        if arc.id in seen_arcs:
-            violations.append(Violation(DUPLICATE_ARC_ID, arc.id,
+    if len(hg.index_of) < hg.n_vertices:
+        seen: set[str] = set()
+        for v in hg.vertices:
+            if v in seen:
+                violations.append(Violation(DUPLICATE_VERTEX_ID, v,
+                                            "vertex id occurs more than once"))
+            seen.add(v)
+    lay = hg.layout
+    n, m = hg.n_vertices, hg.n_arcs
+    tail_arc, head_arc = lay.tail_arc, lay.head_arc
+    repeated = np.zeros(m, dtype=bool)
+    if len(set(hg.arc_ids)) < m:
+        seen_arcs: set[str] = set()
+        for j, arc_id in enumerate(hg.arc_ids):
+            repeated[j] = arc_id in seen_arcs
+            seen_arcs.add(arc_id)
+    out_of_range = np.zeros(m, dtype=bool)
+    out_of_range[tail_arc[(lay.tail_idx < 0) | (lay.tail_idx >= n)]] = True
+    out_of_range[head_arc[(lay.head_idx < 0) | (lay.head_idx >= n)]] = True
+    no_tail = np.diff(lay.tail_ptr) == 0
+    no_head = np.diff(lay.head_ptr) == 0
+    # a side holds each vertex once, so an (arc, vertex) key met twice is in both
+    tail_ok, head_ok = ~out_of_range[tail_arc], ~out_of_range[head_arc]
+    keys = np.sort(np.concatenate((tail_arc[tail_ok] * n + lay.tail_idx[tail_ok],
+                                   head_arc[head_ok] * n + lay.head_idx[head_ok])))
+    overlap = np.zeros(m, dtype=bool)
+    overlap[keys[1:][keys[1:] == keys[:-1]] // max(n, 1)] = True
+    bad_weight = ~((lay.weight > 0.0) & np.isfinite(lay.weight))
+    flagged = repeated | out_of_range | no_tail | no_head | overlap | bad_weight
+    for j in np.flatnonzero(flagged).tolist():
+        arc_id = hg.arc_ids[j]
+        tail = lay.tail_idx[lay.tail_ptr[j]:lay.tail_ptr[j + 1]].tolist()
+        head = lay.head_idx[lay.head_ptr[j]:lay.head_ptr[j + 1]].tolist()
+        if repeated[j]:
+            violations.append(Violation(DUPLICATE_ARC_ID, arc_id,
                                         "arc id occurs more than once"))
-        seen_arcs.add(arc.id)
-        bad_index = [i for i in arc.tail + arc.head if not 0 <= i < n]
-        if bad_index:
-            violations.append(Violation(UNKNOWN_VERTEX, arc.id,
-                                        f"vertex index {bad_index[0]} out of range"))
+        if out_of_range[j]:
+            bad = next(i for i in tail + head if not 0 <= i < n)
+            violations.append(Violation(UNKNOWN_VERTEX, arc_id,
+                                        f"vertex index {bad} out of range"))
             continue
-        if not arc.tail:
-            violations.append(Violation(EMPTY_TAIL, arc.id, "tail is empty"))
-        if not arc.head:
-            violations.append(Violation(EMPTY_HEAD, arc.id, "head is empty"))
-        overlap = set(arc.tail) & set(arc.head)
-        if overlap:
-            names = ", ".join(hg.vertices[i] for i in sorted(overlap))
-            violations.append(Violation(TAIL_HEAD_OVERLAP, arc.id,
+        if no_tail[j]:
+            violations.append(Violation(EMPTY_TAIL, arc_id, "tail is empty"))
+        if no_head[j]:
+            violations.append(Violation(EMPTY_HEAD, arc_id, "head is empty"))
+        if overlap[j]:
+            names = ", ".join(hg.vertices[i] for i in sorted(set(tail) & set(head)))
+            violations.append(Violation(TAIL_HEAD_OVERLAP, arc_id,
                                         f"tail and head share: {names}"))
-        if not (arc.weight > 0.0) or not np.isfinite(arc.weight):
-            violations.append(Violation(NONPOSITIVE_WEIGHT, arc.id,
-                                        f"weight {arc.weight!r} is not a positive real"))
+        if bad_weight[j]:
+            weight = float(lay.weight[j])
+            violations.append(Violation(NONPOSITIVE_WEIGHT, arc_id,
+                                        f"weight {weight!r} is not a positive real"))
     return ValidationReport(tuple(violations))
 
 
@@ -335,21 +448,23 @@ def prune_to_core(hg: DirectedHypergraph) -> tuple[DirectedHypergraph, list[Prun
         emptied_head = np.bincount(head_arc[alive_vertex[lay.head_idx]], minlength=m) == 0
         dying = alive_arc & (emptied_tail | emptied_head)
         for k in np.flatnonzero(dying).tolist():
-            events.append(PruneEvent(rnd, "arc", hg.arcs[k].id,
+            events.append(PruneEvent(rnd, "arc", hg.arc_ids[k],
                                      _ARC_REASONS[emptied_tail[k], emptied_head[k]]))
         alive_arc &= ~dying
     remap = np.cumsum(alive_vertex) - 1
-    tails = _surviving_sides(lay.tail_ptr, lay.tail_idx, alive_vertex, remap)
-    heads = _surviving_sides(lay.head_ptr, lay.head_idx, alive_vertex, remap)
+    keep = np.flatnonzero(alive_arc)
+    layout = ArcLayout(*_surviving_side(lay.tail_idx, tail_arc, alive_vertex, alive_arc, remap),
+                       *_surviving_side(lay.head_idx, head_arc, alive_vertex, alive_arc, remap),
+                       lay.weight[keep])
     vertices = tuple(hg.vertices[v] for v in np.flatnonzero(alive_vertex).tolist())
-    arcs = tuple(HyperArc(hg.arcs[k].id, tails[k], heads[k], hg.arcs[k].weight)
-                 for k in np.flatnonzero(alive_arc).tolist())
-    return DirectedHypergraph(vertices, arcs), events
+    arc_ids = tuple(hg.arc_ids[k] for k in keep.tolist())
+    return DirectedHypergraph.from_layout(vertices, arc_ids, layout), events
 
 
-def _surviving_sides(ptr, idx, alive_vertex, remap) -> list[tuple[int, ...]]:
-    """Every arc's side restricted to the live vertices, in the new numbering."""
-    keep = alive_vertex[idx]
-    bounds = np.concatenate(([0], np.cumsum(keep)))[ptr].tolist()
-    flat = remap[idx[keep]].tolist()
-    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+def _surviving_side(idx, arc, alive_vertex, alive_arc, remap):
+    """CSR of one side of the live arcs, restricted to the live vertices and
+    renumbered; the renumbering is monotone, so each slice stays sorted."""
+    keep = alive_vertex[idx] & alive_arc[arc]
+    new_ptr = np.zeros(np.count_nonzero(alive_arc) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arc[keep], minlength=alive_arc.size)[alive_arc], out=new_ptr[1:])
+    return new_ptr, remap[idx[keep]]

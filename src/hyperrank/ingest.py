@@ -17,8 +17,9 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
-from .core import (UNKNOWN_VERTEX, DirectedHypergraph, HyperArc,
+from .core import (UNKNOWN_VERTEX, DirectedHypergraph, FlatArcs,
                    ValidationReport, Violation, ensure_valid, validate)
 from .errors import (BadWeightError, EmptySideError, ReactionSyntaxError,
                      SchemaError, TailHeadOverlapError, ValidationError)
@@ -177,7 +178,7 @@ def reactions_to_hypergraph(records, reversible_policy: str = SPLIT,
     def intern(name: str) -> int:
         return index.setdefault(name, len(index))
 
-    arcs: list[HyperArc] = []
+    arcs = FlatArcs()
     for rec in records:
         substrates = list(dict.fromkeys(rec.substrates))
         products = list(dict.fromkeys(rec.products))
@@ -196,17 +197,17 @@ def reactions_to_hypergraph(records, reversible_policy: str = SPLIT,
                 report.dropped.append((rec.id, f"empty {side}"))
                 continue
             raise EmptySideError(f"reaction {rec.id}: empty {side}")
-        tail = tuple(intern(s) for s in substrates)
-        head = tuple(intern(p) for p in products)
+        tail = [intern(s) for s in substrates]
+        head = [intern(p) for p in products]
         if rec.reversible:
             report.reversible_records += 1
             if reversible_policy == SPLIT:
-                arcs.append(HyperArc(f"{rec.id}_fwd", tail, head, rec.weight))
-                arcs.append(HyperArc(f"{rec.id}_rev", head, tail, rec.weight))
+                arcs.add(f"{rec.id}_fwd", tail, head, rec.weight)
+                arcs.add(f"{rec.id}_rev", head, tail, rec.weight)
                 report.split_arcs += 2
                 continue
-        arcs.append(HyperArc(rec.id, tail, head, rec.weight))
-    hg = DirectedHypergraph(tuple(index), tuple(arcs))
+        arcs.add(rec.id, tail, head, rec.weight)
+    hg = arcs.hypergraph(tuple(index))
     ensure_valid(hg)
     report.vertices = hg.n_vertices
     report.arcs = hg.n_arcs
@@ -221,6 +222,31 @@ def _string_list(value, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SchemaError(f"{where} must be an array of strings")
     return value
+
+
+def _checked_arc(pos: int, raw) -> tuple[str, list[str], list[str], float]:
+    """One arc's fields after every schema check, in document order of the checks."""
+    where = f"arcs[{pos}]"
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be an object")
+    for key in raw:
+        if key not in _ARC_KEYS:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+    for key in _ARC_KEYS:
+        if key not in raw:
+            raise SchemaError(f"{where}: missing key {key!r}")
+    if not isinstance(raw["id"], str):
+        raise SchemaError(f"{where}: \"id\" must be a string")
+    tail_names = _string_list(raw["tail"], f'{where}."tail"')
+    head_names = _string_list(raw["head"], f'{where}."head"')
+    weight = raw["weight"]
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        raise SchemaError(f"{where}: \"weight\" must be a number")
+    try:
+        weight = float(weight)
+    except OverflowError:  # an integer beyond the float range
+        weight = math.inf
+    return raw["id"], tail_names, head_names, weight
 
 
 def load_canonical(text: str) -> DirectedHypergraph:
@@ -250,56 +276,50 @@ def load_canonical(text: str) -> DirectedHypergraph:
 
     # names must resolve to build an arc at all; validate checks the rest
     unknown: list[Violation] = []
-    arcs: list[HyperArc] = []
+    arcs = FlatArcs()
     for pos, raw in enumerate(doc["arcs"]):
-        where = f"arcs[{pos}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where} must be an object")
-        for key in raw:
-            if key not in _ARC_KEYS:
-                raise SchemaError(f"{where}: unknown key {key!r}")
-        for key in _ARC_KEYS:
-            if key not in raw:
-                raise SchemaError(f"{where}: missing key {key!r}")
-        if not isinstance(raw["id"], str):
-            raise SchemaError(f"{where}: \"id\" must be a string")
-        arc_id = raw["id"]
-        tail_names = _string_list(raw["tail"], f'{where}."tail"')
-        head_names = _string_list(raw["head"], f'{where}."head"')
-        weight = raw["weight"]
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise SchemaError(f"{where}: \"weight\" must be a number")
-        try:
-            weight = float(weight)
-        except OverflowError:  # an integer beyond the float range
-            weight = math.inf
-        missing = [name for name in tail_names + head_names if name not in index]
-        unknown += [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
-                    for name in missing]
-        if not missing:
-            arcs.append(HyperArc(arc_id,
-                                 tuple(index[n] for n in tail_names),
-                                 tuple(index[n] for n in head_names),
-                                 weight))
-    hg = DirectedHypergraph(tuple(vertices), tuple(arcs))
+        arc_id, tail_names, head_names, weight = _checked_arc(pos, raw)
+        tail = [index.get(name) for name in tail_names]
+        head = [index.get(name) for name in head_names]
+        if None in tail or None in head:
+            unknown += [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
+                        for name in tail_names + head_names if name not in index]
+            continue
+        arcs.add(arc_id, tail, head, weight)
+    hg = arcs.hypergraph(vertices)
     if unknown:
         raise ValidationError(ValidationReport(validate(hg).violations + tuple(unknown)))
     return ensure_valid(hg)
 
 
+def _json_array(items: list[str], depth: int) -> str:
+    """Encoded items as a JSON array, laid out as json.dumps(indent=2) lays
+    out an array nested ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
 def save_canonical(hg: DirectedHypergraph) -> str:
-    """Serialize in canonical index order; load(save(hg)) == hg."""
+    """Serialize in canonical index order; load(save(hg)) == hg.
+
+    The text is json.dumps(doc, indent=2) plus a newline, assembled from
+    the layout without building the document.
+    """
     ensure_valid(hg)
-    doc = {
-        "vertices": list(hg.vertices),
-        "arcs": [
-            {
-                "id": arc.id,
-                "tail": [hg.vertices[i] for i in arc.tail],
-                "head": [hg.vertices[i] for i in arc.head],
-                "weight": arc.weight,
-            }
-            for arc in hg.arcs
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    names = [encode_basestring_ascii(v) for v in hg.vertices]
+    lay = hg.layout
+
+    def sides(ptr, idx) -> list[str]:
+        members = [names[i] for i in idx.tolist()]
+        bounds = ptr.tolist()
+        return [_json_array(members[a:b], 3) for a, b in zip(bounds, bounds[1:])]
+
+    arcs = [f'{{\n      "id": {encode_basestring_ascii(arc_id)},\n      "tail": {tail},'
+            f'\n      "head": {head},\n      "weight": {weight!r}\n    }}'
+            for arc_id, tail, head, weight
+            in zip(hg.arc_ids, sides(lay.tail_ptr, lay.tail_idx),
+                   sides(lay.head_ptr, lay.head_idx), lay.weight.tolist())]
+    return ('{\n  "vertices": ' + _json_array(names, 1)
+            + ',\n  "arcs": ' + _json_array(arcs, 1) + "\n}\n")

@@ -321,8 +321,8 @@ def top_k(rank: RankVector, k: int,
         logger.warning("top_k clamped from %d to the %d available vertices", k, n)
         k = n
     keys = rank.values if round_to is None else np.round(rank.values, round_to)
-    order = sorted(range(n), key=lambda i: (-keys[i], i))
-    return [(rank.vertices[i], float(rank.values[i])) for i in order[:k]]
+    order = np.lexsort((np.arange(n), -keys))[:k]
+    return [(rank.vertices[i], float(rank.values[i])) for i in order.tolist()]
 
 
 def tv_distance(empirical: Mapping[str, float], rank: RankVector) -> float:

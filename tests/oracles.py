@@ -6,10 +6,16 @@ that the fast path can be compared with it bit for bit.
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_right
+
 import numpy as np
 
 from hyperrank import (DirectedHypergraph, HyperArc, PruneEvent,
-                       SparseRealMatrix)
+                       SparseRealMatrix, ValidationReport, Violation)
+from hyperrank.core import (DUPLICATE_ARC_ID, DUPLICATE_VERTEX_ID, EMPTY_HEAD,
+                            EMPTY_TAIL, NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP,
+                            UNKNOWN_VERTEX)
 
 
 def csr_left_multiply(indptr, indices, data, x, out) -> None:
@@ -31,6 +37,22 @@ def row_sums(indptr, data) -> np.ndarray:
         for j in range(ptr[i], ptr[i + 1]):
             acc[i] += vals[j]
     return np.array(acc, dtype=np.float64)
+
+
+def walk_steps(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts,
+               start, r_arc, r_head, counts) -> int:
+    """The walk stepper over whole lists of draws, one transition at a time."""
+    ptr, cum, arc_of = arc_ptr.tolist(), arc_cum.tolist(), arc_of_slot.tolist()
+    hptr, hv = head_ptr.tolist(), head_verts.tolist()
+    ra, rh = r_arc.tolist(), r_head.tolist()
+    u = int(start)
+    for t in range(len(ra)):
+        slot = min(bisect_right(cum, ra[t], ptr[u], ptr[u + 1]), ptr[u + 1] - 1)
+        hs = hptr[arc_of[slot]]
+        hn = hptr[arc_of[slot] + 1] - hs
+        u = hv[hs + min(int(rh[t] * hn), hn - 1)]
+        counts[u] += 1
+    return u
 
 
 def csr_bytes(m: SparseRealMatrix):
@@ -203,3 +225,62 @@ def walk_tables(hg: DirectedHypergraph):
     return (arc_ptr, np.array(arc_cum, dtype=np.float64),
             np.array(arc_of_slot, dtype=np.int64), head_ptr,
             np.array(head_verts, dtype=np.int64))
+
+
+def validate(hg: DirectedHypergraph) -> ValidationReport:
+    """Every violation, found by walking the vertices and then the arcs one by one."""
+    violations: list[Violation] = []
+    seen: set[str] = set()
+    for v in hg.vertices:
+        if v in seen:
+            violations.append(Violation(DUPLICATE_VERTEX_ID, v,
+                                        "vertex id occurs more than once"))
+        seen.add(v)
+    n = hg.n_vertices
+    seen_arcs: set[str] = set()
+    for arc in hg.arcs:
+        if arc.id in seen_arcs:
+            violations.append(Violation(DUPLICATE_ARC_ID, arc.id,
+                                        "arc id occurs more than once"))
+        seen_arcs.add(arc.id)
+        bad_index = [i for i in arc.tail + arc.head if not 0 <= i < n]
+        if bad_index:
+            violations.append(Violation(UNKNOWN_VERTEX, arc.id,
+                                        f"vertex index {bad_index[0]} out of range"))
+            continue
+        if not arc.tail:
+            violations.append(Violation(EMPTY_TAIL, arc.id, "tail is empty"))
+        if not arc.head:
+            violations.append(Violation(EMPTY_HEAD, arc.id, "head is empty"))
+        overlap = set(arc.tail) & set(arc.head)
+        if overlap:
+            names = ", ".join(hg.vertices[i] for i in sorted(overlap))
+            violations.append(Violation(TAIL_HEAD_OVERLAP, arc.id,
+                                        f"tail and head share: {names}"))
+        if not (arc.weight > 0.0) or not np.isfinite(arc.weight):
+            violations.append(Violation(NONPOSITIVE_WEIGHT, arc.id,
+                                        f"weight {arc.weight!r} is not a positive real"))
+    return ValidationReport(tuple(violations))
+
+
+def save_canonical(hg: DirectedHypergraph) -> str:
+    """The canonical JSON text through the standard encoder."""
+    doc = {
+        "vertices": list(hg.vertices),
+        "arcs": [
+            {
+                "id": arc.id,
+                "tail": [hg.vertices[i] for i in arc.tail],
+                "head": [hg.vertices[i] for i in arc.head],
+                "weight": arc.weight,
+            }
+            for arc in hg.arcs
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def top_k(values, k: int, round_to: int | None = None) -> list[int]:
+    """Indices of the k highest values, ties by index, by a keyed sort."""
+    keys = values if round_to is None else np.round(values, round_to)
+    return sorted(range(len(values)), key=lambda i: (-keys[i], i))[:k]

@@ -87,3 +87,24 @@ def hypergraphs(draw, max_vertices: int = 6, max_arcs: int = 12) -> DirectedHype
         arcs.append(HyperArc(f"e{j}", tuple(perm[:ts]), tuple(perm[ts:ts + hs]),
                              draw(_weights)))
     return DirectedHypergraph(tuple(f"v{i}" for i in range(n)), tuple(arcs))
+
+
+# zero, negative, infinite and NaN weights next to legal ones
+_any_weights = st.sampled_from([1.0, 0.5, 2.5e-7, 0.0, -0.0, -1.0, float("inf"),
+                                float("-inf"), float("nan"), 5e-324])
+
+
+@st.composite
+def invalid_hypergraphs(draw, max_vertices: int = 5, max_arcs: int = 6) -> DirectedHypergraph:
+    """Hypergraphs that break the model's rules, often several at once:
+    repeated vertex and arc ids, empty sides, tail/head overlap, vertex
+    indices out of range and weights that are not positive reals."""
+    n = draw(st.integers(0, max_vertices))
+    vertices = draw(st.lists(st.sampled_from("abcdefg"), min_size=n, max_size=n))
+    index = st.integers(-2, n + 1)
+    arcs = [HyperArc(draw(st.sampled_from(["e0", "e1", "e2", "e3"])),
+                     tuple(draw(st.lists(index, max_size=4))),
+                     tuple(draw(st.lists(index, max_size=4))),
+                     draw(_any_weights))
+            for _ in range(draw(st.integers(0, max_arcs)))]
+    return DirectedHypergraph(tuple(vertices), tuple(arcs))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import hyperrank.cli
 from hyperrank import save_canonical
 from hyperrank.cli import main
 
@@ -157,6 +158,16 @@ def test_laplacian_symmetric_tsv(tmp_path, hg3_path, capsys):
     assert np.abs(matrix @ pi).max() <= 1e-9
 
 
+def test_laplacian_damped_on_a_nonuniform_chain_hints_at_the_damping(hg3_path, capsys):
+    assert main(["laplacian", hg3_path, "--damping", "0.85"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, hint = captured.err.splitlines()
+    assert error.startswith("hyperrank: rank vector is not stationary")
+    assert hint == ("hint: the Laplacians need the undamped stationary vector; "
+                    "drop --damping")
+
+
 def test_laplacian_unnormalized_two_cycle(tmp_path, capsys):
     doc = {"vertices": ["a", "b"],
            "arcs": [{"id": "f", "tail": ["a"], "head": ["b"], "weight": 1.0},
@@ -193,6 +204,43 @@ def test_simulate_periodic_falls_back_to_oracle(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "dense solve" in captured.err
     assert float(captured.out.splitlines()[-1].split("\t")[1]) <= 0.05
+
+
+def test_simulate_beyond_the_dense_limit_reports_the_nonconvergence(
+        tmp_path, capsys, monkeypatch):
+    n = 600
+    doc = {"vertices": [f"v{i}" for i in range(n)],
+           "arcs": [{"id": f"e{i}", "tail": [f"v{i}"], "head": [f"v{(i + 1) % n}"],
+                     "weight": 1.0} for i in range(n)]}
+    doc["arcs"].append({"id": "back", "tail": ["v1"], "head": ["v0"], "weight": 1.0})
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+
+    def walk(*args):
+        raise AssertionError("the walk ran before the stationary vector")
+
+    monkeypatch.setattr(hyperrank.cli, "simulate_walk", walk)
+    assert main(["simulate", str(path), "--max-iters", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, hint = captured.err.splitlines()
+    assert error.startswith("hyperrank: no convergence after 5 iterations")
+    assert hint == "hint: try --damping 0.85"
+
+
+def test_simulate_notes_the_fallback_before_a_failed_dense_solve(tmp_path, capsys):
+    # two components, one periodic: power iteration oscillates, and the
+    # stationary space has dimension 2
+    path = tmp_path / "two.reactions"
+    path.write_text("R1: A -> B\nR2: B -> A\nR3: B -> C\nR4: C -> B\n"
+                    "R5: D -> E\nR6: E -> D\n")
+    assert main(["simulate", str(path), "--format", "reactions",
+                 "--steps", "100", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-2:] == [
+        "power iteration did not converge; comparing against the dense solve",
+        "hyperrank: stationary distribution is not unique (solution space has dimension 2)"]
 
 
 def test_simulate_custom_start(hg3_path, capsys):

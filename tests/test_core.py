@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperrank import (DirectedHypergraph, HyperArc, build_incidence,
                        compute_degrees, prune_to_core, validate)
+from hyperrank.core import ArcLayout
 from hyperrank.errors import ValidationError
 
 import oracles
-from randgen import hypergraphs, random_hypergraph, random_pruned_hypergraph
+from randgen import (hypergraphs, invalid_hypergraphs, random_hypergraph,
+                     random_pruned_hypergraph)
 
 
 def test_validate_minimal_legal_arc():
@@ -271,3 +274,59 @@ def test_prune_to_empty_matches_loop_oracle(chain):
         (1, "arc", "e2", "head emptied"),
         (2, "vertex", "b", "zero tail and head degree"),
     ]
+
+
+# ------------------------------------------ array-backed model vs records
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(invalid_hypergraphs(), hypergraphs()))
+def test_validate_matches_loop_oracle(hg):
+    assert str(validate(hg)) == str(oracles.validate(hg))
+
+
+def test_validate_report_is_computed_once_per_hypergraph(hg3):
+    assert validate(hg3) is validate(hg3)
+
+
+_raw_sides = st.lists(st.lists(st.integers(0, 6), max_size=5), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_sides, _raw_sides)
+def test_array_constructor_normalises_sides_as_hyperarc_does(tails, heads):
+    m = min(len(tails), len(heads))
+    tails, heads = tails[:m], heads[:m]
+    ids = [f"e{j}" for j in range(m)]
+    weights = [1.0 + j for j in range(m)]
+    vertices = tuple("abcdefg")
+    records = tuple(HyperArc(*row) for row in zip(ids, tails, heads, weights))
+    hg = DirectedHypergraph.from_layout(vertices, ids, ArcLayout.from_sides(
+        [len(t) for t in tails], [i for t in tails for i in t],
+        [len(h) for h in heads], [i for h in heads for i in h], weights))
+    assert hg == DirectedHypergraph(vertices, records)
+    assert hg.arcs == records
+
+
+def test_arcs_is_a_view_of_the_layout(hg3):
+    assert hg3.arc_ids == ("e1", "e2", "e3")
+    assert hg3.arcs == (HyperArc("e1", (0,), (1, 2), 1.0),
+                        HyperArc("e2", (1,), (2,), 2.0),
+                        HyperArc("e3", (2,), (0,), 1.0))
+    assert hg3.arcs is hg3.arcs
+
+
+def test_hypergraphs_are_immutable_and_compare_by_value(hg3):
+    again = DirectedHypergraph(hg3.vertices, hg3.arcs)
+    assert again == hg3 and hash(again) == hash(hg3)
+    heavier = DirectedHypergraph(hg3.vertices, hg3.arcs[:2] + (
+        HyperArc("e3", (2,), (0,), 1.5),))
+    assert heavier != hg3
+    with pytest.raises(AttributeError):
+        hg3.vertices = ("x",)
+
+
+def test_arc_ids_must_match_the_layout():
+    lay = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,)),)).layout
+    with pytest.raises(ValueError):
+        DirectedHypergraph.from_layout(("a", "b"), ("e", "f"), lay)
+

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import (DirectedHypergraph, HyperArc, load_canonical,
-                       parse_reaction_line, parse_reactions_text,
-                       reactions_to_hypergraph, save_canonical)
+from hyperrank import (DirectedHypergraph, HyperArc, build_transition,
+                       load_canonical, parse_reaction_line, parse_reactions_text,
+                       prune_to_core, reactions_to_hypergraph, save_canonical)
 from hyperrank.errors import (BadWeightError, EmptySideError, IngestError,
                               ReactionSyntaxError, SchemaError,
                               TailHeadOverlapError, ValidationError)
 
+import oracles
 from randgen import random_hypergraph
 
 
@@ -212,6 +213,44 @@ def hypergraphs(draw):
 @given(hypergraphs())
 def test_round_trip_property(hg):
     assert load_canonical(save_canonical(hg)) == hg
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs())
+def test_save_matches_the_json_encoder(hg):
+    # names range over all of Unicode, so quotes, backslashes, control
+    # characters and non-ASCII text all need escaping
+    assert save_canonical(hg) == oracles.save_canonical(hg)
+
+
+def test_save_matches_the_json_encoder_on_edge_cases():
+    for hg in (DirectedHypergraph(),
+               DirectedHypergraph(("only",), ()),
+               DirectedHypergraph(("a\"b", "c\\d", "\u00e9\U0001f600", "\x00\n"),
+                                  (HyperArc("\u2192", (0, 2), (1, 3), 1e-300),
+                                   HyperArc("x", (1,), (0,), 12345678.9)))):
+        assert save_canonical(hg) == oracles.save_canonical(hg)
+
+
+def test_json_pipeline_builds_no_arc_records(monkeypatch):
+    rng = np.random.default_rng(31)
+    text = save_canonical(random_hypergraph(rng, max_vertices=40, max_arcs=80))
+
+    def forbidden(self):
+        raise AssertionError("HyperArc built on the array path")
+
+    monkeypatch.setattr(HyperArc, "__post_init__", forbidden)
+    hg = load_canonical(text)
+    core, _ = prune_to_core(hg)
+    build_transition(core)
+    assert save_canonical(core)
+    assert load_canonical(save_canonical(hg)) == hg
+    converted, _ = reactions_to_hypergraph(
+        parse_reactions_text("R1: A + B -> C\nR2: C <-> A\n"))
+    assert converted.vertices == ("A", "B", "C")
+    assert converted.arc_ids == ("R1", "R2_fwd", "R2_rev")
+    assert converted.layout.tail_idx.tolist() == [0, 1, 2, 0]
+    assert converted.layout.head_idx.tolist() == [2, 0, 2]
 
 
 def test_load_rejects_unknown_vertex():

@@ -56,6 +56,21 @@ def test_csr_left_multiply_matches_loop_oracle_bitwise():
         np.testing.assert_allclose(out, x @ dense, rtol=0, atol=1e-13)
 
 
+def test_python_walk_steps_match_the_loop_oracle_across_blocks():
+    rng = np.random.default_rng(67)
+    hg = random_pruned_hypergraph(rng)
+    t = _walk_tables(hg)
+    tables = (t.arc_ptr, t.arc_cum, t.arc_of_slot, t.head_ptr, t.head_verts)
+    n = 2 * _pykernels._BLOCK + 123
+    draws = rng.random((2, n))
+    draws[:, ::97] = 1.0  # past every cumulative bound, so both clamps run
+    counts = np.zeros(hg.n_vertices, dtype=np.int64)
+    expected = np.zeros(hg.n_vertices, dtype=np.int64)
+    end = _pykernels.walk_steps(*tables, 0, draws[0], draws[1], counts)
+    assert end == oracles.walk_steps(*tables, 0, draws[0], draws[1], expected)
+    assert counts.tolist() == expected.tolist()
+
+
 @needs_ckernels
 def test_walk_steps_parity():
     rng = np.random.default_rng(67)

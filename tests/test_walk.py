@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperrank import (DirectedHypergraph, HyperArc, PowerOptions, RankVector,
                        build_incidence, build_transition, compute_degrees,
@@ -348,6 +349,18 @@ def test_top_k_rounded_comparison_orders_near_ties():
                     np.array([0.4 - 2e-11, 0.2, 0.4 + 2e-11]))
     assert [v for v, _ in top_k(rv, 3)] == ["v3", "v1", "v2"]
     assert [v for v, _ in top_k(rv, 3, round_to=4)] == ["v1", "v3", "v2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1.0, 2.0, 3.0, 3.00001, 3.00004, 0.0]),
+                min_size=1, max_size=12),
+       st.integers(1, 12), st.sampled_from([None, 0, 4]))
+def test_top_k_matches_the_keyed_sort_on_ties(raw, k, round_to):
+    values = np.array(raw) + 1e-12
+    values /= values.sum()
+    rv = RankVector(tuple(f"v{i}" for i in range(values.size)), values)
+    want = oracles.top_k(rv.values, min(k, values.size), round_to)
+    assert top_k(rv, k, round_to) == [(rv.vertices[i], float(rv.values[i])) for i in want]
 
 
 def test_top_k_clamps(hg3):
