@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from hyperrank import DirectedHypergraph, HyperArc
+from hyperrank import DirectedHypergraph
+from hyperrank.core import FlatArcs
 from hyperrank._kernels import _pykernels
 from hyperrank.walk import _walk_tables
 
@@ -32,16 +33,14 @@ def synthetic_core(rng, n_vertices: int, n_arcs: int) -> DirectedHypergraph:
     Each extra arc draws one set of distinct vertices and splits it into
     tail and head.
     """
-    arcs = [HyperArc(f"c{i}", (i,), ((i + 1) % n_vertices,),
-                     float(rng.uniform(0.5, 5.0)))
-            for i in range(n_vertices)]
+    arcs = FlatArcs()
+    for i in range(n_vertices):
+        arcs.add(f"c{i}", [i], [(i + 1) % n_vertices], float(rng.uniform(0.5, 5.0)))
     for j in range(n_arcs - n_vertices):
         ts, hs = (int(k) for k in rng.integers(1, 4, size=2))
         picks = rng.choice(n_vertices, size=ts + hs, replace=False).tolist()
-        arcs.append(HyperArc(f"x{j}", tuple(picks[:ts]), tuple(picks[ts:]),
-                             float(rng.uniform(0.5, 5.0))))
-    return DirectedHypergraph(tuple(f"v{i}" for i in range(n_vertices)),
-                              tuple(arcs))
+        arcs.add(f"x{j}", picks[:ts], picks[ts:], float(rng.uniform(0.5, 5.0)))
+    return arcs.hypergraph(f"v{i}" for i in range(n_vertices))
 
 
 def bench_walk(kernel, tables, n_vertices: int, draws):

@@ -1,7 +1,7 @@
 """Directed-hypergraph random-walk ranking and Laplacian toolkit."""
 
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .core import (DegreeTables, DirectedHypergraph, HyperArc, PruneEvent,
+from .core import (DegreeTables, DirectedHypergraph, PruneEvent,
                    ValidationReport, Violation, build_incidence,
                    compute_degrees, ensure_valid, prune_to_core, validate)
 from .ingest import (IngestReport, ReactionRecord, load_canonical,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_BACKEND",
-    "DegreeTables", "DirectedHypergraph", "HyperArc", "PruneEvent",
+    "DegreeTables", "DirectedHypergraph", "PruneEvent",
     "ValidationReport", "Violation", "build_incidence", "compute_degrees",
     "ensure_valid", "prune_to_core", "validate",
     "IngestReport", "ReactionRecord", "load_canonical", "parse_reaction_line",

@@ -53,25 +53,6 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class HyperArc:
-    """One directed hyperedge: a weighted (tail set, head set) pair.
-
-    Sides are stored as sorted index tuples with set semantics, i.e.
-    duplicate mentions collapse.
-    """
-
-    id: str
-    tail: tuple[int, ...]
-    head: tuple[int, ...]
-    weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(sorted(set(self.tail))))
-        object.__setattr__(self, "head", tuple(sorted(set(self.head))))
-        object.__setattr__(self, "weight", float(self.weight))
-
-
-@dataclass(frozen=True)
 class ArcLayout:
     """The arcs as two CSR blocks over the vertex indices, plus their weights.
 
@@ -94,7 +75,7 @@ class ArcLayout:
     def from_sides(cls, tail_len, tail_idx, head_len, head_idx, weight) -> "ArcLayout":
         """The layout of arcs given as side lengths plus concatenated vertex indices.
 
-        Each side is sorted and its repeated vertices dropped, as in HyperArc.
+        Each side is sorted and its repeated vertices dropped.
         """
         return cls(*_side(tail_len, tail_idx), *_side(head_len, head_idx),
                    np.array(weight, dtype=np.float64))
@@ -136,7 +117,8 @@ def _side(lengths, idx) -> tuple[np.ndarray, np.ndarray]:
 
 class FlatArcs:
     """Arcs appended one by one to flat lists: ids, weights, and each side's
-    length plus its vertex indices, concatenated in arc order."""
+    length plus its vertex indices, concatenated in arc order. Its layout
+    sorts each side and drops repeated vertices."""
 
     def __init__(self):
         self.ids: list[str] = []
@@ -160,43 +142,29 @@ class FlatArcs:
                                     self.head_idx, self.weights)
 
     def hypergraph(self, vertices: Iterable[str]) -> "DirectedHypergraph":
-        return DirectedHypergraph.from_layout(vertices, self.ids, self.layout())
+        return DirectedHypergraph(vertices, self.ids, self.layout())
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class DirectedHypergraph:
     """Ordered vertices plus ordered hyper-arcs over their indices.
 
-    The state is the vertex ids, the arc ids and the flat ``layout``;
-    ``arcs`` is a view of them as HyperArc records, built on first use.
-    Instances are immutable and compare by value.
+    The state is the vertex ids, the arc ids and the flat ``layout``, whose
+    sides must already be normalised; ``FlatArcs`` and ``from_named_arcs``
+    build one from indices or names. Instances are immutable and compare by
+    value.
     """
 
     vertices: tuple[str, ...]
     arc_ids: tuple[str, ...]
     layout: ArcLayout
 
-    def __init__(self, vertices: Iterable[str] = (), arcs: Iterable[HyperArc] = ()):
-        flat = FlatArcs()
-        for a in arcs:
-            flat.add(a.id, a.tail, a.head, a.weight)
-        self._assign(vertices, flat.ids, flat.layout())
-
-    def _assign(self, vertices, arc_ids, layout: ArcLayout) -> None:
-        arc_ids = tuple(arc_ids)
-        if len(arc_ids) != layout.weight.size:
-            raise ValueError(f"{len(arc_ids)} arc ids for {layout.weight.size} arcs")
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "arc_ids", arc_ids)
-        object.__setattr__(self, "layout", layout)
-
-    @classmethod
-    def from_layout(cls, vertices: Iterable[str], arc_ids: Iterable[str],
-                    layout: ArcLayout) -> "DirectedHypergraph":
-        """Wrap a layout as it is: its sides must already be normalised."""
-        hg = cls.__new__(cls)
-        hg._assign(vertices, arc_ids, layout)
-        return hg
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "arc_ids", tuple(self.arc_ids))
+        if len(self.arc_ids) != self.layout.weight.size:
+            raise ValueError(f"{len(self.arc_ids)} arc ids for "
+                             f"{self.layout.weight.size} arcs")
 
     @property
     def n_vertices(self) -> int:
@@ -209,17 +177,6 @@ class DirectedHypergraph:
     @cached_property
     def index_of(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def arcs(self) -> tuple[HyperArc, ...]:
-        """The arcs as records, for reading; nothing in the pipeline needs them."""
-        lay = self.layout
-        tail_ptr, tail_idx = lay.tail_ptr.tolist(), lay.tail_idx.tolist()
-        head_ptr, head_idx = lay.head_ptr.tolist(), lay.head_idx.tolist()
-        return tuple(HyperArc(arc_id, tuple(tail_idx[tail_ptr[j]:tail_ptr[j + 1]]),
-                              tuple(head_idx[head_ptr[j]:head_ptr[j + 1]]), weight)
-                     for j, (arc_id, weight)
-                     in enumerate(zip(self.arc_ids, lay.weight.tolist())))
 
     @cached_property
     def _report(self) -> "ValidationReport":
@@ -458,7 +415,7 @@ def prune_to_core(hg: DirectedHypergraph) -> tuple[DirectedHypergraph, list[Prun
                        lay.weight[keep])
     vertices = tuple(hg.vertices[v] for v in np.flatnonzero(alive_vertex).tolist())
     arc_ids = tuple(hg.arc_ids[k] for k in keep.tolist())
-    return DirectedHypergraph.from_layout(vertices, arc_ids, layout), events
+    return DirectedHypergraph(vertices, arc_ids, layout), events
 
 
 def _surviving_side(idx, arc, alive_vertex, alive_arc, remap):

@@ -137,7 +137,6 @@ class PowerOptions:
     tolerance: float = 1e-10
     max_iterations: int = 10000
     normalization: str = L1
-    dangling: str = ON_DANGLING_ERROR
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -148,8 +147,6 @@ class PowerOptions:
             raise ValueError("max_iterations must be at least 1")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.dangling not in DANGLING_POLICIES:
-            raise ValueError(f"unknown dangling policy {self.dangling!r}")
 
 
 def build_transition(hg: DirectedHypergraph,
@@ -219,31 +216,50 @@ def pagerank_power(P: TransitionMatrix,
 
 def stationary_dense_oracle(P: TransitionMatrix,
                             dense_limit: int = DENSE_LIMIT) -> RankVector:
-    """Solve (Pᵀ - I)·pi = 0 with sum(pi) = 1 by a dense direct solve.
+    """Solve (Pᵀ - I)·pi = 0 with sum(pi) = 1 directly on the dense matrix.
 
     Entirely independent of the power-iteration path: no iteration, no
     sparse kernels. Raises MultipleSolutionsError when the stationary
-    space has dimension greater than one (reducible chains).
+    space has dimension greater than one (reducible chains); otherwise
+    pi comes from Grassmann-Taksar-Heyman state reduction, which takes no
+    differences, so even entries far below 1e-16 keep their relative
+    accuracy.
     """
     n = P.n
     if n > dense_limit:
         raise DenseLimitExceededError(n, dense_limit)
     if n == 0:
         raise ValueError("empty transition matrix")
-    A = P.to_dense().T - np.eye(n)
-    s = np.linalg.svd(A, compute_uv=False)
-    tol = n * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
+    dense = P.to_dense()
+    _, s, vt = np.linalg.svd(dense.T - np.eye(n))
+    tol = n * np.finfo(float).eps * float(s[0])
     nullity = int(np.count_nonzero(s <= tol))
     if nullity > 1:
         raise MultipleSolutionsError(nullity)
-    aug = np.vstack([A, np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    pi, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+    # the largest entry of the null vector is a recurrent state
+    pi = _state_reduction(dense, int(np.argmax(np.abs(vt[-1]))))
     residual = float(np.abs(P.matrix.left_multiply(pi) - pi).sum())
     return RankVector(P.vertex_order, pi, L1, residual, 0)
+
+
+def _state_reduction(dense: np.ndarray, last: int) -> np.ndarray:
+    """The stationary vector of a chain with one recurrent class, by the
+    GTH algorithm: states are censored one at a time down to ``last``,
+    which must be recurrent, then pi is built back up. Transient states
+    come out exactly zero."""
+    n = dense.shape[0]
+    order = np.r_[last, np.delete(np.arange(n), last)]
+    T = dense[np.ix_(order, order)]
+    for k in range(n - 1, 0, -1):
+        T[:k, k] /= T[k, :k].sum()
+        T[:k, :k] += np.outer(T[:k, k], T[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ T[:k, k]
+    out = np.empty(n)
+    out[order] = pi / pi.sum()
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +304,8 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
     ensure_valid(hg)
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if start not in hg.index_of:
         raise ValueError(f"unknown start vertex {start!r}")
     tables = _walk_tables(hg)

@@ -8,14 +8,47 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
-from hyperrank import (DirectedHypergraph, HyperArc, PruneEvent,
-                       SparseRealMatrix, ValidationReport, Violation)
+from hyperrank import (DirectedHypergraph, PruneEvent, SparseRealMatrix,
+                       ValidationReport, Violation)
 from hyperrank.core import (DUPLICATE_ARC_ID, DUPLICATE_VERTEX_ID, EMPTY_HEAD,
                             EMPTY_TAIL, NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP,
-                            UNKNOWN_VERTEX)
+                            UNKNOWN_VERTEX, ArcLayout)
+
+
+class ArcRow(NamedTuple):
+    """One arc as the loop oracles read it."""
+
+    id: str
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    weight: float
+
+
+def arc_rows(hg: DirectedHypergraph) -> list[ArcRow]:
+    """Each arc read back from the arc ids and the layout slices."""
+    lay = hg.layout
+    tail_ptr, tail_idx = lay.tail_ptr.tolist(), lay.tail_idx.tolist()
+    head_ptr, head_idx = lay.head_ptr.tolist(), lay.head_idx.tolist()
+    return [ArcRow(arc_id, tuple(tail_idx[tail_ptr[j]:tail_ptr[j + 1]]),
+                   tuple(head_idx[head_ptr[j]:head_ptr[j + 1]]), weight)
+            for j, (arc_id, weight) in enumerate(zip(hg.arc_ids, lay.weight.tolist()))]
+
+
+def arc_layout(tails, heads, weights) -> ArcLayout:
+    """The layout of the given sides, arc by arc, each side taken as a set:
+    sorted, each vertex once."""
+    def csr(sides):
+        sides = [tuple(sorted(set(s))) for s in sides]
+        ptr = np.zeros(len(sides) + 1, dtype=np.int64)
+        for j, s in enumerate(sides):
+            ptr[j + 1] = ptr[j] + len(s)
+        return ptr, np.array([i for s in sides for i in s], dtype=np.int64)
+
+    return ArcLayout(*csr(tails), *csr(heads), np.array(weights, dtype=np.float64))
 
 
 def csr_left_multiply(indptr, indices, data, x, out) -> None:
@@ -84,7 +117,7 @@ def compute_degrees(hg: DirectedHypergraph):
     vertex_head = np.zeros(nv)
     arc_tail = np.zeros(na, dtype=np.int64)
     arc_head = np.zeros(na, dtype=np.int64)
-    for j, arc in enumerate(hg.arcs):
+    for j, arc in enumerate(arc_rows(hg)):
         arc_tail[j] = len(arc.tail)
         arc_head[j] = len(arc.head)
         for u in arc.tail:
@@ -97,8 +130,9 @@ def compute_degrees(hg: DirectedHypergraph):
 def build_incidence(hg: DirectedHypergraph):
     """The tail and head 0/1 membership matrices from per-arc entry lists."""
     nv, na = hg.n_vertices, hg.n_arcs
-    pairs = ([(u, j) for j, arc in enumerate(hg.arcs) for u in arc.tail],
-             [(v, j) for j, arc in enumerate(hg.arcs) for v in arc.head])
+    arcs = arc_rows(hg)
+    pairs = ([(u, j) for j, arc in enumerate(arcs) for u in arc.tail],
+             [(v, j) for j, arc in enumerate(arcs) for v in arc.head])
     return tuple(from_coo(nv, na, [i for i, _ in p], [j for _, j in p], [1.0] * len(p))
                  for p in pairs)
 
@@ -106,9 +140,10 @@ def build_incidence(hg: DirectedHypergraph):
 def prune_to_core(hg: DirectedHypergraph):
     """The pruning cascade on per-arc vertex sets, one round at a time."""
     n = hg.n_vertices
+    arcs = arc_rows(hg)
     alive_vertex = [True] * n
-    tails = [set(a.tail) for a in hg.arcs]
-    heads = [set(a.head) for a in hg.arcs]
+    tails = [set(a.tail) for a in arcs]
+    heads = [set(a.head) for a in arcs]
     alive_arc = [True] * hg.n_arcs
     events: list[PruneEvent] = []
     rnd = 0
@@ -153,19 +188,16 @@ def prune_to_core(hg: DirectedHypergraph):
                     reason = "tail emptied"
                 else:
                     reason = "head emptied"
-                events.append(PruneEvent(rnd, "arc", hg.arcs[k].id, reason))
+                events.append(PruneEvent(rnd, "arc", arcs[k].id, reason))
                 alive_arc[k] = False
     keep = [v for v in range(n) if alive_vertex[v]]
     remap = {old: new for new, old in enumerate(keep)}
     vertices = tuple(hg.vertices[v] for v in keep)
-    arcs = tuple(
-        HyperArc(hg.arcs[k].id,
-                 tuple(remap[u] for u in tails[k]),
-                 tuple(remap[v] for v in heads[k]),
-                 hg.arcs[k].weight)
-        for k in range(hg.n_arcs) if alive_arc[k]
-    )
-    return DirectedHypergraph(vertices, arcs), events
+    live = [k for k in range(hg.n_arcs) if alive_arc[k]]
+    layout = arc_layout([[remap[u] for u in tails[k]] for k in live],
+                        [[remap[v] for v in heads[k]] for k in live],
+                        [arcs[k].weight for k in live])
+    return DirectedHypergraph(vertices, [arcs[k].id for k in live], layout), events
 
 
 def build_transition(hg: DirectedHypergraph,
@@ -177,7 +209,7 @@ def build_transition(hg: DirectedHypergraph,
     vertex_tail, _, _, arc_head = compute_degrees(hg)
     n = hg.n_vertices
     rows: list[dict[int, float]] = [{} for _ in range(n)]
-    for j, arc in enumerate(hg.arcs):
+    for j, arc in enumerate(arc_rows(hg)):
         share = arc.weight / arc_head[j]
         for u in arc.tail:
             step = share / vertex_tail[u]
@@ -202,8 +234,9 @@ def walk_tables(hg: DirectedHypergraph):
     """(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts), vertex by vertex."""
     vertex_tail = compute_degrees(hg)[0]
     n = hg.n_vertices
+    arcs = arc_rows(hg)
     outgoing: list[list[int]] = [[] for _ in range(n)]
-    for j, arc in enumerate(hg.arcs):
+    for j, arc in enumerate(arcs):
         for u in arc.tail:
             outgoing[u].append(j)
     arc_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -213,18 +246,30 @@ def walk_tables(hg: DirectedHypergraph):
         total = vertex_tail[u]
         acc = 0.0
         for j in outgoing[u]:
-            acc += hg.arcs[j].weight / total
+            acc += arcs[j].weight / total
             arc_cum.append(acc)
             arc_of_slot.append(j)
         arc_ptr[u + 1] = len(arc_of_slot)
     head_ptr = np.zeros(hg.n_arcs + 1, dtype=np.int64)
     head_verts: list[int] = []
-    for j, arc in enumerate(hg.arcs):
+    for j, arc in enumerate(arcs):
         head_verts.extend(arc.head)
         head_ptr[j + 1] = len(head_verts)
     return (arc_ptr, np.array(arc_cum, dtype=np.float64),
             np.array(arc_of_slot, dtype=np.int64), head_ptr,
             np.array(head_verts, dtype=np.int64))
+
+
+def stationary_lstsq(P) -> np.ndarray:
+    """pi from the least-squares solve of (Pᵀ - I)·pi = 0 with sum(pi) = 1,
+    clipped at zero; accurate to about 1e-16 absolute, not relative."""
+    n = P.n
+    aug = np.vstack([P.to_dense().T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    pi, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
 
 
 def validate(hg: DirectedHypergraph) -> ValidationReport:
@@ -238,7 +283,7 @@ def validate(hg: DirectedHypergraph) -> ValidationReport:
         seen.add(v)
     n = hg.n_vertices
     seen_arcs: set[str] = set()
-    for arc in hg.arcs:
+    for arc in arc_rows(hg):
         if arc.id in seen_arcs:
             violations.append(Violation(DUPLICATE_ARC_ID, arc.id,
                                         "arc id occurs more than once"))
@@ -274,7 +319,7 @@ def save_canonical(hg: DirectedHypergraph) -> str:
                 "head": [hg.vertices[i] for i in arc.head],
                 "weight": arc.weight,
             }
-            for arc in hg.arcs
+            for arc in arc_rows(hg)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

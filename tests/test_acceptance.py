@@ -175,8 +175,8 @@ def test_criterion_7_metabolic_network_reproduction():
     for policy in ("split", "forward-only"):
         hg, _ = reactions_to_hypergraph(records, policy)
         pruned, _ = prune_to_core(hg)
-        reactions = {a.id.removesuffix("_fwd").removesuffix("_rev")
-                     for a in pruned.arcs}
+        reactions = {arc_id.removesuffix("_fwd").removesuffix("_rev")
+                     for arc_id in pruned.arc_ids}
         P = build_transition(pruned)
         try:
             rank = pagerank_power(P).with_normalization("l2")

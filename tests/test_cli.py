@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hyperrank.cli
 from hyperrank import save_canonical
@@ -243,6 +245,13 @@ def test_simulate_notes_the_fallback_before_a_failed_dense_solve(tmp_path, capsy
         "hyperrank: stationary distribution is not unique (solution space has dimension 2)"]
 
 
+def test_simulate_rejects_a_negative_seed(hg3_path, capsys):
+    assert main(["simulate", hg3_path, "--steps", "10", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hyperrank: seed must be a non-negative integer\n"
+
+
 def test_simulate_custom_start(hg3_path, capsys):
     assert main(["simulate", hg3_path, "--steps", "1000", "--seed", "2",
                  "--start", "v2"]) == 0
@@ -319,3 +328,44 @@ def test_laplacian_beyond_the_dense_limit_is_diagnosed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "hyperrank: dense solve limited to 512 vertices, got 600\n"
+
+
+# names recur, so sides repeat vertices and reactions share them
+_names = st.sampled_from(["A", "B", "c", "glc__D", "x-1", "h2o", "NAD_p", "9"])
+_weights = st.one_of(st.none(), st.integers(1, 1000).map(str),
+                     st.floats(min_value=1e-300, max_value=1e300).map(repr))
+
+
+@st.composite
+def reaction_texts(draw):
+    """Reaction files with duplicate mentions, reversible records, boundary
+    (empty-side) reactions, '@' weights, comments and blank lines."""
+    lines = []
+    for k in range(draw(st.integers(0, 8))):
+        substrates = draw(st.lists(_names, max_size=4))
+        products = draw(st.lists(_names.filter(lambda v: v not in substrates),
+                                 max_size=4))
+        arrow = draw(st.sampled_from(["->", "<->"]))
+        line = f"R{k}: {' + '.join(substrates)} {arrow} {' + '.join(products)}"
+        weight = draw(_weights)
+        if weight is not None:
+            line += f" @ {weight}"
+        lines.append(line)
+        lines += draw(st.sampled_from([[], [""], ["# a comment"]]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reaction_texts())
+def test_reaction_text_round_trips_through_the_cli(tmp_path, capsys, text):
+    src = tmp_path / "net.reactions"
+    src.write_text(text)
+    canonical = tmp_path / "net.json"
+    assert main(["ingest", str(src)]) == 0
+    first = capsys.readouterr().out
+    canonical.write_text(first)
+    assert main(["ingest", str(canonical), "--format", "json"]) == 0
+    assert capsys.readouterr().out == first
+    assert main(["validate", str(canonical)]) == 0
+    assert capsys.readouterr().out == "ok\n"

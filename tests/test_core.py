@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import (DirectedHypergraph, HyperArc, build_incidence,
-                       compute_degrees, prune_to_core, validate)
-from hyperrank.core import ArcLayout
+from hyperrank import (DirectedHypergraph, build_incidence, compute_degrees,
+                       prune_to_core, validate)
+from hyperrank.core import ArcLayout, FlatArcs
 from hyperrank.errors import ValidationError
 
 import oracles
@@ -14,12 +16,12 @@ from randgen import (hypergraphs, invalid_hypergraphs, random_hypergraph,
 
 
 def test_validate_minimal_legal_arc():
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,), 1.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)])
     assert validate(hg).ok
 
 
 def test_validate_tail_head_overlap():
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (0, 1), 1.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["a", "b"], 1.0)])
     report = validate(hg)
     assert not report.ok
     assert report.codes() == {"TailHeadOverlap"}
@@ -27,46 +29,49 @@ def test_validate_tail_head_overlap():
 
 
 def test_validate_empty_sides():
-    hg = DirectedHypergraph(("a",), (HyperArc("e", (0,), (), 1.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], [], 1.0)])
     assert validate(hg).codes() == {"EmptyHead"}
-    hg = DirectedHypergraph(("a",), (HyperArc("e", (), (0,), 1.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", [], ["a"], 1.0)])
     assert validate(hg).codes() == {"EmptyTail"}
 
 
 def test_validate_weight_and_reference_rules():
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,), -2.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], -2.0)])
     assert validate(hg).codes() == {"NonpositiveWeight"}
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,), float("nan")),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], float("nan"))])
     assert validate(hg).codes() == {"NonpositiveWeight"}
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (7,), 1.0),))
-    assert validate(hg).codes() == {"UnknownVertex"}
-    hg = DirectedHypergraph(("a", "a"), ())
+    arcs = FlatArcs()
+    arcs.add("e", [0], [7], 1.0)
+    assert validate(arcs.hypergraph(("a", "b"))).codes() == {"UnknownVertex"}
+    hg = FlatArcs().hypergraph(("a", "a"))
     assert validate(hg).codes() == {"DuplicateVertexId"}
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,), 1.0),
-                                         HyperArc("e", (1,), (0,), 1.0)))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0),
+                                             ("e", ["b"], ["a"], 1.0)])
     report = validate(hg)
     assert report.codes() == {"DuplicateArcId"}
     assert len(report.violations) == 1
 
 
 def test_validate_collects_every_violation():
-    hg = DirectedHypergraph(("a", "b"), (
-        HyperArc("e1", (0,), (), 1.0),
-        HyperArc("e2", (0,), (1,), 0.0),
-    ))
+    hg = DirectedHypergraph.from_named_arcs([
+        ("e1", ["a"], [], 1.0),
+        ("e2", ["a"], ["b"], 0.0),
+    ])
     report = validate(hg)
     assert len(report.violations) == 2
     assert {v.subject for v in report.violations} == {"e1", "e2"}
 
 
 def test_arc_sides_collapse_duplicates():
-    arc = HyperArc("e", (1, 1, 0), (2, 2), 1.0)
-    assert arc.tail == (0, 1)
-    assert arc.head == (2,)
+    arcs = FlatArcs()
+    arcs.add("e", [1, 1, 0], [2, 2], 1.0)
+    lay = arcs.layout()
+    assert lay.tail_idx.tolist() == [0, 1]
+    assert lay.head_idx.tolist() == [2]
 
 
 def test_incidence_single_arc():
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,), 1.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)])
     h_tail, h_head = build_incidence(hg)
     assert h_tail.to_dense().tolist() == [[1.0], [0.0]]
     assert h_head.to_dense().tolist() == [[0.0], [1.0]]
@@ -89,7 +94,7 @@ def test_incidence_column_sums_equal_arc_degrees():
 
 
 def test_degrees_single_arc():
-    hg = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,), 1.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)])
     deg = compute_degrees(hg)
     assert deg.tail_degree("a") == 1.0
     assert deg.head_degree("b") == 1.0
@@ -106,7 +111,7 @@ def test_degrees_hg3(hg3):
 
 
 def test_degrees_weighted_versus_cardinality():
-    hg = DirectedHypergraph(("a", "b", "c"), (HyperArc("e", (0,), (1, 2), 2.5),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b", "c"], 2.5)])
     deg = compute_degrees(hg)
     assert deg.tail_degree("a") == 2.5
     assert deg.head_degree("b") == 2.5
@@ -119,7 +124,7 @@ def test_weighted_incidence_rows_reproduce_vertex_degrees():
         hg = random_hypergraph(rng, max_vertices=15, max_arcs=25)
         h_tail, h_head = build_incidence(hg)
         deg = compute_degrees(hg)
-        weights = np.array([a.weight for a in hg.arcs])
+        weights = hg.layout.weight
         np.testing.assert_allclose(h_tail.to_dense() @ weights, deg.vertex_tail,
                                    rtol=1e-12)
         np.testing.assert_allclose(h_head.to_dense() @ weights, deg.vertex_head,
@@ -131,7 +136,7 @@ def test_degree_sum_identities():
     for _ in range(50):
         hg = random_hypergraph(rng)
         deg = compute_degrees(hg)
-        weights = np.array([a.weight for a in hg.arcs])
+        weights = hg.layout.weight
         lhs = deg.vertex_tail.sum()
         rhs = float(weights @ deg.arc_tail)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -166,7 +171,7 @@ def test_prune_strips_vertices_from_surviving_arcs():
     ])
     pruned, events = prune_to_core(hg)
     assert pruned.vertices == ("a", "b")
-    assert [a.id for a in pruned.arcs] == ["e1", "e2"]
+    assert pruned.arc_ids == ("e1", "e2")
     assert ("vertex", "x") in {(e.kind, e.identifier) for e in events}
 
 
@@ -182,11 +187,12 @@ def test_prune_idempotent_and_core_positive():
             deg = compute_degrees(once)
             assert deg.vertex_tail.min() > 0
             assert deg.vertex_head.min() > 0
-            assert all(len(a.tail) >= 1 and len(a.head) >= 1 for a in once.arcs)
+            assert np.diff(once.layout.tail_ptr).min() >= 1
+            assert np.diff(once.layout.head_ptr).min() >= 1
 
 
 def test_prune_rejects_invalid_input():
-    hg = DirectedHypergraph(("a",), (HyperArc("e", (0,), (), 1.0),))
+    hg = DirectedHypergraph.from_named_arcs([("e", ["a"], [], 1.0)])
     with pytest.raises(ValidationError):
         prune_to_core(hg)
 
@@ -229,7 +235,7 @@ def test_layout_flattens_the_arcs(hg3):
 
 
 def test_layout_of_an_empty_hypergraph():
-    lay = DirectedHypergraph().layout
+    lay = FlatArcs().hypergraph(()).layout
     assert lay.tail_ptr.tolist() == [0] and lay.head_ptr.tolist() == [0]
     assert lay.tail_idx.size == lay.head_idx.size == lay.weight.size == 0
 
@@ -266,7 +272,7 @@ def test_prune_to_empty_matches_loop_oracle(chain):
     # b survives round 1 and goes in round 2, once both of its arcs are gone
     pruned, events = prune_to_core(chain)
     assert (pruned, events) == oracles.prune_to_core(chain)
-    assert pruned == DirectedHypergraph()
+    assert pruned == FlatArcs().hypergraph(())
     assert [(e.round, e.kind, e.identifier, e.reason) for e in events] == [
         (1, "vertex", "a", "zero head degree"),
         (1, "vertex", "c", "zero tail degree"),
@@ -296,37 +302,46 @@ _raw_sides = st.lists(st.lists(st.integers(0, 6), max_size=5), max_size=6)
 def test_array_constructor_normalises_sides_as_hyperarc_does(tails, heads):
     m = min(len(tails), len(heads))
     tails, heads = tails[:m], heads[:m]
-    ids = [f"e{j}" for j in range(m)]
     weights = [1.0 + j for j in range(m)]
-    vertices = tuple("abcdefg")
-    records = tuple(HyperArc(*row) for row in zip(ids, tails, heads, weights))
-    hg = DirectedHypergraph.from_layout(vertices, ids, ArcLayout.from_sides(
-        [len(t) for t in tails], [i for t in tails for i in t],
-        [len(h) for h in heads], [i for h in heads for i in h], weights))
-    assert hg == DirectedHypergraph(vertices, records)
-    assert hg.arcs == records
+    lay = ArcLayout.from_sides([len(t) for t in tails], [i for t in tails for i in t],
+                               [len(h) for h in heads], [i for h in heads for i in h],
+                               weights)
+    assert lay == oracles.arc_layout(tails, heads, weights)
+    arcs = FlatArcs()
+    for j, (tail, head) in enumerate(zip(tails, heads)):
+        arcs.add(f"e{j}", tail, head, weights[j])
+    assert arcs.hypergraph("abcdefg").layout == lay
 
 
-def test_arcs_is_a_view_of_the_layout(hg3):
+def test_arcs_read_back_from_arc_ids_and_layout_slices(hg3):
     assert hg3.arc_ids == ("e1", "e2", "e3")
-    assert hg3.arcs == (HyperArc("e1", (0,), (1, 2), 1.0),
-                        HyperArc("e2", (1,), (2,), 2.0),
-                        HyperArc("e3", (2,), (0,), 1.0))
-    assert hg3.arcs is hg3.arcs
+    assert oracles.arc_rows(hg3) == [("e1", (0,), (1, 2), 1.0),
+                                     ("e2", (1,), (2,), 2.0),
+                                     ("e3", (2,), (0,), 1.0)]
 
 
 def test_hypergraphs_are_immutable_and_compare_by_value(hg3):
-    again = DirectedHypergraph(hg3.vertices, hg3.arcs)
+    again = DirectedHypergraph.from_named_arcs([
+        ("e1", ["v1"], ["v3", "v2", "v2"], 1.0),
+        ("e2", ["v2"], ["v3"], 2.0),
+        ("e3", ["v3"], ["v1"], 1.0),
+    ], vertices=hg3.vertices)
     assert again == hg3 and hash(again) == hash(hg3)
-    heavier = DirectedHypergraph(hg3.vertices, hg3.arcs[:2] + (
-        HyperArc("e3", (2,), (0,), 1.5),))
+    heavier = dataclasses.replace(hg3, layout=dataclasses.replace(
+        hg3.layout, weight=np.array([1.0, 2.0, 1.5])))
     assert heavier != hg3
     with pytest.raises(AttributeError):
         hg3.vertices = ("x",)
 
 
-def test_arc_ids_must_match_the_layout():
-    lay = DirectedHypergraph(("a", "b"), (HyperArc("e", (0,), (1,)),)).layout
-    with pytest.raises(ValueError):
-        DirectedHypergraph.from_layout(("a", "b"), ("e", "f"), lay)
+def test_hypergraph_is_a_dataclass_over_its_layout(hg3):
+    assert [f.name for f in dataclasses.fields(DirectedHypergraph)] == [
+        "vertices", "arc_ids", "layout"]
+    # the fields are stored as tuples, so this equality needs the conversion
+    assert DirectedHypergraph(list(hg3.vertices), iter(hg3.arc_ids), hg3.layout) == hg3
 
+
+def test_arc_ids_must_match_the_layout():
+    lay = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)]).layout
+    with pytest.raises(ValueError):
+        DirectedHypergraph(("a", "b"), ("e", "f"), lay)

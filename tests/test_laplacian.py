@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from hyperrank import (DirectedHypergraph, PowerOptions, RankVector,
                        TransitionMatrix, build_laplacians, build_transition,
-                       pagerank_power, spectral_report, stationary_dense_oracle)
-from hyperrank.errors import (DenseLimitExceededError, NonpositivePiError,
-                              NotStationaryError)
+                       pagerank_power, prune_to_core, spectral_report,
+                       stationary_dense_oracle)
+from hyperrank.errors import (DenseLimitExceededError, MultipleSolutionsError,
+                              NonpositivePiError, NotStationaryError)
 
-from randgen import random_ergodic_hypergraph
+from randgen import hypergraphs, random_ergodic_hypergraph
 
 
 def test_two_cycle_closed_forms(two_cycle):
@@ -55,6 +57,21 @@ def test_invariants_on_random_ergodic_fixtures():
         assert report.min_eigenvalue_unnormalized >= -1e-9
         assert report.min_eigenvalue_normalized >= -1e-9
         assert report.within()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+def test_invariants_on_generated_cores(hg):
+    # weights span 1e-9..1e9, so pi often has entries far below 1e-16
+    core, _ = prune_to_core(hg)
+    assume(core.n_vertices > 0)
+    P = build_transition(core)
+    try:
+        pi = stationary_dense_oracle(P)
+    except MultipleSolutionsError:
+        assume(False)
+    assume(pi.values.min() > 0.0)
+    assert spectral_report(build_laplacians(P, pi)).within()
 
 
 def test_matrices_are_symmetric_and_frozen(hg3):

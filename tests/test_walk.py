@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import (DirectedHypergraph, HyperArc, PowerOptions, RankVector,
+from hyperrank import (DirectedHypergraph, PowerOptions, RankVector,
                        build_incidence, build_transition, compute_degrees,
                        pagerank_power, prune_to_core, simulate_walk,
                        stationary_dense_oracle, top_k, tv_distance)
+from hyperrank.core import FlatArcs
 from hyperrank.errors import (DanglingVertexError, DenseLimitExceededError,
                               MultipleSolutionsError, NoConvergenceError)
 from hyperrank.walk import _walk_tables
@@ -26,7 +29,7 @@ def entrywise_transition_oracle(hg):
     for u in range(n):
         for v in range(n):
             total = 0.0
-            for j, arc in enumerate(hg.arcs):
+            for j, arc in enumerate(oracles.arc_rows(hg)):
                 if u in arc.tail and v in arc.head:
                     total += arc.weight / deg.vertex_tail[u] / deg.arc_head[j]
             dense[u, v] = total
@@ -37,7 +40,7 @@ def matrix_formula_oracle(hg):
     """The same matrix via dense diagonal/incidence products."""
     h_tail, h_head = build_incidence(hg)
     deg = compute_degrees(hg)
-    w = np.diag([a.weight for a in hg.arcs])
+    w = np.diag(hg.layout.weight)
     d_vt_inv = np.diag(1.0 / deg.vertex_tail)
     d_eh_inv = np.diag(1.0 / deg.arc_head.astype(float))
     return d_vt_inv @ h_tail.to_dense() @ w @ d_eh_inv @ h_head.to_dense().T
@@ -93,9 +96,8 @@ def test_transition_weight_scale_invariance():
     rng = np.random.default_rng(41)
     for scale in (0.001, 3.7, 2500.0):
         hg = random_pruned_hypergraph(rng, max_vertices=10, max_arcs=20)
-        scaled = DirectedHypergraph(
-            hg.vertices,
-            tuple(HyperArc(a.id, a.tail, a.head, a.weight * scale) for a in hg.arcs))
+        scaled = dataclasses.replace(hg, layout=dataclasses.replace(
+            hg.layout, weight=hg.layout.weight * scale))
         np.testing.assert_allclose(build_transition(hg).to_dense(),
                                    build_transition(scaled).to_dense(),
                                    rtol=0, atol=1e-14)
@@ -103,7 +105,7 @@ def test_transition_weight_scale_invariance():
 
 def test_transition_empty_hypergraph_rejected():
     with pytest.raises(ValueError):
-        build_transition(DirectedHypergraph())
+        build_transition(FlatArcs().hypergraph(()))
 
 
 def test_transition_type_enforces_stochasticity():
@@ -254,8 +256,7 @@ def test_power_l2_output(hg3):
 
 def test_power_options_validation():
     for bad in (dict(damping=0.0), dict(damping=1.5), dict(tolerance=0.0),
-                dict(max_iterations=0), dict(normalization="sup"),
-                dict(dangling="skip")):
+                dict(max_iterations=0), dict(normalization="sup")):
         with pytest.raises(ValueError):
             PowerOptions(**bad)
 
@@ -287,6 +288,33 @@ def test_oracle_multiple_solutions(two_disjoint_two_cycles):
 def test_oracle_dense_limit(hg3):
     with pytest.raises(DenseLimitExceededError):
         stationary_dense_oracle(build_transition(hg3), dense_limit=2)
+
+
+def test_oracle_matches_the_least_squares_solve():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        P = build_transition(random_ergodic_hypergraph(rng))
+        np.testing.assert_allclose(stationary_dense_oracle(P).values,
+                                   oracles.stationary_lstsq(P), rtol=0, atol=1e-12)
+    for _ in range(40):
+        P = build_transition(random_pruned_hypergraph(rng, max_vertices=12))
+        try:
+            pi = stationary_dense_oracle(P).values
+        except MultipleSolutionsError:
+            continue
+        np.testing.assert_allclose(pi, oracles.stationary_lstsq(P), rtol=0, atol=1e-12)
+
+
+def test_oracle_keeps_tiny_entries_relatively_accurate():
+    # pi = (1, 1, w/(1+w)) / (2 + w/(1+w)); the least-squares solve gets the
+    # last entry wrong by a factor of about 300 at w = 1e-18
+    for w in (1e-12, 1e-15, 1e-18):
+        P = build_transition(DirectedHypergraph.from_named_arcs([
+            ("e1", ["a"], ["b"], 1.0), ("e2", ["b"], ["a"], 1.0),
+            ("e3", ["b"], ["c"], w), ("e4", ["c"], ["a"], 1.0)]))
+        c = w / (1 + w)
+        np.testing.assert_allclose(stationary_dense_oracle(P).values,
+                                   np.array([1.0, 1.0, c]) / (2 + c), rtol=1e-14)
 
 
 def test_power_agrees_with_oracle():
@@ -334,6 +362,11 @@ def test_simulate_rejects_bad_input(hg3, chain):
         simulate_walk(hg3, "nope", 10, seed=0)
     with pytest.raises(ValueError):
         simulate_walk(hg3, "v1", 0, seed=0)
+
+
+def test_simulate_rejects_a_negative_seed(hg3):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        simulate_walk(hg3, "v1", 10, seed=-1)
 
 
 # ------------------------------------------------------------------ top_k
