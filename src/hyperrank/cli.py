@@ -56,7 +56,14 @@ def _load(ns) -> DirectedHypergraph:
     return load_canonical(text)
 
 
+def _note_collapsed(report: IngestReport) -> None:
+    sys.stderr.write("".join(
+        f"WARNING reaction {rid}: {count} duplicate species mention(s) collapsed\n"
+        for rid, count in report.collapsed))
+
+
 def _log_ingest(report: IngestReport) -> None:
+    _note_collapsed(report)
     _note(f"records: {report.records}")
     _note(f"vertices: {report.vertices}")
     _note(f"arcs: {report.arcs}")
@@ -102,7 +109,8 @@ def cmd_validate(ns) -> int:
     try:
         if ns.format == "reactions":
             records = parse_reactions_text(text)
-            hg, _ = reactions_to_hypergraph(records, ns.reversible)
+            hg, report = reactions_to_hypergraph(records, ns.reversible)
+            _note_collapsed(report)
         else:
             hg = load_canonical(text)
     except ValidationError as exc:
@@ -254,6 +262,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         _note(f"hyperrank: {exc}")
+        return 1
+    except MemoryError as exc:
+        _note(f"hyperrank: {str(exc) or 'out of memory'}")
         return 1
 
 

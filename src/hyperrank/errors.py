@@ -34,10 +34,6 @@ class ReactionSyntaxError(IngestError):
     pass
 
 
-class EmptySideError(IngestError):
-    pass
-
-
 class BadWeightError(IngestError):
     pass
 

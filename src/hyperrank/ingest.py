@@ -4,34 +4,52 @@ Reaction grammar, one reaction per line ('#' starts a comment):
 
     ID ':' side ARROW side ['@' WEIGHT]
 
-side is a '+'-separated list of identifiers ([A-Za-z0-9_-]+), ARROW is
-'->' (irreversible) or '<->' (reversible), WEIGHT a positive number.
-Permissive parsing accepts an empty side (boundary exchange reactions),
-leaving removal to the core-pruning step; strict parsing rejects it.
+side is an optional '+'-separated list of identifiers, each one or more of
+[A-Za-z0-9_] and '-', where a '-' directly before '>' opens the arrow
+instead; ARROW is '->' (irreversible) or '<->' (reversible), WEIGHT a
+positive number. One whole-line regular expression is the grammar. An
+empty side (a boundary exchange reaction) parses, and conversion drops the
+record, as core pruning would.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from .core import (UNKNOWN_VERTEX, DirectedHypergraph, FlatArcs,
                    ValidationReport, Violation, ensure_valid, validate)
-from .errors import (BadWeightError, EmptySideError, ReactionSyntaxError,
-                     SchemaError, TailHeadOverlapError, ValidationError)
-
-logger = logging.getLogger(__name__)
+from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
+                     TailHeadOverlapError, ValidationError)
 
 SPLIT = "split"
 FORWARD_ONLY = "forward-only"
 REVERSIBLE_POLICIES = (SPLIT, FORWARD_ONLY)
 
-# '-' is an identifier character except when it opens an '->' arrow
-_TOKEN_RE = re.compile(r"(?P<arrow><->|->)|(?P<punct>[:+])|(?P<ident>(?:[A-Za-z0-9_]|-(?!>))+)")
+# one or more of [A-Za-z0-9_] or '-' not directly before '>', as runs
+# between the dashes, which the regex engine steps through faster
+_IDENT = r"(?:[A-Za-z0-9_]|-(?!>))[A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]*)*"
+_SIDE = rf"{_IDENT}(?:\s*\+\s*{_IDENT})*"
+# a line's body, its comment and weight cut off: ID, substrates, arrow, products
+_REACTION_RE = re.compile(rf"\s*({_IDENT})\s*:\s*({_SIDE})?\s*(<?->)\s*({_SIDE})?\s*")
+_TOKEN_RE = re.compile(rf"(?P<arrow><?->)|(?P<colon>:)|(?P<plus>\+)|(?P<ident>{_IDENT})")
+# The same grammar over tokens, walked only to locate a rejected line's
+# error: per state, the next state for each token it accepts ("end" closes
+# the line) and the error for any other token.
+_WALK = (
+    ({"ident": 1}, "expected reaction identifier"),
+    ({"colon": 2}, "expected ':' after the reaction identifier"),
+    ({"ident": 3, "arrow": 5}, "expected '->' or '<->'"),
+    ({"plus": 4, "arrow": 5}, "expected '->' or '<->'"),
+    ({"ident": 3}, "expected identifier after '+' in the substrate side"),
+    ({"ident": 6, "end": None}, "unexpected trailing input {text!r}"),
+    ({"plus": 7, "end": None}, "unexpected trailing input {text!r}"),
+    ({"ident": 6}, "expected identifier after '+' in the product side"),
+)
 
 
 @dataclass(frozen=True)
@@ -45,32 +63,15 @@ class ReactionRecord:
     weight: float = 1.0
 
 
-def _tokenize(body: str, line_no: int | None):
-    tokens = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(body, pos)
-        if m is None:
-            raise ReactionSyntaxError(
-                f"unexpected character {body[pos]!r}", line=line_no, column=pos + 1)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), m.start() + 1))
-        pos = m.end()
-    return tokens
+def _side_names(side: str | None) -> tuple[str, ...]:
+    return () if side is None else tuple(map(str.strip, side.split("+")))
 
 
-def parse_reaction_line(line: str, strict: bool = False,
-                        line_no: int | None = None) -> ReactionRecord | None:
-    """Parse one reaction line; returns None for blank/comment-only lines."""
-    comment = line.find("#")
-    body = line if comment < 0 else line[:comment]
-    if not body.strip():
-        return None
-
-    weight = 1.0
+def _raise_line_error(body: str, line_no: int | None) -> NoReturn:
+    """Raise the error of a line, its comment cut off, that the grammar or
+    the weight rule rejects, with its column: a bad weight first, then an
+    unexpected character anywhere, then the first token the grammar cannot
+    take."""
     at = body.find("@")
     if at >= 0:
         wtext = body[at + 1:].strip()
@@ -87,59 +88,56 @@ def parse_reaction_line(line: str, strict: bool = False,
                                  line=line_no, column=wcol)
         body = body[:at]
 
-    tokens = _tokenize(body, line_no)
-    cursor = 0
+    tokens = []
+    pos = 0
+    while pos < len(body):
+        if body[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(body, pos)
+        if m is None:
+            raise ReactionSyntaxError(
+                f"unexpected character {body[pos]!r}", line=line_no, column=pos + 1)
+        tokens.append((m.lastgroup, m.group(), pos + 1))
+        pos = m.end()
+    tokens.append(("end", "", len(body) + 1))
 
-    def peek():
-        return tokens[cursor] if cursor < len(tokens) else (None, "", len(body) + 1)
-
-    def take(kind, what):
-        nonlocal cursor
-        tok_kind, text, col = peek()
-        if tok_kind != kind:
-            raise ReactionSyntaxError(f"expected {what}", line=line_no, column=col)
-        cursor += 1
-        return text, col
-
-    def take_side(side_name):
-        nonlocal cursor
-        items = []
-        kind, text, _ = peek()
-        if kind == "ident":
-            cursor += 1
-            items.append(text)
-            while True:
-                kind, text, _ = peek()
-                if kind != "punct" or text != "+":
-                    break
-                cursor += 1
-                items.append(take("ident", f"identifier after '+' in the {side_name}")[0])
-        return tuple(items)
-
-    rid, _ = take("ident", "reaction identifier")
-    text, col = take("punct", "':' after the reaction identifier")
-    if text != ":":
-        raise ReactionSyntaxError("expected ':' after the reaction identifier",
-                                  line=line_no, column=col)
-    substrates = take_side("substrate side")
-    arrow, arrow_col = take("arrow", "'->' or '<->'")
-    products = take_side("product side")
-    kind, text, col = peek()
-    if kind is not None:
-        raise ReactionSyntaxError(f"unexpected trailing input {text!r}",
-                                  line=line_no, column=col)
-    if strict and (not substrates or not products):
-        side = "substrate" if not substrates else "product"
-        raise EmptySideError(f"reaction {rid}: empty {side} side",
-                             line=line_no, column=arrow_col)
-    return ReactionRecord(rid, substrates, products, arrow == "<->", weight)
+    state = 0
+    for kind, text, col in tokens:
+        accepts, error = _WALK[state]
+        if kind not in accepts:
+            raise ReactionSyntaxError(error.format(text=text), line=line_no, column=col)
+        state = accepts[kind]
+    raise AssertionError(f"the reaction grammar rejects a line its tokens accept: {body!r}")
 
 
-def parse_reactions_text(text: str, strict: bool = False) -> list[ReactionRecord]:
+def parse_reaction_line(line: str, *, line_no: int | None = None) -> ReactionRecord | None:
+    """Parse one reaction line; returns None for blank/comment-only lines."""
+    comment = line.find("#")
+    code = line if comment < 0 else line[:comment]
+    if not code or code.isspace():
+        return None
+    body, weight = code, 1.0
+    at = code.find("@")
+    if at >= 0:
+        body = code[:at]
+        try:
+            weight = float(code[at + 1:])
+        except ValueError:
+            weight = math.nan
+    m = _REACTION_RE.fullmatch(body)
+    if m is None or not 0.0 < weight < math.inf:
+        _raise_line_error(code, line_no)
+    rid, substrates, arrow, products = m.groups()
+    return ReactionRecord(rid, _side_names(substrates), _side_names(products),
+                          arrow == "<->", weight)
+
+
+def parse_reactions_text(text: str) -> list[ReactionRecord]:
     """Parse a whole reaction file; raises on the first malformed line."""
     records = []
     for i, line in enumerate(text.splitlines(), start=1):
-        rec = parse_reaction_line(line, strict=strict, line_no=i)
+        rec = parse_reaction_line(line, line_no=i)
         if rec is not None:
             records.append(rec)
     return records
@@ -147,7 +145,7 @@ def parse_reactions_text(text: str, strict: bool = False) -> list[ReactionRecord
 
 @dataclass
 class IngestReport:
-    """Counts the conversion surfaces on standard error for the CLI."""
+    """Counts and notes of a conversion; the CLI writes them to standard error."""
 
     records: int = 0
     vertices: int = 0
@@ -155,11 +153,11 @@ class IngestReport:
     reversible_records: int = 0
     split_arcs: int = 0
     collapsed_duplicates: int = 0
+    collapsed: list[tuple[str, int]] = field(default_factory=list)
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
 
-def reactions_to_hypergraph(records, reversible_policy: str = SPLIT,
-                            permissive: bool = True
+def reactions_to_hypergraph(records, reversible_policy: str = SPLIT
                             ) -> tuple[DirectedHypergraph, IngestReport]:
     """Turn parsed reactions into a hypergraph.
 
@@ -167,38 +165,33 @@ def reactions_to_hypergraph(records, reversible_policy: str = SPLIT,
     Under the `split` policy a reversible record becomes two arcs, ID_fwd
     and ID_rev, with the same weight; under `forward-only` it becomes one
     arc as written. Species are interned as vertices in first-mention
-    order. A record whose sides share a species is rejected outright; a
-    record with an empty side is dropped (permissive) or rejected (strict).
+    order, and a species mentioned twice on one side counts once (noted in
+    ``report.collapsed``). A record whose sides share a species is rejected
+    outright; a record with an empty side is dropped (noted in
+    ``report.dropped``).
     """
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
     report = IngestReport(records=len(records))
     index: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        return index.setdefault(name, len(index))
-
+    intern = index.setdefault
     arcs = FlatArcs()
     for rec in records:
-        substrates = list(dict.fromkeys(rec.substrates))
-        products = list(dict.fromkeys(rec.products))
-        collapsed = (len(rec.substrates) - len(substrates)
-                     + len(rec.products) - len(products))
+        substrates, products = rec.substrates, rec.products
+        tail_set, head_set = set(substrates), set(products)
+        collapsed = (len(substrates) - len(tail_set)
+                     + len(products) - len(head_set))
         if collapsed:
             report.collapsed_duplicates += collapsed
-            logger.warning("reaction %s: %d duplicate species mention(s) collapsed",
-                           rec.id, collapsed)
-        shared = sorted(set(substrates) & set(products))
-        if shared:
-            raise TailHeadOverlapError(rec.id, shared)
+            report.collapsed.append((rec.id, collapsed))
+        if not tail_set.isdisjoint(head_set):
+            raise TailHeadOverlapError(rec.id, sorted(tail_set & head_set))
         if not substrates or not products:
-            side = "tail" if not substrates else "head"
-            if permissive:
-                report.dropped.append((rec.id, f"empty {side}"))
-                continue
-            raise EmptySideError(f"reaction {rec.id}: empty {side}")
-        tail = [intern(s) for s in substrates]
-        head = [intern(p) for p in products]
+            report.dropped.append((rec.id, f"empty {'tail' if not substrates else 'head'}"))
+            continue
+        # the layout drops a side's repeated vertices
+        tail = [intern(s, len(index)) for s in substrates]
+        head = [intern(p, len(index)) for p in products]
         if rec.reversible:
             report.reversible_records += 1
             if reversible_policy == SPLIT:

@@ -7,6 +7,8 @@ that the fast path can be compared with it bit for bit.
 from __future__ import annotations
 
 import json
+import math
+import re
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -17,6 +19,8 @@ from hyperrank import (DirectedHypergraph, PruneEvent, SparseRealMatrix,
 from hyperrank.core import (DUPLICATE_ARC_ID, DUPLICATE_VERTEX_ID, EMPTY_HEAD,
                             EMPTY_TAIL, NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP,
                             UNKNOWN_VERTEX, ArcLayout)
+from hyperrank.errors import BadWeightError, ReactionSyntaxError
+from hyperrank.ingest import ReactionRecord
 
 
 class ArcRow(NamedTuple):
@@ -329,3 +333,93 @@ def top_k(values, k: int, round_to: int | None = None) -> list[int]:
     """Indices of the k highest values, ties by index, by a keyed sort."""
     keys = values if round_to is None else np.round(values, round_to)
     return sorted(range(len(values)), key=lambda i: (-keys[i], i))[:k]
+
+
+# '-' is an identifier character except when it opens an '->' arrow
+_TOKEN_RE = re.compile(r"(?P<arrow><->|->)|(?P<punct>[:+])|(?P<ident>(?:[A-Za-z0-9_]|-(?!>))+)")
+
+
+def _tokenize(body: str, line_no: int | None):
+    tokens = []
+    pos = 0
+    while pos < len(body):
+        if body[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(body, pos)
+        if m is None:
+            raise ReactionSyntaxError(
+                f"unexpected character {body[pos]!r}", line=line_no, column=pos + 1)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(), m.start() + 1))
+        pos = m.end()
+    return tokens
+
+
+def parse_reaction_line(line: str, line_no: int | None = None) -> ReactionRecord | None:
+    """One reaction line by a tokenizer and a recursive-descent walk, the
+    parser the whole-line grammar replaced; None for blank/comment-only lines."""
+    comment = line.find("#")
+    body = line if comment < 0 else line[:comment]
+    if not body.strip():
+        return None
+
+    weight = 1.0
+    at = body.find("@")
+    if at >= 0:
+        wtext = body[at + 1:].strip()
+        wcol = at + 2
+        if not wtext:
+            raise BadWeightError("missing weight after '@'", line=line_no, column=wcol)
+        try:
+            weight = float(wtext)
+        except ValueError:
+            raise BadWeightError(f"invalid weight {wtext!r}",
+                                 line=line_no, column=wcol) from None
+        if not math.isfinite(weight) or weight <= 0.0:
+            raise BadWeightError(f"weight must be a positive real, got {wtext}",
+                                 line=line_no, column=wcol)
+        body = body[:at]
+
+    tokens = _tokenize(body, line_no)
+    cursor = 0
+
+    def peek():
+        return tokens[cursor] if cursor < len(tokens) else (None, "", len(body) + 1)
+
+    def take(kind, what):
+        nonlocal cursor
+        tok_kind, text, col = peek()
+        if tok_kind != kind:
+            raise ReactionSyntaxError(f"expected {what}", line=line_no, column=col)
+        cursor += 1
+        return text, col
+
+    def take_side(side_name):
+        nonlocal cursor
+        items = []
+        kind, text, _ = peek()
+        if kind == "ident":
+            cursor += 1
+            items.append(text)
+            while True:
+                kind, text, _ = peek()
+                if kind != "punct" or text != "+":
+                    break
+                cursor += 1
+                items.append(take("ident", f"identifier after '+' in the {side_name}")[0])
+        return tuple(items)
+
+    rid, _ = take("ident", "reaction identifier")
+    text, col = take("punct", "':' after the reaction identifier")
+    if text != ":":
+        raise ReactionSyntaxError("expected ':' after the reaction identifier",
+                                  line=line_no, column=col)
+    substrates = take_side("substrate side")
+    arrow, _ = take("arrow", "'->' or '<->'")
+    products = take_side("product side")
+    kind, text, col = peek()
+    if kind is not None:
+        raise ReactionSyntaxError(f"unexpected trailing input {text!r}",
+                                  line=line_no, column=col)
+    return ReactionRecord(rid, substrates, products, arrow == "<->", weight)

@@ -30,6 +30,12 @@ def random_hypergraph(rng, max_vertices: int = 30, max_arcs: int = 60,
     return arcs.hypergraph(f"n{i}" for i in range(n))
 
 
+def latin1_lines(rng, count: int, max_length: int = 80) -> list[str]:
+    """Random byte strings of 0 to max_length - 1 bytes, each read as latin-1."""
+    return [rng.bytes(int(rng.integers(0, max_length))).decode("latin-1")
+            for _ in range(count)]
+
+
 def random_pruned_hypergraph(rng, max_vertices: int = 30,
                              max_arcs: int = 60) -> DirectedHypergraph:
     """A nonempty positive-degree core obtained by pruning random instances."""

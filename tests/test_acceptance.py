@@ -23,7 +23,7 @@ from hyperrank import (DirectedHypergraph, build_laplacians, build_transition,
 from hyperrank.cli import main
 from hyperrank.errors import IngestError, NoConvergenceError
 
-from randgen import (random_ergodic_hypergraph, random_hypergraph,
+from randgen import (latin1_lines, random_ergodic_hypergraph, random_hypergraph,
                      random_pruned_hypergraph)
 
 
@@ -211,9 +211,7 @@ def test_criterion_8_parser_suite():
             round_trip_failures += 1
 
     fuzz_failures = 0
-    for i in range(2000):
-        length = int(rng.integers(0, 80))
-        line = rng.bytes(length).decode("latin-1")
+    for i, line in enumerate(latin1_lines(rng, 2000)):
         try:
             parse_reaction_line(line, line_no=i + 1)
         except IngestError as exc:

@@ -114,6 +114,32 @@ def test_ingest_malformed_line_cites_position(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("command", ["ingest", "validate", "rank"])
+def test_overlap_after_collapsed_mentions_is_one_error_line(tmp_path, capsys, command):
+    # the collapse notes are written from the finished report, so a record
+    # rejected later leaves only the error line on standard error
+    src = tmp_path / "net.reactions"
+    src.write_text("R1: A + A -> B\nR2: C + C -> D\nR3: X + Y -> Y + Z\n")
+    assert main([command, str(src), "--format", "reactions"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hyperrank: reaction R3: species on both sides: Y\n"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 8.00 GiB for an array"),
+     "hyperrank: Unable to allocate 8.00 GiB for an array\n"),
+    (MemoryError(), "hyperrank: out of memory\n"),
+])
+def test_out_of_memory_is_one_error_line(hg3_path, capsys, monkeypatch, error, line):
+    def exhausted(text):
+        raise error
+
+    monkeypatch.setattr(hyperrank.cli, "load_canonical", exhausted)
+    assert main(["rank", hg3_path]) == 1
+    assert capsys.readouterr().err == line
+
+
 def test_ingest_json_passthrough_normalizes(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(HG3_JSON)

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import (DirectedHypergraph, build_transition, load_canonical,
-                       parse_reaction_line, parse_reactions_text, prune_to_core,
-                       reactions_to_hypergraph, save_canonical)
+from hyperrank import (DirectedHypergraph, build_transition, ingest,
+                       load_canonical, parse_reaction_line, parse_reactions_text,
+                       prune_to_core, reactions_to_hypergraph, save_canonical)
 from hyperrank.core import FlatArcs
-from hyperrank.errors import (BadWeightError, EmptySideError, IngestError,
-                              ReactionSyntaxError, SchemaError,
-                              TailHeadOverlapError, ValidationError)
+from hyperrank.errors import (BadWeightError, IngestError, ReactionSyntaxError,
+                              SchemaError, TailHeadOverlapError, ValidationError)
 
 import oracles
-from randgen import random_hypergraph
+from randgen import latin1_lines, random_hypergraph
 
 
 # ---------------------------------------------------------------- parsing
@@ -39,13 +38,9 @@ def test_parse_preserves_token_order_and_duplicates():
     assert rec.substrates == ("b", "a", "a")
 
 
-def test_parse_empty_side_permissive_and_strict():
-    rec = parse_reaction_line("R3: A ->")
-    assert rec.products == ()
-    with pytest.raises(EmptySideError):
-        parse_reaction_line("R3: A ->", strict=True)
-    with pytest.raises(EmptySideError):
-        parse_reaction_line("R4: -> A", strict=True)
+def test_parse_empty_side():
+    assert parse_reaction_line("R3: A ->").products == ()
+    assert parse_reaction_line("R4: -> A").substrates == ()
 
 
 def test_parse_comments_and_blanks():
@@ -97,13 +92,27 @@ def test_parse_reactions_text_reports_line():
     assert exc.value.line == 3
 
 
+def _outcome(parse, line, line_no):
+    """A parser's record for the line, or its error's type, text and position."""
+    try:
+        return parse(line, line_no=line_no)
+    except IngestError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def assert_parses_as_oracle(line, line_no=None):
+    assert (_outcome(parse_reaction_line, line, line_no)
+            == _outcome(oracles.parse_reaction_line, line, line_no)), repr(line)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=120))
 def test_parser_totality_on_text(line):
     try:
-        parse_reaction_line(line, strict=True)
+        parse_reaction_line(line)
     except IngestError as exc:
         assert exc.column is None or exc.column >= 1
+    assert_parses_as_oracle(line)
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,6 +123,74 @@ def test_parser_totality_on_bytes(payload):
         parse_reaction_line(line)
     except IngestError:
         pass
+    assert_parses_as_oracle(line)
+
+
+# ------------------------------------------- the grammar against the oracle
+
+EDGE_LINES = [
+    "A-->B", "R: A-->B", "-A -> B", "R: -A -> B", "R: A ->-B", "R:A<->B",
+    "R: A <-->B", "R: A -<-> B", "R: A - > B", "R: A- -> B-", "R-: --x -> y--",
+    "R: A -> B -> C", "R: A + -> B", "R: A -> B +", "R: + A -> B", "R A -> B",
+    ": A -> B", "R: A B -> C", "R: A -> B C", "R: A -> B :", "R: A <- B",
+    "R:", "R", "->", "R: ->", "R: <->", "R:->", "R: A -> B !", "R: A -> é",
+    "R:\x1cA\x1d->\x1eB\x1f", "R:\x85A -> B\x85", "R: A\xa0->\xa0B",
+    "R:\u3000A + B\u3000->C", "R: A ->\u2028B", "\x0bR: A -> B\x0c",
+    "\u3000", " \t\x85 ", "R: A -> B @ 1_0", "R: A -> B @ inf", "R: A -> B @ nan",
+    "R: A -> B @ 1e400", "R: A -> B @ 0", "R: A -> B @ -1", "R: A -> B @",
+    "R: A -> B @ ", "R: A -> B @\u3000", "R: A -> B @\x852.5\x85",
+    "R: A -> B @ \u0662", "R: A -> B @ 1e-400", "R: A -> B @ 1 @ 2",
+    "R: A -> B @ 2 # note", "R: A -> B @ #2", "R: A -> B # @ 2", "R: A -> B #@",
+    "# R: A -> B @ nan", "@ 1", "@", " @ 1 # c", "R: A -> B @ 3 junk",
+    "R: A -> B @ .5", "R: A -> B @ +7", "R: A -> B @ 0x10", "R: A !-> B @ 0",
+]
+
+
+@pytest.mark.parametrize("line", EDGE_LINES)
+def test_parse_edge_lines_as_the_oracle(line):
+    assert_parses_as_oracle(line, line_no=7)
+
+
+def test_parse_fuzz_corpus_as_the_oracle():
+    # criterion 8's 2,000 lines: seed 1008, after its 1,000 round-trip draws
+    rng = np.random.default_rng(1008)
+    for _ in range(1000):
+        random_hypergraph(rng, max_vertices=12, max_arcs=20)
+    for i, line in enumerate(latin1_lines(rng, 2000), start=1):
+        assert_parses_as_oracle(line, line_no=i)
+
+
+# fragments that land near the grammar, so most drawn lines are almost reactions
+FRAGMENTS = ["R1", "A", "b_2", "-", "--", "->", "<->", "<", ">", ":", "+", "@",
+             "#", " ", "  ", "\t", "\x1c", "\x85", "\xa0", "\u3000", "\n",
+             "1.5", "0", "-1", "1_0", "inf", "nan", "1e400", "x!", "é"]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=14))
+def test_parse_fragment_lines_as_the_oracle(fragments):
+    assert_parses_as_oracle("".join(fragments), line_no=3)
+
+
+def test_valid_text_never_enters_the_error_walk(monkeypatch):
+    def walk(line, line_no):
+        raise AssertionError(f"line {line_no} left the grammar: {line!r}")
+
+    monkeypatch.setattr(ingest, "_raise_line_error", walk)
+    text = ("# a header comment\n\n   \n"
+            "R1: A + B -> C @ 2.5\n"
+            "R2: C <-> A  # reversible\n"
+            "R-3:Coenzyme-A+H2O->Acetyl-CoA@1e-3\n"
+            "\tEX_glc: glc ->\n"
+            "EX_out: -> pyr @ 7 # weighted boundary\n"
+            "R4 : a + a + b<->c\u3000@\u30001_0\n"
+            "R5: x -> y @ 1e300 # @ in a comment\n")
+    records = parse_reactions_text(text)
+    assert len(records) == 7
+    assert records == [rec for rec in map(oracles.parse_reaction_line, text.splitlines())
+                       if rec is not None]
+    with pytest.raises(AssertionError, match="line 2 left the grammar"):
+        parse_reactions_text("R1: A -> B\nR2 B -> C\n")
 
 
 # ------------------------------------------------------------- conversion
@@ -158,19 +235,22 @@ def test_overlap_rejected_with_record_id():
 
 
 def test_duplicates_collapse_with_count():
-    records = parse_reactions_text("R: A + A -> B\n")
-    hg, report = reactions_to_hypergraph(records)
-    assert hg.layout.tail_idx.tolist() == [0]
-    assert report.collapsed_duplicates == 1
+    text = ("Z: a + a + a -> b\nR1: b -> c\nY: c -> d + d\n"
+            "EX: d + d ->\nA: a + d + a -> b + b\n")
+    hg, report = reactions_to_hypergraph(parse_reactions_text(text))
+    assert report.collapsed == [("Z", 2), ("Y", 1), ("EX", 1), ("A", 2)]
+    assert sum(n for _, n in report.collapsed) == report.collapsed_duplicates == 6
+    assert hg.vertices == ("a", "b", "c", "d")
+    assert [(a.id, a.tail, a.head) for a in oracles.arc_rows(hg)] == [
+        ("Z", (0,), (1,)), ("R1", (1,), (2,)), ("Y", (2,), (3,)),
+        ("A", (0, 3), (1,))]
 
 
-def test_empty_side_dropped_passively_or_raised():
-    records = parse_reactions_text("EX1: glc ->\nR: glc -> pyr\n")
+def test_empty_side_dropped():
+    records = parse_reactions_text("EX1: glc ->\nR: glc -> pyr\nEX2: -> pyr\n")
     hg, report = reactions_to_hypergraph(records)
     assert hg.arc_ids == ("R",)
-    assert report.dropped == [("EX1", "empty head")]
-    with pytest.raises(EmptySideError):
-        reactions_to_hypergraph(records, permissive=False)
+    assert report.dropped == [("EX1", "empty head"), ("EX2", "empty tail")]
 
 
 def test_unknown_reversible_policy():
