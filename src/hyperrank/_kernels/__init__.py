@@ -1,9 +1,10 @@
 """The numeric kernels: the CSR transposed multiply and the walk stepper.
 
 The multiply has one NumPy implementation. The walk stepper is compiled
-when the optional Cython extension was built and falls back to the bisect
-loop in ``_pykernels`` otherwise; both give bit-identical results, and
-``BACKEND`` names the one in use.
+when the optional Cython extension was built. Otherwise it is the Python
+stepper in ``_pykernels``, which walks per-vertex tables built once per
+walk. Both give bit-identical results, and ``BACKEND`` names the one in
+use.
 """
 
 import numpy as np

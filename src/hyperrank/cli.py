@@ -99,6 +99,9 @@ def cmd_ingest(ns) -> int:
     else:
         records = parse_reactions_text(text)
         hg, report = reactions_to_hypergraph(records, ns.reversible)
+        del records
+    # nothing reads the input again: free it before the output is built
+    del text
     _log_ingest(report)
     _write_output(save_canonical(hg), ns.output)
     return 0

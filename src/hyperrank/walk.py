@@ -94,10 +94,6 @@ class RankVector:
         return RankVector(self.vertices, scaled, normalization,
                           self.residual, self.iterations)
 
-    def diagonal(self) -> np.ndarray:
-        """Dense diag(pi), the matrix the Laplacian construction calls S."""
-        return np.diag(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
@@ -290,6 +286,9 @@ def _walk_tables(hg: DirectedHypergraph) -> _WalkTables:
     bounds = arc_ptr.tolist()
     for a, b in zip(bounds, bounds[1:]):
         np.cumsum(prob[a:b], out=arc_cum[a:b])
+    # frozen, so that a view the stepper derives from them stays current
+    for arr in (arc_ptr, arc_cum, arc_of_slot):
+        arr.setflags(write=False)
     return _WalkTables(arc_ptr, arc_cum, arc_of_slot, lay.head_ptr, lay.head_idx)
 
 

@@ -1,6 +1,7 @@
-"""Kernel checks: the SpMV against its loop oracle, and backend parity of
-the walk stepper where the compiled extension is built."""
+"""Kernel checks: the SpMV and the walk stepper against their loop oracles,
+and backend parity of the walk stepper where the compiled extension is built."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -8,14 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hyperrank
-from hyperrank import _kernels, simulate_walk
+from hyperrank import _kernels, prune_to_core, simulate_walk
 from hyperrank._kernels import _pykernels
-from hyperrank.walk import _walk_tables
+from hyperrank.core import FlatArcs
+from hyperrank.walk import _WALK_CHUNK, _walk_tables
 
 import oracles
-from randgen import random_pruned_hypergraph
+from randgen import hypergraphs, random_ergodic_hypergraph, random_pruned_hypergraph
 
 try:
     from hyperrank._kernels import _ckernels
@@ -56,12 +60,12 @@ def test_csr_left_multiply_matches_loop_oracle_bitwise():
         np.testing.assert_allclose(out, x @ dense, rtol=0, atol=1e-13)
 
 
-def test_python_walk_steps_match_the_loop_oracle_across_blocks():
+def test_python_walk_steps_match_the_loop_oracle_on_a_long_walk():
     rng = np.random.default_rng(67)
     hg = random_pruned_hypergraph(rng)
     t = _walk_tables(hg)
     tables = (t.arc_ptr, t.arc_cum, t.arc_of_slot, t.head_ptr, t.head_verts)
-    n = 2 * _pykernels._BLOCK + 123
+    n = 2 * (1 << 14) + 123
     draws = rng.random((2, n))
     draws[:, ::97] = 1.0  # past every cumulative bound, so both clamps run
     counts = np.zeros(hg.n_vertices, dtype=np.int64)
@@ -93,25 +97,128 @@ def test_walk_steps_parity():
         assert counts_c.sum() == 5000
 
 
-@needs_ckernels
+# the stepper backends importable here, each checked against the loop oracle
+_backends = [_pykernels] + ([] if _ckernels is None else [_ckernels])
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def _tables(hg):
+    t = _walk_tables(hg)
+    return (t.arc_ptr, t.arc_cum, t.arc_of_slot, t.head_ptr, t.head_verts)
+
+
+def _assert_steps_match_the_oracle(tables, start, r_arc, r_head):
+    n = tables[0].size - 1
+    expected = np.zeros(n, dtype=np.int64)
+    end = oracles.walk_steps(*tables, start, r_arc, r_head, expected)
+    for backend in _backends:
+        counts = np.zeros(n, dtype=np.int64)
+        assert backend.walk_steps(*tables, start, r_arc, r_head, counts) == end
+        assert counts.tobytes() == expected.tobytes()
+
+
 def test_walk_steps_handles_boundary_draws():
-    # draws of exactly 0.0 and values just below 1.0 must stay in range
-    hg = random_pruned_hypergraph(np.random.default_rng(71), max_vertices=6,
-                                  max_arcs=10)
-    tables = _walk_tables(hg)
-    edge = np.full(64, np.nextafter(1.0, 0.0))
-    zero = np.zeros(64)
-    for r_arc, r_head in ((edge, edge), (zero, zero), (edge, zero), (zero, edge)):
-        counts_c = np.zeros(hg.n_vertices, dtype=np.int64)
-        counts_py = np.zeros(hg.n_vertices, dtype=np.int64)
-        fc = _ckernels.walk_steps(tables.arc_ptr, tables.arc_cum,
-                                  tables.arc_of_slot, tables.head_ptr,
-                                  tables.head_verts, 0, r_arc, r_head, counts_c)
-        fp = _pykernels.walk_steps(tables.arc_ptr, tables.arc_cum,
-                                   tables.arc_of_slot, tables.head_ptr,
-                                   tables.head_verts, 0, r_arc, r_head, counts_py)
-        assert fc == fp
-        np.testing.assert_array_equal(counts_c, counts_py)
+    # vertex 0 leaves through arcs of 1 to 5 heads; the weights make
+    # cumulative totals such as 0.1 + 0.2 that are not what they print
+    arcs = FlatArcs()
+    for k, w in enumerate((0.1, 0.2, 0.3, 1 / 3, 0.7), start=1):
+        arcs.add(f"h{k}", [0], range(1, k + 1), w)
+    for v in range(1, 6):
+        arcs.add(f"b{v}", [v], [0], 1.0)
+        arcs.add(f"s{v}", [v, (v % 5) + 1], [0, 6], 0.3)
+    arcs.add("w", [6], range(5), 1.0)
+    hg = arcs.hypergraph(f"v{i}" for i in range(7))
+    tables = _tables(hg)
+    ptr, cum = tables[0].tolist(), tables[1].tolist()
+    r_head = [0.0, _BELOW_ONE, 1.0] + [j / hn for hn in range(1, 6) for j in range(hn)]
+    for u in range(hg.n_vertices):
+        # the two ends of the range, and a tie with each of u's totals
+        r_arc = [0.0, _BELOW_ONE, 1.0] + cum[ptr[u]:ptr[u + 1]]
+        pairs = np.array([(ra, rh) for ra in r_arc for rh in r_head]).T
+        for ra, rh in pairs.T:
+            _assert_steps_match_the_oracle(tables, u, ra[None], rh[None])
+        _assert_steps_match_the_oracle(tables, u, pairs[0], pairs[1])
+
+
+_unit_draws = st.one_of(st.floats(0.0, 1.0),
+                        st.sampled_from([0.0, _BELOW_ONE, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs(), st.data())
+def test_walk_steps_match_the_loop_oracle_on_random_cores(hg, data):
+    core, _ = prune_to_core(hg)
+    assume(core.n_vertices)
+    tables = _tables(core)
+    # draws that tie a cumulative total come up as often as uniform ones
+    arc_draws = st.one_of(_unit_draws, st.sampled_from(tables[1].tolist()))
+    n = data.draw(st.integers(1, 60))
+    r_arc = np.array(data.draw(st.lists(arc_draws, min_size=n, max_size=n)))
+    r_head = np.array(data.draw(st.lists(_unit_draws, min_size=n, max_size=n)))
+    start = data.draw(st.integers(0, core.n_vertices - 1))
+    _assert_steps_match_the_oracle(tables, start, r_arc, r_head)
+
+
+def test_simulate_walk_builds_the_view_once(monkeypatch):
+    hg = random_pruned_hypergraph(np.random.default_rng(73), max_vertices=12,
+                                  max_arcs=25)
+    build = _pykernels._vertex_view
+    builds = []
+
+    def counted(*tables):
+        builds.append(tables)
+        return build(*tables)
+
+    monkeypatch.setattr(_pykernels, "_vertex_view", counted)
+    monkeypatch.setattr(_kernels, "walk_steps", _pykernels.walk_steps)
+    steps = 2 * _WALK_CHUNK + 1000
+    freq = simulate_walk(hg, hg.vertices[0], steps, seed=5)
+    assert len(builds) == 1
+
+    # the loop oracle over the same chunks of draws
+    tables = _tables(hg)
+    rng = np.random.default_rng(5)
+    counts = np.zeros(hg.n_vertices, dtype=np.int64)
+    u = 0
+    for a in range(0, steps, _WALK_CHUNK):
+        draws = rng.random((2, min(_WALK_CHUNK, steps - a)))
+        u = oracles.walk_steps(*tables, u, draws[0], draws[1], counts)
+    assert freq == dict(zip(hg.vertices, (counts / float(steps)).tolist()))
+
+
+def test_a_new_table_set_is_never_walked_on_a_stale_view():
+    rng = np.random.default_rng(79)
+    draws = rng.random((2, 3000))
+    a, b = (random_ergodic_hypergraph(rng, min_vertices=8, max_vertices=8)
+            for _ in range(2))
+    assert a.layout != b.layout
+    lists_a, lists_b = ([t.tolist() for t in _tables(hg)] for hg in (a, b))
+    # B after A while A's tables live, then A again
+    tables_a = tuple(np.array(x) for x in lists_a)
+    for tables in (tables_a, tuple(np.array(x) for x in lists_b), tables_a):
+        _assert_steps_match_the_oracle(tables, 0, draws[0], draws[1])
+    del tables, tables_a
+    # built right after A's arrays are freed, B's may take their addresses
+    tables_b = tuple(np.array(x) for x in lists_b)
+    _assert_steps_match_the_oracle(tables_b, 0, draws[0], draws[1])
+
+
+def test_the_view_is_released_with_its_tables():
+    hg = random_pruned_hypergraph(np.random.default_rng(83))
+    tables = _tables(hg)
+    draws = np.random.default_rng(89).random((2, 100))
+    counts = np.zeros(hg.n_vertices, dtype=np.int64)
+    _pykernels.walk_steps(*tables, 0, draws[0], draws[1], counts)
+    assert _pykernels._last
+    del tables
+    gc.collect()
+    assert _pykernels._last == ()
+
+
+def test_walk_tables_are_read_only():
+    tables = _tables(random_pruned_hypergraph(np.random.default_rng(97)))
+    assert not any(t.flags.writeable for t in tables)
 
 
 def test_backend_is_compiled_exactly_when_the_extension_imports():

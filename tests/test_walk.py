@@ -428,13 +428,6 @@ def test_rank_vector_normalization_round_trip_preserves_order():
         np.testing.assert_allclose(back.values, rv.values, atol=1e-12)
 
 
-def test_rank_vector_diagonal(hg3):
-    rank = stationary_dense_oracle(build_transition(hg3))
-    diag = rank.diagonal()
-    assert diag.shape == (3, 3)
-    np.testing.assert_allclose(np.diag(diag), rank.values)
-
-
 def test_tv_distance_basics():
     rv = RankVector(("a", "b"), np.array([0.5, 0.5]))
     assert tv_distance({"a": 0.5, "b": 0.5}, rv) == 0.0
