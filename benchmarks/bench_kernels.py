@@ -1,11 +1,8 @@
-"""Benchmark the compiled walk stepper against its pure-Python fallback.
+"""Benchmark the Monte Carlo walk stepper.
 
-Builds a synthetic positive-degree-core hypergraph, then times the Monte
-Carlo walk stepper on every backend available, verifying that their
-outputs are identical. The Python stepper's per-vertex view is built once
-per walk; its build is timed on its own, so that ns/step is the
-steady-state loop. This is the only way to time the fallback on an
-install where the compiled extension was built.
+Builds a synthetic positive-degree-core hypergraph, then times the
+stepper's per-vertex view, which is built once per walk, and the walk
+itself on that view, so that ns/step is the steady-state loop.
 
     python benchmarks/bench_kernels.py [--vertices N] [--arcs M]
                                        [--steps N] [--seed N]
@@ -18,15 +15,9 @@ import time
 
 import numpy as np
 
-from hyperrank import DirectedHypergraph
+from hyperrank import DirectedHypergraph, _kernels
 from hyperrank.core import FlatArcs
-from hyperrank._kernels import _pykernels
 from hyperrank.walk import _walk_tables
-
-try:
-    from hyperrank._kernels import _ckernels
-except ImportError:
-    _ckernels = None
 
 
 def synthetic_core(rng, n_vertices: int, n_arcs: int) -> DirectedHypergraph:
@@ -45,13 +36,6 @@ def synthetic_core(rng, n_vertices: int, n_arcs: int) -> DirectedHypergraph:
     return arcs.hypergraph(f"v{i}" for i in range(n_vertices))
 
 
-def bench_walk(kernel, tables, n_vertices: int, draws):
-    counts = np.zeros(n_vertices, dtype=np.int64)
-    start = time.perf_counter()
-    final = kernel.walk_steps(*tables, 0, draws[0], draws[1], counts)
-    return time.perf_counter() - start, counts, final
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--vertices", type=int, default=2000)
@@ -67,31 +51,17 @@ def main() -> int:
     draws = rng.random((2, args.steps))
 
     print(f"network: {hg.n_vertices} vertices, {hg.n_arcs} arcs")
-    backends = [("python", _pykernels)]
-    if _ckernels is not None:
-        backends.append(("cython", _ckernels))
-    else:
-        print("compiled kernels unavailable; benchmarking the fallback only")
 
     # the walk below finds this view cached, as every chunk after a walk's first does
     start = time.perf_counter()
-    _pykernels._view_of(tables)
-    print(f"view  python  {time.perf_counter() - start:8.3f} s   (built once per walk)")
+    _kernels._view_of(tables)
+    print(f"view  {time.perf_counter() - start:8.3f} s   (built once per walk)")
 
-    walk = {}
-    for name, kernel in backends:
-        t, counts, final = bench_walk(kernel, tables, hg.n_vertices, draws)
-        walk[name] = (t, counts, final)
-        print(f"walk  {name:<7} {t:8.3f} s   "
-              f"({t / args.steps * 1e9:9.1f} ns/step)")
-
-    if _ckernels is not None:
-        same = (np.array_equal(walk["python"][1], walk["cython"][1])
-                and walk["python"][2] == walk["cython"][2])
-        print(f"identical results: walk={same}")
-        print(f"speedup: walk {walk['python'][0] / walk['cython'][0]:.1f}x")
-        if not same:
-            return 1
+    counts = np.zeros(hg.n_vertices, dtype=np.int64)
+    start = time.perf_counter()
+    _kernels.walk_steps(*tables, 0, draws[0], draws[1], counts)
+    t = time.perf_counter() - start
+    print(f"walk  {t:8.3f} s   ({t / args.steps * 1e9:9.1f} ns/step)")
     return 0
 
 

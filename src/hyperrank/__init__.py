@@ -1,6 +1,5 @@
 """Directed-hypergraph random-walk ranking and Laplacian toolkit."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .core import (DegreeTables, DirectedHypergraph, PruneEvent,
                    ValidationReport, Violation, build_incidence,
                    compute_degrees, ensure_valid, prune_to_core, validate)
@@ -15,6 +14,9 @@ from .walk import (PowerOptions, RankVector, TransitionMatrix,
                    stationary_dense_oracle, top_k, tv_distance)
 
 __version__ = "0.1.0"
+
+# the walk stepper and the multiply are Python and NumPy; nothing is compiled
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "KERNEL_BACKEND",

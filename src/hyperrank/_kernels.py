@@ -1,13 +1,13 @@
-"""Pure-Python walk stepper, bit-identical to the compiled one.
+"""The numeric kernels: the CSR transposed multiply and the walk stepper.
 
-A step reads a per-vertex view of the sampling tables: for vertex u, the
-tuple of its cumulative arc-choice totals, and one ``(head count, heads)``
-pair per tail slot. Padding stands in for the two clamps. The slot tuple
-ends in a second copy of its last entry, for a draw at or past the last
-total, and each heads tuple ends in a second copy of its last head, for a
-head draw of exactly 1.0. So a step is two tuple lookups, with the same
-bisection bounds and float truncation as the compiled stepper and the
-loop in ``tests/oracles.py``.
+The multiply is one NumPy scatter. The walk stepper reads a per-vertex
+view of the sampling tables: for vertex u, the tuple of its cumulative
+arc-choice totals, and one ``(head count, heads)`` pair per tail slot.
+Padding stands in for the two clamps. The slot tuple ends in a second copy
+of its last entry, for a draw at or past the last total, and each heads
+tuple ends in a second copy of its last head, for a head draw of exactly
+1.0. So a step is one bisection and two tuple lookups, with the same
+bisection bounds and float truncation as the loop in ``tests/oracles.py``.
 
 The view is built once per table set, not once per call. The last one is
 kept next to weak references to its five arrays, matched by identity, so
@@ -19,6 +19,8 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_right
 
+import numpy as np
+
 # (weak references to the five table arrays, their view), or () when none
 _last: tuple = ()
 
@@ -27,12 +29,20 @@ _last: tuple = ()
 _trunc = float.__trunc__
 
 
+def csr_left_multiply(indptr, indices, data, x, out):
+    """Write y = xᵀA into ``out`` for a CSR matrix A, i.e. a row-major scatter."""
+    # bincount adds its weights in input order, so each column sums its
+    # products in the same row-major order as a plain loop would.
+    out[:] = np.bincount(indices, weights=data * np.repeat(x, np.diff(indptr)),
+                         minlength=out.size)
+
+
 def _vertex_view(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts) -> list:
     """Per vertex u, ``(totals, slots)``: the cumulative totals of u's
     outgoing arcs and one padded ``(head count, heads)`` pair per arc.
 
     The head count is a float: it converts exactly, so a draw times it is
-    the product the compiled stepper takes, without a mixed-type multiply.
+    the product the loop oracle takes, without a mixed-type multiply.
     """
     ptr, cum = arc_ptr.tolist(), arc_cum.tolist()
     arc_of, hptr, hv = arc_of_slot.tolist(), head_ptr.tolist(), head_verts.tolist()

@@ -299,32 +299,10 @@ class DegreeTables:
     degree matrices.
     """
 
-    vertices: tuple[str, ...]
-    arc_ids: tuple[str, ...]
     vertex_tail: np.ndarray
     vertex_head: np.ndarray
     arc_tail: np.ndarray
     arc_head: np.ndarray
-
-    @cached_property
-    def _vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _arc_index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.arc_ids)}
-
-    def tail_degree(self, vertex: str) -> float:
-        return float(self.vertex_tail[self._vertex_index[vertex]])
-
-    def head_degree(self, vertex: str) -> float:
-        return float(self.vertex_head[self._vertex_index[vertex]])
-
-    def arc_tail_degree(self, arc_id: str) -> int:
-        return int(self.arc_tail[self._arc_index[arc_id]])
-
-    def arc_head_degree(self, arc_id: str) -> int:
-        return int(self.arc_head[self._arc_index[arc_id]])
 
 
 def compute_degrees(hg: DirectedHypergraph) -> DegreeTables:
@@ -340,8 +318,7 @@ def compute_degrees(hg: DirectedHypergraph) -> DegreeTables:
                               minlength=nv).astype(np.float64, copy=False)
     for arr in (vertex_tail, vertex_head, arc_tail, arc_head):
         arr.setflags(write=False)
-    return DegreeTables(hg.vertices, hg.arc_ids,
-                        vertex_tail, vertex_head, arc_tail, arc_head)
+    return DegreeTables(vertex_tail, vertex_head, arc_tail, arc_head)
 
 
 def build_incidence(hg: DirectedHypergraph) -> tuple[SparseRealMatrix, SparseRealMatrix]:

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .core import (UNKNOWN_VERTEX, DirectedHypergraph, FlatArcs,
                    ValidationReport, Violation, ensure_valid, validate)
@@ -52,8 +52,7 @@ _WALK = (
 )
 
 
-@dataclass(frozen=True)
-class ReactionRecord:
+class ReactionRecord(NamedTuple):
     """One parsed reaction line; duplicates and token order preserved."""
 
     id: str

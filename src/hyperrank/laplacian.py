@@ -113,12 +113,11 @@ class SpectralReport:
         ]
 
 
-def spectral_report(pair: LaplacianPair,
-                    dense_limit: int = DENSE_LIMIT) -> SpectralReport:
+def spectral_report(pair: LaplacianPair) -> SpectralReport:
     """Null-vector residuals and extreme eigenvalues of both matrices."""
     n = pair.n
-    if n > dense_limit:
-        raise DenseLimitExceededError(n, dense_limit)
+    if n > DENSE_LIMIT:
+        raise DenseLimitExceededError(n, DENSE_LIMIT)
     ones = np.ones(n)
     root = np.sqrt(pair.pi.values)
     ones_residual = float(np.abs(pair.unnormalized @ ones).max())

@@ -79,26 +79,11 @@ class SparseRealMatrix:
         np.cumsum(np.bincount(keys // cols, minlength=rows), out=indptr[1:])
         return cls(rows, cols, indptr, keys % cols, sums)
 
-    @classmethod
-    def from_dense(cls, dense) -> "SparseRealMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        rows, cols = dense.shape
-        ii, jj = np.nonzero(dense)
-        return cls.from_coo(rows, cols, ii, jj, dense[ii, jj])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        for i in range(self.rows):
-            a, b = self.indptr[i], self.indptr[i + 1]
-            out[i, self.indices[a:b]] = self.data[a:b]
+        rows = np.repeat(np.arange(self.rows), np.diff(self.indptr))
+        out[rows, self.indices] = self.data
         return out
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (column indices, values) slices of row i."""
-        a, b = self.indptr[i], self.indptr[i + 1]
-        return self.indices[a:b], self.data[a:b]
 
     def row_sums(self) -> np.ndarray:
         rows = np.repeat(np.arange(self.rows), np.diff(self.indptr))

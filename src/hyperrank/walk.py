@@ -210,8 +210,7 @@ def pagerank_power(P: TransitionMatrix,
     raise NoConvergenceError(residual, opts.max_iterations, P.vertex_order, x.copy())
 
 
-def stationary_dense_oracle(P: TransitionMatrix,
-                            dense_limit: int = DENSE_LIMIT) -> RankVector:
+def stationary_dense_oracle(P: TransitionMatrix) -> RankVector:
     """Solve (Pᵀ - I)·pi = 0 with sum(pi) = 1 directly on the dense matrix.
 
     Entirely independent of the power-iteration path: no iteration, no
@@ -222,8 +221,8 @@ def stationary_dense_oracle(P: TransitionMatrix,
     accuracy.
     """
     n = P.n
-    if n > dense_limit:
-        raise DenseLimitExceededError(n, dense_limit)
+    if n > DENSE_LIMIT:
+        raise DenseLimitExceededError(n, DENSE_LIMIT)
     if n == 0:
         raise ValueError("empty transition matrix")
     dense = P.to_dense()

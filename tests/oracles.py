@@ -97,6 +97,23 @@ def csr_bytes(m: SparseRealMatrix):
     return (m.rows, m.cols, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes())
 
 
+def to_dense(m: SparseRealMatrix) -> np.ndarray:
+    """The dense matrix, written one row's slices at a time."""
+    out = np.zeros((m.rows, m.cols))
+    for i in range(m.rows):
+        a, b = m.indptr[i], m.indptr[i + 1]
+        out[i, m.indices[a:b]] = m.data[a:b]
+    return out
+
+
+def from_dense(dense) -> SparseRealMatrix:
+    """A sparse copy of a 2-d array's nonzero entries, for building test cases."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = dense.shape
+    ii, jj = np.nonzero(dense)
+    return SparseRealMatrix.from_coo(rows, cols, ii, jj, dense[ii, jj])
+
+
 def from_coo(rows, cols, row, col, value) -> SparseRealMatrix:
     """COO to CSR through a dict of running sums; duplicates sum, zeros drop."""
     acc: dict[tuple[int, int], float] = {}

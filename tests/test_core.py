@@ -96,26 +96,26 @@ def test_incidence_column_sums_equal_arc_degrees():
 def test_degrees_single_arc():
     hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)])
     deg = compute_degrees(hg)
-    assert deg.tail_degree("a") == 1.0
-    assert deg.head_degree("b") == 1.0
-    assert deg.arc_tail_degree("e") == 1
-    assert deg.arc_head_degree("e") == 1
+    assert deg.vertex_tail[hg.vertices.index("a")] == 1.0
+    assert deg.vertex_head[hg.vertices.index("b")] == 1.0
+    assert deg.arc_tail[hg.arc_ids.index("e")] == 1
+    assert deg.arc_head[hg.arc_ids.index("e")] == 1
 
 
 def test_degrees_hg3(hg3):
     deg = compute_degrees(hg3)
     # v3 is in the head of e1 (weight 1) and e2 (weight 2)
-    assert deg.head_degree("v3") == 3.0
-    assert deg.arc_head_degree("e1") == 2
-    assert deg.tail_degree("v2") == 2.0
+    assert deg.vertex_head[hg3.vertices.index("v3")] == 3.0
+    assert deg.arc_head[hg3.arc_ids.index("e1")] == 2
+    assert deg.vertex_tail[hg3.vertices.index("v2")] == 2.0
 
 
 def test_degrees_weighted_versus_cardinality():
     hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b", "c"], 2.5)])
     deg = compute_degrees(hg)
-    assert deg.tail_degree("a") == 2.5
-    assert deg.head_degree("b") == 2.5
-    assert deg.arc_head_degree("e") == 2  # a count, not 5.0
+    assert deg.vertex_tail[hg.vertices.index("a")] == 2.5
+    assert deg.vertex_head[hg.vertices.index("b")] == 2.5
+    assert deg.arc_head[hg.arc_ids.index("e")] == 2  # a count, not 5.0
 
 
 def test_weighted_incidence_rows_reproduce_vertex_degrees():

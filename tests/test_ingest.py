@@ -38,6 +38,13 @@ def test_parse_preserves_token_order_and_duplicates():
     assert rec.substrates == ("b", "a", "a")
 
 
+def test_parsed_record_is_immutable():
+    rec = parse_reaction_line("R1: A -> B")
+    for name in ("id", "substrates", "products", "reversible", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+
+
 def test_parse_empty_side():
     assert parse_reaction_line("R3: A ->").products == ()
     assert parse_reaction_line("R4: -> A").substrates == ()

@@ -1,5 +1,4 @@
-"""Kernel checks: the SpMV and the walk stepper against their loop oracles,
-and backend parity of the walk stepper where the compiled extension is built."""
+"""Kernel checks: the SpMV and the walk stepper against their loop oracles."""
 
 import gc
 import os
@@ -8,27 +7,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperrank
 from hyperrank import _kernels, prune_to_core, simulate_walk
-from hyperrank._kernels import _pykernels
 from hyperrank.core import FlatArcs
 from hyperrank.walk import _WALK_CHUNK, _walk_tables
 
 import oracles
 from randgen import hypergraphs, random_ergodic_hypergraph, random_pruned_hypergraph
-
-try:
-    from hyperrank._kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_ckernels = pytest.mark.skipif(
-    _ckernels is None, reason="compiled kernels unavailable; install built the pure fallback")
-
 
 def _random_csr_arrays(rng, rows, cols, density=0.4):
     dense = rng.random((rows, cols))
@@ -70,35 +58,10 @@ def test_python_walk_steps_match_the_loop_oracle_on_a_long_walk():
     draws[:, ::97] = 1.0  # past every cumulative bound, so both clamps run
     counts = np.zeros(hg.n_vertices, dtype=np.int64)
     expected = np.zeros(hg.n_vertices, dtype=np.int64)
-    end = _pykernels.walk_steps(*tables, 0, draws[0], draws[1], counts)
+    end = _kernels.walk_steps(*tables, 0, draws[0], draws[1], counts)
     assert end == oracles.walk_steps(*tables, 0, draws[0], draws[1], expected)
     assert counts.tolist() == expected.tolist()
 
-
-@needs_ckernels
-def test_walk_steps_parity():
-    rng = np.random.default_rng(67)
-    for _ in range(10):
-        hg = random_pruned_hypergraph(rng, max_vertices=12, max_arcs=25)
-        tables = _walk_tables(hg)
-        draws = rng.random((2, 5000))
-        counts_c = np.zeros(hg.n_vertices, dtype=np.int64)
-        counts_py = np.zeros(hg.n_vertices, dtype=np.int64)
-        final_c = _ckernels.walk_steps(tables.arc_ptr, tables.arc_cum,
-                                       tables.arc_of_slot, tables.head_ptr,
-                                       tables.head_verts, 0, draws[0], draws[1],
-                                       counts_c)
-        final_py = _pykernels.walk_steps(tables.arc_ptr, tables.arc_cum,
-                                         tables.arc_of_slot, tables.head_ptr,
-                                         tables.head_verts, 0, draws[0], draws[1],
-                                         counts_py)
-        assert final_c == final_py
-        np.testing.assert_array_equal(counts_c, counts_py)
-        assert counts_c.sum() == 5000
-
-
-# the stepper backends importable here, each checked against the loop oracle
-_backends = [_pykernels] + ([] if _ckernels is None else [_ckernels])
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -112,10 +75,9 @@ def _assert_steps_match_the_oracle(tables, start, r_arc, r_head):
     n = tables[0].size - 1
     expected = np.zeros(n, dtype=np.int64)
     end = oracles.walk_steps(*tables, start, r_arc, r_head, expected)
-    for backend in _backends:
-        counts = np.zeros(n, dtype=np.int64)
-        assert backend.walk_steps(*tables, start, r_arc, r_head, counts) == end
-        assert counts.tobytes() == expected.tobytes()
+    counts = np.zeros(n, dtype=np.int64)
+    assert _kernels.walk_steps(*tables, start, r_arc, r_head, counts) == end
+    assert counts.tobytes() == expected.tobytes()
 
 
 def test_walk_steps_handles_boundary_draws():
@@ -163,15 +125,14 @@ def test_walk_steps_match_the_loop_oracle_on_random_cores(hg, data):
 def test_simulate_walk_builds_the_view_once(monkeypatch):
     hg = random_pruned_hypergraph(np.random.default_rng(73), max_vertices=12,
                                   max_arcs=25)
-    build = _pykernels._vertex_view
+    build = _kernels._vertex_view
     builds = []
 
     def counted(*tables):
         builds.append(tables)
         return build(*tables)
 
-    monkeypatch.setattr(_pykernels, "_vertex_view", counted)
-    monkeypatch.setattr(_kernels, "walk_steps", _pykernels.walk_steps)
+    monkeypatch.setattr(_kernels, "_vertex_view", counted)
     steps = 2 * _WALK_CHUNK + 1000
     freq = simulate_walk(hg, hg.vertices[0], steps, seed=5)
     assert len(builds) == 1
@@ -209,11 +170,11 @@ def test_the_view_is_released_with_its_tables():
     tables = _tables(hg)
     draws = np.random.default_rng(89).random((2, 100))
     counts = np.zeros(hg.n_vertices, dtype=np.int64)
-    _pykernels.walk_steps(*tables, 0, draws[0], draws[1], counts)
-    assert _pykernels._last
+    _kernels.walk_steps(*tables, 0, draws[0], draws[1], counts)
+    assert _kernels._last
     del tables
     gc.collect()
-    assert _pykernels._last == ()
+    assert _kernels._last == ()
 
 
 def test_walk_tables_are_read_only():
@@ -221,19 +182,8 @@ def test_walk_tables_are_read_only():
     assert not any(t.flags.writeable for t in tables)
 
 
-def test_backend_is_compiled_exactly_when_the_extension_imports():
-    assert hyperrank.KERNEL_BACKEND == ("python" if _ckernels is None else "cython")
-    expected = _pykernels if _ckernels is None else _ckernels
-    assert _kernels.walk_steps is expected.walk_steps
-
-
-@needs_ckernels
-def test_simulation_identical_across_backends(hg3, monkeypatch):
-    runs = []
-    for backend in (_ckernels, _pykernels):
-        monkeypatch.setattr(_kernels, "walk_steps", backend.walk_steps)
-        runs.append(simulate_walk(hg3, "v1", 50000, seed=3))
-    assert runs[0] == runs[1]
+def test_kernel_backend_is_python():
+    assert hyperrank.KERNEL_BACKEND == "python"
 
 
 def test_bench_kernels_runs_at_tiny_size():

@@ -115,11 +115,13 @@ def test_rejects_mismatched_vertex_order(hg3, two_cycle):
         build_laplacians(P, other)
 
 
-def test_spectral_report_dense_limit(hg3):
+def test_spectral_report_dense_limit(hg3, monkeypatch):
     P = build_transition(hg3)
     pair = build_laplacians(P, pagerank_power(P))
-    with pytest.raises(DenseLimitExceededError):
-        spectral_report(pair, dense_limit=2)
+    monkeypatch.setattr("hyperrank.laplacian.DENSE_LIMIT", 2)
+    with pytest.raises(DenseLimitExceededError) as exc:
+        spectral_report(pair)
+    assert (exc.value.size, exc.value.limit) == (3, 2)
 
 
 def test_build_refuses_more_than_the_dense_limit_before_densifying(monkeypatch):

@@ -109,12 +109,11 @@ def test_transition_empty_hypergraph_rejected():
 
 
 def test_transition_type_enforces_stochasticity():
-    from hyperrank import SparseRealMatrix, TransitionMatrix
+    from hyperrank import TransitionMatrix
     with pytest.raises(ValueError, match="sum to one"):
-        TransitionMatrix(SparseRealMatrix.from_dense([[0.5, 0.4], [1.0, 0.0]]),
-                         ("a", "b"))
+        TransitionMatrix(oracles.from_dense([[0.5, 0.4], [1.0, 0.0]]), ("a", "b"))
     with pytest.raises(ValueError, match="shape"):
-        TransitionMatrix(SparseRealMatrix.from_dense([[1.0]]), ("a", "b"))
+        TransitionMatrix(oracles.from_dense([[1.0]]), ("a", "b"))
 
 
 def _assert_transition_matches_oracle(hg):
@@ -163,7 +162,8 @@ def test_transition_uniform_jump_rows_match_loop_oracle(chain):
     P = build_transition(chain, dangling="uniform-jump")
     ref = oracles.build_transition(chain, uniform_jump=True)
     assert oracles.csr_bytes(P.matrix) == oracles.csr_bytes(ref)
-    assert P.matrix.row(2)[0].tolist() == [0, 1, 2]
+    a, b = P.matrix.indptr[2:4]
+    assert P.matrix.indices[a:b].tolist() == [0, 1, 2]
 
 
 def _assert_walk_tables_match_oracle(hg):
@@ -285,9 +285,11 @@ def test_oracle_multiple_solutions(two_disjoint_two_cycles):
     assert exc.value.solution_space_rank == 2
 
 
-def test_oracle_dense_limit(hg3):
-    with pytest.raises(DenseLimitExceededError):
-        stationary_dense_oracle(build_transition(hg3), dense_limit=2)
+def test_oracle_dense_limit(hg3, monkeypatch):
+    monkeypatch.setattr("hyperrank.walk.DENSE_LIMIT", 2)
+    with pytest.raises(DenseLimitExceededError) as exc:
+        stationary_dense_oracle(build_transition(hg3))
+    assert (exc.value.size, exc.value.limit) == (3, 2)
 
 
 def test_oracle_matches_the_least_squares_solve():
