@@ -12,8 +12,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core import DirectedHypergraph, prune_to_core
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      HyperrankError, IngestError, NoConvergenceError,
@@ -22,9 +20,10 @@ from .ingest import (SPLIT, REVERSIBLE_POLICIES, IngestReport, load_canonical,
                      parse_reactions_text, reactions_to_hypergraph,
                      save_canonical)
 from .laplacian import build_laplacians, spectral_report
-from .walk import (L1, NORMALIZATIONS, PowerOptions, build_transition,
-                   pagerank_power, simulate_walk, stationary_dense_oracle,
-                   top_k, tv_distance)
+from .sparse import SparseRealMatrix
+from .walk import (DENSE_LIMIT, L1, NORMALIZATIONS, PowerOptions,
+                   build_transition, pagerank_power, simulate_walk,
+                   stationary_dense_oracle, top_k, tv_distance)
 
 
 def _note(message: str) -> None:
@@ -35,11 +34,13 @@ def _fmt(value: float, precision: str) -> str:
     return f"{value:.4f}" if precision == "4" else repr(float(value))
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(chunks, path: str | None) -> None:
+    """Write the strings of ``chunks``, in order, to standard output or PATH."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
 
 
 def _read_input(path: str) -> str:
@@ -103,7 +104,7 @@ def cmd_ingest(ns) -> int:
     # nothing reads the input again: free it before the output is built
     del text
     _log_ingest(report)
-    _write_output(save_canonical(hg), ns.output)
+    _write_output([save_canonical(hg)], ns.output)
     return 0
 
 
@@ -133,8 +134,31 @@ def cmd_rank(ns) -> int:
     lines = ["rank\tvertex\tvalue"]
     lines += [f"{i}\t{vertex}\t{_fmt(value, ns.precision)}"
               for i, (vertex, value) in enumerate(rows, start=1)]
-    _write_output("\n".join(lines) + "\n", ns.output)
+    _write_output(["\n".join(lines) + "\n"], ns.output)
     return 0
+
+
+def _laplacian_tsv(matrix: SparseRealMatrix):
+    """The lines of a Laplacian's TSV, one row of the matrix at a time.
+
+    Up to DENSE_LIMIT vertices, the dense n×n table. Above it, the header
+    ``row col value``, then one line per stored entry, row-major with
+    ascending columns; the positions count from 0 in canonical vertex
+    order, and the fields are tab-separated like the dense table's.
+    """
+    ptr = matrix.indptr.tolist()
+    dense = matrix.rows <= DENSE_LIMIT
+    if not dense:
+        yield "row\tcol\tvalue\n"
+    for u, (a, b) in enumerate(zip(ptr, ptr[1:])):
+        entries = zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist())
+        if dense:
+            cells = ["0.0"] * matrix.cols
+            for v, x in entries:
+                cells[v] = repr(x)
+            yield "\t".join(cells) + "\n"
+        else:
+            yield "".join([f"{u}\t{v}\t{x!r}\n" for v, x in entries])
 
 
 def cmd_laplacian(ns) -> int:
@@ -154,8 +178,7 @@ def cmd_laplacian(ns) -> int:
     report = spectral_report(pair)
     for line in report.lines():
         _note(line)
-    body = "\n".join("\t".join(repr(float(x)) for x in row) for row in matrix)
-    _write_output(body + "\n", ns.output)
+    _write_output(_laplacian_tsv(matrix), ns.output)
     if not report.within():
         _note("laplacian invariants exceeded tolerance")
         return 1
@@ -186,7 +209,7 @@ def cmd_simulate(ns) -> int:
     empirical = simulate_walk(hg, start, ns.steps, ns.seed)
     lines = [f"{v}\t{_fmt(freq, ns.precision)}" for v, freq in empirical.items()]
     lines.append(f"# tv_distance\t{tv_distance(empirical, pi):.6f}")
-    _write_output("\n".join(lines) + "\n", ns.output)
+    _write_output(["\n".join(lines) + "\n"], ns.output)
     return 0
 
 

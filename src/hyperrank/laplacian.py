@@ -6,11 +6,18 @@ matrix P:
     L     = S - (S·P + Pᵀ·S) / 2
     L_sym = I - (S^½·P·S^-½ + S^-½·Pᵀ·S^½) / 2
 
-Both are symmetrized by averaging with their transpose after construction;
-the pre-symmetrization defect is recorded for reporting. The all-ones
-vector is in the null space of L and sqrt(pi) in the null space of L_sym,
-which spectral_report verifies numerically together with positive
-semidefiniteness.
+Both are sparse, stored on the union of the patterns of P, Pᵀ and the
+diagonal, and symmetrized by averaging with their transpose after
+construction; the pre-symmetrization defect is recorded for reporting.
+
+The all-ones vector is in the null space of L and sqrt(pi) in the null
+space of L_sym. Both matrices are symmetric with nonpositive off-diagonal
+entries, so by Collatz-Wielandt the smallest eigenvalue of L is at least
+min_u (L·1)_u, and that of L_sym at least min_u (L·1)_u / pi_u, where
+(L·1)_u = (pi_u - (Pᵀpi)_u) / 2 for a row-stochastic P (F. Chung,
+"Laplacians and the Cheeger inequality for directed graphs", 2005).
+spectral_report checks the null vectors and these two lower bounds, which
+certify positive semidefiniteness in O(nnz) without an eigensolve.
 """
 
 from __future__ import annotations
@@ -19,31 +26,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DenseLimitExceededError, NonpositivePiError,
-                     NotStationaryError)
-from .walk import DENSE_LIMIT, L1, RankVector, TransitionMatrix
+from .errors import NonpositivePiError, NotStationaryError
+from .sparse import SparseRealMatrix
+from .walk import L1, RankVector, TransitionMatrix
 
 STATIONARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class LaplacianPair:
-    unnormalized: np.ndarray
-    symmetric_normalized: np.ndarray
+    unnormalized: SparseRealMatrix
+    symmetric_normalized: SparseRealMatrix
     pi: RankVector
     raw_defect_unnormalized: float
     raw_defect_normalized: float
+    ones_image: np.ndarray    # (L·1)_u = (pi_u - (Pᵀpi)_u) / 2
 
     @property
     def n(self) -> int:
-        return self.unnormalized.shape[0]
+        return self.unnormalized.rows
 
 
-def _symmetrize(raw: np.ndarray) -> tuple[np.ndarray, float]:
-    defect = float(np.abs(raw - raw.T).max())
-    out = 0.5 * (raw + raw.T)
-    out.setflags(write=False)
-    return out, defect
+def _union_pattern(P: SparseRealMatrix):
+    """Row-major (u, v) of every entry of P, Pᵀ or the diagonal, with
+    P[u, v] and P[v, u] there (0.0 where absent), and the position of each
+    entry's transpose."""
+    n, nnz = P.rows, P.nnz
+    rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    keys = np.concatenate([rows * n + P.indices, P.indices * n + rows,
+                           np.arange(n) * (n + 1)])
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    u, v = np.divmod(keys[first], n)
+    del keys
+    # slot[k]: the position of the k-th key among the distinct keys
+    slot = np.empty(first.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    del order, first
+    own, mirrored, diagonal = slot[:nnz], slot[nnz:2 * nnz], slot[2 * nnz:]
+    forward = np.zeros(u.size)
+    forward[own] = P.data
+    backward = np.zeros(u.size)
+    backward[mirrored] = P.data
+    transpose = np.empty(u.size, dtype=np.int64)
+    transpose[own] = mirrored
+    transpose[mirrored] = own
+    transpose[diagonal] = diagonal
+    return u, v, forward, backward, transpose
+
+
+def _symmetrize(n: int, u, v, raw, transpose) -> tuple[SparseRealMatrix, float]:
+    raw_t = raw[transpose]
+    defect = float(np.abs(raw - raw_t).max(initial=0.0))
+    out = 0.5 * (raw + raw_t)
+    kept = out != 0.0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u[kept], minlength=n), out=indptr[1:])
+    return SparseRealMatrix(n, n, indptr, v[kept], out[kept]), defect
 
 
 def build_laplacians(P: TransitionMatrix, pi: RankVector,
@@ -52,11 +94,9 @@ def build_laplacians(P: TransitionMatrix, pi: RankVector,
 
     pi must carry the L1 tag (a probability vector), be strictly positive,
     and actually be stationary for P within `stationarity_tol` in L1.
-    Dense on purpose: the intended scales are desk-sized, so more than
-    DENSE_LIMIT vertices is refused before anything n×n is allocated.
+    Every stored entry takes the same floating-point operations, in the
+    same order, as the dense formulas in the module docstring.
     """
-    if P.n > DENSE_LIMIT:
-        raise DenseLimitExceededError(P.n, DENSE_LIMIT)
     if pi.normalization != L1:
         raise ValueError("pi must be L1-normalized (a probability vector)")
     if tuple(pi.vertices) != tuple(P.vertex_order):
@@ -65,23 +105,29 @@ def build_laplacians(P: TransitionMatrix, pi: RankVector,
     nonpositive = np.flatnonzero(values <= 0.0)
     if nonpositive.size:
         raise NonpositivePiError(pi.vertices[int(nonpositive[0])])
-    residual = float(np.abs(P.matrix.left_multiply(values) - values).sum())
+    flow = P.matrix.left_multiply(values)
+    residual = float(np.abs(flow - values).sum())
     if residual > stationarity_tol:
         raise NotStationaryError(residual, stationarity_tol)
 
-    dense = P.to_dense()
     n = P.n
-    S = np.diag(values)
-    SP = values[:, None] * dense
-    PtS = dense.T * values[None, :]
-    unnormalized, defect_u = _symmetrize(S - 0.5 * (SP + PtS))
+    u, v, forward, backward, transpose = _union_pattern(P.matrix)
+    diagonal = u == v
+    # S - (S·P + Pᵀ·S)/2, entry by entry
+    raw = (np.where(diagonal, values[u], 0.0)
+           - 0.5 * (values[u] * forward + backward * values[v]))
+    unnormalized, defect_u = _symmetrize(n, u, v, raw, transpose)
 
     root = np.sqrt(values)
-    A = (root[:, None] * dense) / root[None, :]
-    B = (dense.T * root[None, :]) / root[:, None]
-    normalized, defect_n = _symmetrize(np.eye(n) - 0.5 * (A + B))
+    # I - (S^½·P·S^-½ + S^-½·Pᵀ·S^½)/2, entry by entry
+    raw = (np.where(diagonal, 1.0, 0.0)
+           - 0.5 * ((root[u] * forward) / root[v] + (backward * root[v]) / root[u]))
+    normalized, defect_n = _symmetrize(n, u, v, raw, transpose)
 
-    return LaplacianPair(unnormalized, normalized, pi, defect_u, defect_n)
+    ones_image = 0.5 * (values - flow)
+    ones_image.setflags(write=False)
+    return LaplacianPair(unnormalized, normalized, pi, defect_u, defect_n,
+                         ones_image)
 
 
 @dataclass(frozen=True)
@@ -90,8 +136,8 @@ class SpectralReport:
     symmetry_defect_normalized: float
     ones_residual: float      # max |(L·1)_v|
     sqrt_pi_residual: float   # max |(L_sym·sqrt(pi))_v|
-    min_eigenvalue_unnormalized: float
-    min_eigenvalue_normalized: float
+    lower_bound_unnormalized: float  # <= the smallest eigenvalue of L
+    lower_bound_normalized: float    # <= the smallest eigenvalue of L_sym
 
     def within(self, defect_tol: float = 1e-12, null_tol: float = 1e-10,
                eigenvalue_floor: float = -1e-9) -> bool:
@@ -99,8 +145,8 @@ class SpectralReport:
                 and self.symmetry_defect_normalized <= defect_tol
                 and self.ones_residual <= null_tol
                 and self.sqrt_pi_residual <= null_tol
-                and self.min_eigenvalue_unnormalized >= eigenvalue_floor
-                and self.min_eigenvalue_normalized >= eigenvalue_floor)
+                and self.lower_bound_unnormalized >= eigenvalue_floor
+                and self.lower_bound_normalized >= eigenvalue_floor)
 
     def lines(self) -> list[str]:
         return [
@@ -108,22 +154,22 @@ class SpectralReport:
             f"symmetry defect (normalized):   {self.symmetry_defect_normalized:.3e}",
             f"|L @ ones| max residual:        {self.ones_residual:.3e}",
             f"|L_sym @ sqrt(pi)| max residual: {self.sqrt_pi_residual:.3e}",
-            f"smallest eigenvalue of L:        {self.min_eigenvalue_unnormalized:.3e}",
-            f"smallest eigenvalue of L_sym:    {self.min_eigenvalue_normalized:.3e}",
+            f"lower bound on eigenvalues of L:     {self.lower_bound_unnormalized:.3e}",
+            f"lower bound on eigenvalues of L_sym: {self.lower_bound_normalized:.3e}",
         ]
 
 
 def spectral_report(pair: LaplacianPair) -> SpectralReport:
-    """Null-vector residuals and extreme eigenvalues of both matrices."""
+    """Null-vector residuals of both matrices and lower bounds on their
+    smallest eigenvalues; both matrices are symmetric, so each product is
+    one transposed multiply."""
     n = pair.n
-    if n > DENSE_LIMIT:
-        raise DenseLimitExceededError(n, DENSE_LIMIT)
-    ones = np.ones(n)
-    root = np.sqrt(pair.pi.values)
-    ones_residual = float(np.abs(pair.unnormalized @ ones).max())
-    sqrt_pi_residual = float(np.abs(pair.symmetric_normalized @ root).max())
-    eig_u = float(np.linalg.eigvalsh(pair.unnormalized)[0])
-    eig_n = float(np.linalg.eigvalsh(pair.symmetric_normalized)[0])
+    values = pair.pi.values
+    ones_residual = float(np.abs(pair.unnormalized.left_multiply(np.ones(n))).max())
+    sqrt_pi_residual = float(np.abs(
+        pair.symmetric_normalized.left_multiply(np.sqrt(values))).max())
+    bound_u = float(pair.ones_image.min())
+    bound_n = float((pair.ones_image / values).min())
     return SpectralReport(pair.raw_defect_unnormalized,
                           pair.raw_defect_normalized,
-                          ones_residual, sqrt_pi_residual, eig_u, eig_n)
+                          ones_residual, sqrt_pi_residual, bound_u, bound_n)

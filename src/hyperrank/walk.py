@@ -311,9 +311,12 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
     rng = np.random.default_rng(seed)
     u = hg.index_of[start]
     remaining = steps
+    # one buffer for every chunk's draws; a short last chunk fills a prefix
+    buffer = np.empty(2 * min(_WALK_CHUNK, steps))
     while remaining > 0:
         chunk = min(_WALK_CHUNK, remaining)
-        draws = rng.random((2, chunk))
+        draws = buffer[:2 * chunk].reshape(2, chunk)
+        rng.random(out=draws)
         u = _kernels.walk_steps(tables.arc_ptr, tables.arc_cum,
                                 tables.arc_of_slot, tables.head_ptr,
                                 tables.head_verts, u, draws[0], draws[1],

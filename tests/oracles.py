@@ -293,6 +293,33 @@ def stationary_lstsq(P) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _symmetrize(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    return 0.5 * (raw + raw.T), float(np.abs(raw - raw.T).max())
+
+
+def laplacians(P, pi) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(L, L_sym, raw defect of L, raw defect of L_sym), built densely from
+    P and the values of pi, formula by formula, as the library once did."""
+    values = pi.values
+    dense = P.to_dense()
+    n = P.n
+    S = np.diag(values)
+    SP = values[:, None] * dense
+    PtS = dense.T * values[None, :]
+    unnormalized, defect_u = _symmetrize(S - 0.5 * (SP + PtS))
+
+    root = np.sqrt(values)
+    A = (root[:, None] * dense) / root[None, :]
+    B = (dense.T * root[None, :]) / root[:, None]
+    normalized, defect_n = _symmetrize(np.eye(n) - 0.5 * (A + B))
+    return unnormalized, normalized, defect_u, defect_n
+
+
+def min_eigenvalue(symmetric: np.ndarray) -> float:
+    """The smallest eigenvalue of a dense symmetric matrix."""
+    return float(np.linalg.eigvalsh(symmetric)[0])
+
+
 def validate(hg: DirectedHypergraph) -> ValidationReport:
     """Every violation, found by walking the vertices and then the arcs one by one."""
     violations: list[Violation] = []

@@ -6,8 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hyperrank.cli
-from hyperrank import save_canonical
+from hyperrank import (SparseRealMatrix, TransitionMatrix, build_transition,
+                       load_canonical, pagerank_power)
 from hyperrank.cli import main
+
+import oracles
 
 HG3_JSON = json.dumps({
     "vertices": ["v1", "v2", "v3"],
@@ -177,7 +180,7 @@ def test_laplacian_symmetric_tsv(tmp_path, hg3_path, capsys):
     assert main(["laplacian", hg3_path, "--kind", "symmetric",
                  "-o", str(out_path)]) == 0
     err = capsys.readouterr().err
-    assert "smallest eigenvalue" in err
+    assert "lower bound on eigenvalues of L_sym" in err
     matrix = np.array([[float(x) for x in line.split("\t")]
                        for line in out_path.read_text().splitlines()])
     assert matrix.shape == (3, 3)
@@ -343,17 +346,55 @@ def test_integer_weight_beyond_float_range_is_a_violation(tmp_path, capsys):
                             "is not a positive real\n")
 
 
-def test_laplacian_beyond_the_dense_limit_is_diagnosed(tmp_path, capsys):
+def _triplets(out: str, n: int) -> np.ndarray:
+    """The dense matrix of a ``row col value`` TSV, checking the entries
+    come row-major with ascending columns."""
+    header, *lines = out.splitlines()
+    assert header == "row\tcol\tvalue"
+    cells = [line.split("\t") for line in lines]
+    keys = [(int(u), int(v)) for u, v, _ in cells]
+    assert keys == sorted(set(keys))
+    matrix = np.zeros((n, n))
+    for (u, v), (_, _, x) in zip(keys, cells):
+        matrix[u, v] = float(x)
+    return matrix
+
+
+def test_laplacian_beyond_the_dense_limit_writes_triplets(tmp_path, capsys, monkeypatch):
+    # each vertex leaves by a two-head arc and a one-head arc, so P is
+    # doubly stochastic and the uniform start is already stationary
     n = 600
     doc = {"vertices": [f"v{i}" for i in range(n)],
-           "arcs": [{"id": f"e{i}", "tail": [f"v{i}"], "head": [f"v{(i + 1) % n}"],
-                     "weight": 1.0} for i in range(n)]}
-    path = tmp_path / "cycle.json"
+           "arcs": [{"id": f"a{i}", "tail": [f"v{i}"],
+                     "head": [f"v{(i + 1) % n}", f"v{(i + 2) % n}"], "weight": 1.0}
+                    for i in range(n)]
+           + [{"id": f"b{i}", "tail": [f"v{i}"], "head": [f"v{(i + 3) % n}"],
+               "weight": 1.0} for i in range(n)]}
+    path = tmp_path / "ring.json"
     path.write_text(json.dumps(doc))
-    assert main(["laplacian", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "hyperrank: dense solve limited to 512 vertices, got 600\n"
+    P = build_transition(load_canonical(path.read_text()))
+    L, L_sym, _, _ = oracles.laplacians(P, pagerank_power(P))
+
+    def densify(self):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(TransitionMatrix, "to_dense", densify)
+    monkeypatch.setattr(SparseRealMatrix, "to_dense", densify)
+    for kind, expected in (("unnormalized", L), ("symmetric", L_sym)):
+        assert main(["laplacian", str(path), "--kind", kind]) == 0
+        captured = capsys.readouterr()
+        assert "lower bound on eigenvalues of L:" in captured.err
+        assert len(captured.out.splitlines()) == 1 + 7 * n
+        assert _triplets(captured.out, n).tobytes() == expected.tobytes()
+
+
+def test_laplacian_triplets_match_the_dense_table(hg3_path, capsys, monkeypatch):
+    assert main(["laplacian", hg3_path, "--kind", "symmetric"]) == 0
+    dense = np.array([[float(x) for x in line.split("\t")]
+                      for line in capsys.readouterr().out.splitlines()])
+    monkeypatch.setattr(hyperrank.cli, "DENSE_LIMIT", 2)
+    assert main(["laplacian", hg3_path, "--kind", "symmetric"]) == 0
+    assert _triplets(capsys.readouterr().out, 3).tobytes() == dense.tobytes()
 
 
 # names recur, so sides repeat vertices and reactions share them
