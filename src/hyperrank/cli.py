@@ -71,16 +71,17 @@ def _log_ingest(report: IngestReport) -> None:
     _note(f"reversible records: {report.reversible_records} "
           f"(split into {report.split_arcs} arcs)")
     _note(f"collapsed duplicate mentions: {report.collapsed_duplicates}")
-    for rid, reason in report.dropped:
-        _note(f"dropped record {rid}: {reason}")
+    sys.stderr.write("".join(f"dropped record {rid}: {reason}\n"
+                             for rid, reason in report.dropped))
 
 
 def _maybe_prune(ns, hg: DirectedHypergraph) -> DirectedHypergraph:
     if not getattr(ns, "prune", False):
         return hg
     pruned, events = prune_to_core(hg)
-    for ev in events:
-        _note(f"prune round {ev.round}: removed {ev.kind} {ev.identifier} ({ev.reason})")
+    sys.stderr.write("".join(
+        f"prune round {ev.round}: removed {ev.kind} {ev.identifier} ({ev.reason})\n"
+        for ev in events))
     _note(f"pruned to {pruned.n_vertices} vertices, {pruned.n_arcs} arcs")
     return pruned
 

@@ -107,7 +107,15 @@ def _side(lengths, idx) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.asarray(lengths, dtype=np.int64)
     idx = np.asarray(idx, dtype=np.int64)
     arc = np.repeat(np.arange(lengths.size), lengths)
-    idx = idx[np.lexsort((idx, arc))]  # arc is nondecreasing, so it stays aligned
+    lo = int(idx.min(initial=0))
+    span = int(idx.max(initial=0)) - lo + 1
+    if span * lengths.size <= np.iinfo(np.int64).max:
+        # each (arc, vertex) pair packed into one integer, in the pairs' order
+        key = np.sort(arc * span + (idx - lo))
+        arc, idx = np.divmod(key, span)
+        idx += lo
+    else:  # indices too far apart to pack
+        idx = idx[np.lexsort((idx, arc))]  # arc is nondecreasing, so it stays aligned
     first = np.ones(idx.size, dtype=bool)
     first[1:] = (idx[1:] != idx[:-1]) | (arc[1:] != arc[:-1])
     ptr = np.zeros(lengths.size + 1, dtype=np.int64)

@@ -14,14 +14,20 @@ record, as core pruning would.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
-from .core import (UNKNOWN_VERTEX, DirectedHypergraph, FlatArcs,
+import numpy as np
+
+from .core import (UNKNOWN_VERTEX, ArcLayout, DirectedHypergraph, FlatArcs,
                    ValidationReport, Violation, ensure_valid, validate)
 from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
                      TailHeadOverlapError, ValidationError)
@@ -50,6 +56,24 @@ _WALK = (
     ({"plus": 7, "end": None}, "unexpected trailing input {text!r}"),
     ({"ident": 6}, "expected identifier after '+' in the product side"),
 )
+
+
+@contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off for the block, then restore its
+    prior state, also on error.
+
+    The loaders build hundreds of thousands of containers that form no
+    cycles; with the collector on, its passes traverse them again and again
+    while they are built.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ReactionRecord(NamedTuple):
@@ -132,6 +156,7 @@ def parse_reaction_line(line: str, *, line_no: int | None = None) -> ReactionRec
                           arrow == "<->", weight)
 
 
+@_collector_paused()
 def parse_reactions_text(text: str) -> list[ReactionRecord]:
     """Parse a whole reaction file; raises on the first malformed line."""
     records = []
@@ -156,6 +181,7 @@ class IngestReport:
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
 
+@_collector_paused()
 def reactions_to_hypergraph(records, reversible_policy: str = SPLIT
                             ) -> tuple[DirectedHypergraph, IngestReport]:
     """Turn parsed reactions into a hypergraph.
@@ -208,6 +234,7 @@ def reactions_to_hypergraph(records, reversible_policy: str = SPLIT
 
 _TOP_KEYS = ("vertices", "arcs")
 _ARC_KEYS = ("id", "tail", "head", "weight")
+_ARC_FIELDS = tuple(map(itemgetter, _ARC_KEYS))
 
 
 def _string_list(value, where: str) -> list[str]:
@@ -216,8 +243,16 @@ def _string_list(value, where: str) -> list[str]:
     return value
 
 
-def _checked_arc(pos: int, raw) -> tuple[str, list[str], list[str], float]:
-    """One arc's fields after every schema check, in document order of the checks."""
+def _float(weight: int | float) -> float:
+    """The weight as a float; an integer beyond the float range is inf."""
+    try:
+        return float(weight)
+    except OverflowError:
+        return math.inf
+
+
+def _check_arc(pos: int, raw) -> None:
+    """Raise the arc's first schema error, if it has one, in the order of the checks."""
     where = f"arcs[{pos}]"
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object")
@@ -229,20 +264,49 @@ def _checked_arc(pos: int, raw) -> tuple[str, list[str], list[str], float]:
             raise SchemaError(f"{where}: missing key {key!r}")
     if not isinstance(raw["id"], str):
         raise SchemaError(f"{where}: \"id\" must be a string")
-    tail_names = _string_list(raw["tail"], f'{where}."tail"')
-    head_names = _string_list(raw["head"], f'{where}."head"')
+    _string_list(raw["tail"], f'{where}."tail"')
+    _string_list(raw["head"], f'{where}."head"')
     weight = raw["weight"]
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
         raise SchemaError(f"{where}: \"weight\" must be a number")
+
+
+def _arc_columns(arcs: list) -> tuple[list, list, list, list] | None:
+    """The arcs' id, tail, head and weight columns, or None if an arc breaks
+    the schema. json.loads makes only exact built-in types, so a set of
+    types stands for the isinstance checks of ``_check_arc``."""
+    if not (set(map(type, arcs)) <= {dict} and set(map(len, arcs)) <= {len(_ARC_KEYS)}):
+        return None
     try:
-        weight = float(weight)
-    except OverflowError:  # an integer beyond the float range
-        weight = math.inf
-    return raw["id"], tail_names, head_names, weight
+        ids, tails, heads, weights = [list(map(get, arcs)) for get in _ARC_FIELDS]
+    except KeyError:  # with four keys, a missing one means an unknown one
+        return None
+    # each test runs only once the one before it holds: a string side
+    # would chain into its characters
+    if (set(map(type, ids)) <= {str}
+            and set(map(type, tails)) | set(map(type, heads)) <= {list}
+            and set(map(type, chain.from_iterable(tails)))
+            | set(map(type, chain.from_iterable(heads))) <= {str}
+            and set(map(type, weights)) <= {int, float}):
+        return ids, tails, heads, weights
+    return None
 
 
+def _side_columns(index: dict[str, int], sides: list[list[str]]
+                  ) -> tuple[list[int], list[int | None]]:
+    """Each side's length, and the vertex indices of all sides concatenated;
+    None stands for an unknown name."""
+    return list(map(len, sides)), list(map(index.get, chain.from_iterable(sides)))
+
+
+@_collector_paused()
 def load_canonical(text: str) -> DirectedHypergraph:
-    """Parse the canonical JSON format; reports every semantic violation."""
+    """Parse the canonical JSON format; reports every semantic violation.
+
+    The arcs are read a field at a time across all of them and handed to
+    ``ArcLayout.from_sides`` as columns. Only a document that a bulk check
+    rejects is scanned arc by arc, to raise its first schema error.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -259,26 +323,41 @@ def load_canonical(text: str) -> DirectedHypergraph:
         if key not in doc:
             raise SchemaError(f"missing key {key!r}")
     vertices = _string_list(doc["vertices"], '"vertices"')
-    if not isinstance(doc["arcs"], list):
+    arcs = doc["arcs"]
+    if not isinstance(arcs, list):
         raise SchemaError('"arcs" must be an array')
+    columns = _arc_columns(arcs)
+    if columns is None:
+        for pos, raw in enumerate(arcs):
+            _check_arc(pos, raw)
+        raise AssertionError("the bulk checks reject arcs that every arc's checks accept")
+    ids, tails, heads, weights = columns
+    # the arc objects go; their fields live on in the columns
+    del doc, arcs, columns
 
     index: dict[str, int] = {}
     for v in vertices:
         index.setdefault(v, len(index))
-
+    tail_len, tail_idx = _side_columns(index, tails)
+    head_len, head_idx = _side_columns(index, heads)
     # names must resolve to build an arc at all; validate checks the rest
     unknown: list[Violation] = []
-    arcs = FlatArcs()
-    for pos, raw in enumerate(doc["arcs"]):
-        arc_id, tail_names, head_names, weight = _checked_arc(pos, raw)
-        tail = [index.get(name) for name in tail_names]
-        head = [index.get(name) for name in head_names]
-        if None in tail or None in head:
-            unknown += [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
-                        for name in tail_names + head_names if name not in index]
-            continue
-        arcs.add(arc_id, tail, head, weight)
-    hg = arcs.hypergraph(vertices)
+    if None in tail_idx or None in head_idx:
+        known = [all(map(index.__contains__, chain(t, h))) for t, h in zip(tails, heads)]
+        unknown = [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
+                   for arc_id, t, h, ok in zip(ids, tails, heads, known) if not ok
+                   for name in t + h if name not in index]
+        ids, tails, heads, weights = (list(compress(column, known))
+                                      for column in (ids, tails, heads, weights))
+        tail_len, tail_idx = _side_columns(index, tails)
+        head_len, head_idx = _side_columns(index, heads)
+    del tails, heads
+    try:
+        weight = np.array(weights, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        weight = np.array(list(map(_float, weights)), dtype=np.float64)
+    hg = DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
+        tail_len, tail_idx, head_len, head_idx, weight))
     if unknown:
         raise ValidationError(ValidationReport(validate(hg).violations + tuple(unknown)))
     return ensure_valid(hg)

@@ -16,10 +16,12 @@ import numpy as np
 
 from hyperrank import (DirectedHypergraph, PruneEvent, SparseRealMatrix,
                        ValidationReport, Violation)
+from hyperrank import validate as validate_layout
 from hyperrank.core import (DUPLICATE_ARC_ID, DUPLICATE_VERTEX_ID, EMPTY_HEAD,
                             EMPTY_TAIL, NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP,
-                            UNKNOWN_VERTEX, ArcLayout)
-from hyperrank.errors import BadWeightError, ReactionSyntaxError
+                            UNKNOWN_VERTEX, ArcLayout, FlatArcs, ensure_valid)
+from hyperrank.errors import (BadWeightError, ReactionSyntaxError, SchemaError,
+                              ValidationError)
 from hyperrank.ingest import ReactionRecord
 
 
@@ -371,6 +373,86 @@ def save_canonical(hg: DirectedHypergraph) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+_TOP_KEYS = ("vertices", "arcs")
+_ARC_KEYS = ("id", "tail", "head", "weight")
+
+
+def _string_list(value, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SchemaError(f"{where} must be an array of strings")
+    return value
+
+
+def _checked_arc(pos: int, raw) -> tuple[str, list[str], list[str], float]:
+    """One arc's fields after every schema check, in document order of the checks."""
+    where = f"arcs[{pos}]"
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be an object")
+    for key in raw:
+        if key not in _ARC_KEYS:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+    for key in _ARC_KEYS:
+        if key not in raw:
+            raise SchemaError(f"{where}: missing key {key!r}")
+    if not isinstance(raw["id"], str):
+        raise SchemaError(f"{where}: \"id\" must be a string")
+    tail_names = _string_list(raw["tail"], f'{where}."tail"')
+    head_names = _string_list(raw["head"], f'{where}."head"')
+    weight = raw["weight"]
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        raise SchemaError(f"{where}: \"weight\" must be a number")
+    try:
+        weight = float(weight)
+    except OverflowError:  # an integer beyond the float range
+        weight = math.inf
+    return raw["id"], tail_names, head_names, weight
+
+
+def load_canonical(text: str) -> DirectedHypergraph:
+    """The canonical JSON format checked and appended to ``FlatArcs`` one arc
+    at a time, the loader the column-wise one replaced."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}",
+                          line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nesting is too deep") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
+    for key in doc:
+        if key not in _TOP_KEYS:
+            raise SchemaError(f"unknown key {key!r}")
+    for key in _TOP_KEYS:
+        if key not in doc:
+            raise SchemaError(f"missing key {key!r}")
+    vertices = _string_list(doc["vertices"], '"vertices"')
+    if not isinstance(doc["arcs"], list):
+        raise SchemaError('"arcs" must be an array')
+
+    index: dict[str, int] = {}
+    for v in vertices:
+        index.setdefault(v, len(index))
+
+    # names must resolve to build an arc at all; validate checks the rest
+    unknown: list[Violation] = []
+    arcs = FlatArcs()
+    for pos, raw in enumerate(doc["arcs"]):
+        arc_id, tail_names, head_names, weight = _checked_arc(pos, raw)
+        tail = [index.get(name) for name in tail_names]
+        head = [index.get(name) for name in head_names]
+        if None in tail or None in head:
+            unknown += [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
+                        for name in tail_names + head_names if name not in index]
+            continue
+        arcs.add(arc_id, tail, head, weight)
+    hg = arcs.hypergraph(vertices)
+    if unknown:
+        raise ValidationError(ValidationReport(validate_layout(hg).violations
+                                               + tuple(unknown)))
+    return ensure_valid(hg)
 
 
 def top_k(values, k: int, round_to: int | None = None) -> list[int]:

@@ -313,6 +313,22 @@ def test_array_constructor_normalises_sides_as_hyperarc_does(tails, heads):
     assert arcs.hypergraph("abcdefg").layout == lay
 
 
+_far_apart_indices = st.sampled_from([-2**63, -2**62, -3, 0, 5, 2**62, 2**63 - 1])
+_far_apart_sides = st.lists(st.lists(_far_apart_indices, max_size=5), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_far_apart_sides, _far_apart_sides)
+def test_array_constructor_normalises_sides_of_any_int64_indices(tails, heads):
+    m = min(len(tails), len(heads))
+    tails, heads = tails[:m], heads[:m]
+    weights = [1.0] * m
+    lay = ArcLayout.from_sides([len(t) for t in tails], [i for t in tails for i in t],
+                               [len(h) for h in heads], [i for h in heads for i in h],
+                               weights)
+    assert lay == oracles.arc_layout(tails, heads, weights)
+
+
 def test_arcs_read_back_from_arc_ids_and_layout_slices(hg3):
     assert hg3.arc_ids == ("e1", "e2", "e3")
     assert oracles.arc_rows(hg3) == [("e1", (0,), (1, 2), 1.0),

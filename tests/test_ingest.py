@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from hyperrank import (DirectedHypergraph, build_transition, ingest,
                        load_canonical, parse_reaction_line, parse_reactions_text,
                        prune_to_core, reactions_to_hypergraph, save_canonical)
-from hyperrank.core import FlatArcs
+from hyperrank.core import ArcLayout, FlatArcs
 from hyperrank.errors import (BadWeightError, IngestError, ReactionSyntaxError,
                               SchemaError, TailHeadOverlapError, ValidationError)
 
 import oracles
+import randgen
 from randgen import latin1_lines, random_hypergraph
 
 
@@ -383,26 +385,206 @@ def test_load_treats_an_integer_beyond_float_range_as_nonpositive_weight():
     assert str(exc.value) == "NonpositiveWeight: e: weight inf is not a positive real"
 
 
+SCHEMA_CASES = [
+    ("[]", "top level must be an object"),
+    ('{"vertices": ["a"]}', "missing key 'arcs'"),
+    ('{"vertices": ["a"], "arcs": [], "extra": 1}', "unknown key 'extra'"),
+    ('{"vertices": "a", "arcs": []}', '"vertices" must be an array of strings'),
+    ('{"vertices": ["a", 2], "arcs": []}', '"vertices" must be an array of strings'),
+    ('{"vertices": ["a"], "arcs": {"e": 1}}', '"arcs" must be an array'),
+    ('{"vertices": ["a"], "arcs": [["e", ["a"], ["a"], 1]]}', "arcs[0] must be an object"),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": ["a"]}]}',
+     "arcs[0]: missing key 'weight'"),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": ["a"],'
+     ' "weight": 1, "color": "red"}]}', "arcs[0]: unknown key 'color'"),
+    ('{"vertices": ["a"], "arcs": [{"id": 3, "tail": ["a"], "head": ["a"],'
+     ' "weight": 1}]}', 'arcs[0]: "id" must be a string'),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": ["a"],'
+     ' "weight": true}]}', 'arcs[0]: "weight" must be a number'),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": [1], "head": ["a"],'
+     ' "weight": 1}]}', 'arcs[0]."tail" must be an array of strings'),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": "a", "head": ["a"],'
+     ' "weight": 1}]}', 'arcs[0]."tail" must be an array of strings'),
+    # an unknown name is no schema error: the schema error of a later arc wins
+    ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], "head": ["zz"],'
+     ' "weight": 1}, {"id": "f", "tail": ["a"], "head": ["b"], "weight": "1"}]}',
+     'arcs[1]: "weight" must be a number'),
+    ("{not json", "invalid JSON: Expecting property name enclosed in double quotes"
+                  " (line 1, column 2)"),
+]
+
+
 def test_load_schema_errors():
-    cases = [
-        "[]",
-        '{"vertices": ["a"]}',
-        '{"vertices": ["a"], "arcs": [], "extra": 1}',
-        '{"vertices": "a", "arcs": []}',
-        '{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": ["a"]}]}',
-        '{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": ["a"],'
-        ' "weight": 1, "color": "red"}]}',
-        '{"vertices": ["a"], "arcs": [{"id": 3, "tail": ["a"], "head": ["a"],'
-        ' "weight": 1}]}',
-        '{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": ["a"],'
-        ' "weight": true}]}',
-        '{"vertices": ["a"], "arcs": [{"id": "e", "tail": [1], "head": ["a"],'
-        ' "weight": 1}]}',
-        "{not json",
-    ]
-    for text in cases:
-        with pytest.raises(SchemaError):
+    for text, message in SCHEMA_CASES:
+        with pytest.raises(SchemaError) as exc:
             load_canonical(text)
+        assert str(exc.value) == message, text
+
+
+def _load_outcome(load, text):
+    """The loader's hypergraph, or its error's type, text and violations."""
+    try:
+        return load(text)
+    except ValidationError as exc:
+        return ValidationError, str(exc), exc.report.violations
+    except SchemaError as exc:
+        return SchemaError, str(exc)
+
+
+def assert_loads_as_oracle(text):
+    assert (_load_outcome(load_canonical, text)
+            == _load_outcome(oracles.load_canonical, text)), text
+
+
+_any_hypergraphs = st.one_of(randgen.hypergraphs(), hypergraphs())
+
+
+@st.composite
+def relaid_docs(draw):
+    """The document of a generated hypergraph laid out as save_canonical
+    never writes it: keys in any order, integer weights, a vertex name
+    listed twice, a name repeated on one side."""
+    hg = draw(_any_hypergraphs)
+
+    def shuffled(fields):
+        return dict(draw(st.permutations(list(fields.items()))))
+
+    names = hg.vertices
+    vertices = list(names)
+    for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+        vertices.insert(draw(st.integers(0, len(vertices))), name)
+    arcs = []
+    for arc in oracles.arc_rows(hg):
+        tail = [names[i] for i in arc.tail]
+        head = [names[i] for i in arc.head]
+        if draw(st.booleans()):
+            tail.append(draw(st.sampled_from(tail)))
+        weight = draw(st.one_of(st.just(arc.weight), st.integers(1, 2**64)))
+        arcs.append(shuffled({"id": arc.id, "tail": tail, "head": head, "weight": weight}))
+    return shuffled({"vertices": vertices, "arcs": arcs})
+
+
+WRONG_TYPES = [3, 1.5, True, None, "a", [], ["a"], [1], {}, {"a": 1}]
+
+
+@st.composite
+def mutated_docs(draw):
+    """A generated document with one to three faults: a key dropped or added,
+    a field of another type, an arc that is no object, an unknown name, a
+    name on both sides, an integer weight beyond the float range or a true
+    weight."""
+    doc = draw(st.one_of(relaid_docs(),
+                         _any_hypergraphs.map(save_canonical).map(json.loads)))
+    for _ in range(draw(st.integers(1, 3))):
+        arcs = doc.get("arcs")
+        arc = {}
+        if isinstance(arcs, list) and arcs:
+            j = draw(st.integers(0, len(arcs) - 1))
+            arc = arcs[j] if isinstance(arcs[j], dict) else {}
+        fault = draw(st.sampled_from(["drop", "add", "retype", "no object",
+                                      "unknown name", "overlap", "huge weight",
+                                      "true weight"]))
+        target = arc
+        if fault in ("drop", "add", "retype"):
+            target = draw(st.sampled_from([doc, arc]))
+        if fault == "drop" and target:
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif fault == "add":
+            target[draw(st.sampled_from(["color", "id", "weight"]))] = "red"
+        elif fault == "retype" and target:
+            key = draw(st.sampled_from(sorted(target)))
+            target[key] = draw(st.sampled_from(WRONG_TYPES))
+        elif fault == "no object" and arc:
+            arcs[j] = draw(st.sampled_from(WRONG_TYPES))
+        elif fault == "unknown name":
+            side = arc.get(draw(st.sampled_from(["tail", "head"])))
+            if isinstance(side, list):
+                name = draw(st.sampled_from(["zz", "@"]))
+                side.insert(draw(st.integers(0, len(side))), name)
+        elif (fault == "overlap" and isinstance(arc.get("tail"), list) and arc["tail"]
+                and isinstance(arc.get("head"), list)):
+            arc["head"].append(draw(st.sampled_from(arc["tail"])))
+        elif fault == "huge weight" and arc:
+            arc["weight"] = draw(st.sampled_from([10**400, -10**400]))
+        elif fault == "true weight" and arc:
+            arc["weight"] = True
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_any_hypergraphs.map(save_canonical), relaid_docs().map(json.dumps)))
+def test_load_matches_the_oracle_on_generated_documents(text):
+    assert_loads_as_oracle(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_docs())
+def test_load_matches_the_oracle_on_mutated_documents(doc):
+    assert_loads_as_oracle(json.dumps(doc))
+
+
+def test_load_matches_the_oracle_on_the_fixed_cases():
+    for text, _ in SCHEMA_CASES:
+        assert_loads_as_oracle(text)
+    assert_loads_as_oracle(
+        '{"vertices": ["a", "b", "a", "c"], "arcs": ['
+        '{"id": "e", "tail": ["yy", "c"], "head": ["c", "zz"], "weight": 2},'
+        '{"id": "f", "tail": ["c", "c"], "head": ["b"], "weight": -1},'
+        '{"id": "g", "tail": ["c", "a"], "head": ["b", "c"], "weight": 1e999}]}')
+
+
+def test_valid_documents_never_enter_the_per_arc_scan(monkeypatch):
+    def scan(pos, raw):
+        raise AssertionError(f"arc {pos} left the bulk checks: {raw!r}")
+
+    monkeypatch.setattr(ingest, "_check_arc", scan)
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        hg = random_hypergraph(rng, max_vertices=12, max_arcs=20)
+        assert load_canonical(save_canonical(hg)) == hg
+    assert load_canonical('{"arcs": [], "vertices": []}') == FlatArcs().hypergraph(())
+    # unknown names and bad weights are no schema errors
+    text = ('{"arcs": [{"weight": 1' + "0" * 400 + ', "head": ["b", "b"], "id": "e",'
+            ' "tail": ["a"]}, {"tail": ["zz"], "id": "f", "head": ["a"], "weight": 2}],'
+            ' "vertices": ["a", "b"]}')
+    with pytest.raises(ValidationError) as exc:
+        load_canonical(text)
+    assert [(v.code, v.subject) for v in exc.value.report.violations] == [
+        ("NonpositiveWeight", "e"), ("UnknownVertex", "f")]
+    with pytest.raises(AssertionError, match="arc 0 left the bulk checks"):
+        load_canonical('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"],'
+                       ' "head": ["a"], "weight": 1, "color": 1}]}')
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_loaders_leave_the_collector_as_they_found_it(enabled, monkeypatch):
+    valid = save_canonical(DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)]))
+    # each load that builds a layout does so with the collector off
+    build, collecting = ArcLayout.from_sides, []
+    monkeypatch.setattr(ArcLayout, "from_sides",
+                        lambda *sides: collecting.append(gc.isenabled()) or build(*sides))
+    loads = [(lambda: load_canonical(valid), None),
+             (lambda: load_canonical('{"vertices": ["a"], "arcs": [1]}'), SchemaError),
+             (lambda: load_canonical('{"vertices": ["a"], "arcs": [{"id": "e",'
+                                     ' "tail": ["a"], "head": ["a"], "weight": 1}]}'),
+              ValidationError),
+             (lambda: reactions_to_hypergraph(parse_reactions_text("R: A -> B\n")), None),
+             (lambda: parse_reactions_text("R A -> B\n"), ReactionSyntaxError),
+             (lambda: reactions_to_hypergraph(parse_reactions_text("R: A -> A\n")),
+              TailHeadOverlapError)]
+    was_enabled = gc.isenabled()
+    try:
+        for load, error in loads:
+            gc.enable() if enabled else gc.disable()
+            if error is None:
+                load()
+            else:
+                with pytest.raises(error):
+                    load()
+            assert gc.isenabled() is enabled
+        assert collecting == [False] * 3
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_load_rejects_deep_nesting_as_schema_error():
