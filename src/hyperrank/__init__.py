@@ -3,7 +3,7 @@
 from .core import (DegreeTables, DirectedHypergraph, PruneEvent,
                    ValidationReport, Violation, build_incidence,
                    compute_degrees, ensure_valid, prune_to_core, validate)
-from .ingest import (IngestReport, ReactionRecord, load_canonical,
+from .ingest import (IngestReport, ReactionColumns, load_canonical,
                      parse_reaction_line, parse_reactions_text,
                      reactions_to_hypergraph, save_canonical)
 from .laplacian import (LaplacianPair, SpectralReport, build_laplacians,
@@ -23,7 +23,7 @@ __all__ = [
     "DegreeTables", "DirectedHypergraph", "PruneEvent",
     "ValidationReport", "Violation", "build_incidence", "compute_degrees",
     "ensure_valid", "prune_to_core", "validate",
-    "IngestReport", "ReactionRecord", "load_canonical", "parse_reaction_line",
+    "IngestReport", "ReactionColumns", "load_canonical", "parse_reaction_line",
     "parse_reactions_text", "reactions_to_hypergraph", "save_canonical",
     "LaplacianPair", "SpectralReport", "build_laplacians", "spectral_report",
     "SparseRealMatrix",

@@ -50,8 +50,7 @@ def _read_input(path: str) -> str:
 def _load(ns) -> DirectedHypergraph:
     text = _read_input(ns.input)
     if ns.format == "reactions":
-        records = parse_reactions_text(text)
-        hg, report = reactions_to_hypergraph(records, ns.reversible)
+        hg, report = reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
         _log_ingest(report)
         return hg
     return load_canonical(text)
@@ -99,9 +98,7 @@ def cmd_ingest(ns) -> int:
         report = IngestReport(records=hg.n_arcs, vertices=hg.n_vertices,
                               arcs=hg.n_arcs)
     else:
-        records = parse_reactions_text(text)
-        hg, report = reactions_to_hypergraph(records, ns.reversible)
-        del records
+        hg, report = reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
     # nothing reads the input again: free it before the output is built
     del text
     _log_ingest(report)
@@ -113,8 +110,7 @@ def cmd_validate(ns) -> int:
     text = _read_input(ns.input)
     try:
         if ns.format == "reactions":
-            records = parse_reactions_text(text)
-            hg, report = reactions_to_hypergraph(records, ns.reversible)
+            hg, report = reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
             _note_collapsed(report)
         else:
             hg = load_canonical(text)

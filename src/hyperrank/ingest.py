@@ -7,8 +7,10 @@ Reaction grammar, one reaction per line ('#' starts a comment):
 side is an optional '+'-separated list of identifiers, each one or more of
 [A-Za-z0-9_] and '-', where a '-' directly before '>' opens the arrow
 instead; ARROW is '->' (irreversible) or '<->' (reversible), WEIGHT a
-positive number. One whole-line regular expression is the grammar. An
-empty side (a boundary exchange reaction) parses, and conversion drops the
+positive number. Lines end where ``str.splitlines`` ends them. One regular
+expression, matched over the whole text at once, is the grammar; a text it
+rejects is read again line by line only to raise the first error. An empty
+side (a boundary exchange reaction) parses, and conversion drops the
 record, as core pruning would.
 """
 
@@ -20,14 +22,14 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, count, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (UNKNOWN_VERTEX, ArcLayout, DirectedHypergraph, FlatArcs,
+from .core import (UNKNOWN_VERTEX, ArcLayout, DirectedHypergraph,
                    ValidationReport, Violation, ensure_valid, validate)
 from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
                      TailHeadOverlapError, ValidationError)
@@ -36,13 +38,22 @@ SPLIT = "split"
 FORWARD_ONLY = "forward-only"
 REVERSIBLE_POLICIES = (SPLIT, FORWARD_ONLY)
 
-# one or more of [A-Za-z0-9_] or '-' not directly before '>', as runs
-# between the dashes, which the regex engine steps through faster
-_IDENT = r"(?:[A-Za-z0-9_]|-(?!>))[A-Za-z0-9_]*(?:-(?!>)[A-Za-z0-9_]*)*"
-_SIDE = rf"{_IDENT}(?:\s*\+\s*{_IDENT})*"
-# a line's body, its comment and weight cut off: ID, substrates, arrow, products
-_REACTION_RE = re.compile(rf"\s*({_IDENT})\s*:\s*({_SIDE})?\s*(<?->)\s*({_SIDE})?\s*")
-_TOKEN_RE = re.compile(rf"(?P<arrow><?->)|(?P<colon>:)|(?P<plus>\+)|(?P<ident>{_IDENT})")
+# Within a whole line a name is a plain run of [A-Za-z0-9_-]: nothing
+# that may follow a name starts with '>', so a match gives a '-' before '>'
+# back to the arrow. Whitespace is any but '\n', the one line break left
+# once the others that str.splitlines knows are replaced.
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_NAME, _WS = r"[A-Za-z0-9_-]+", r"[^\S\n]*"
+_SIDE = rf"{_NAME}(?:{_WS}\+{_WS}{_NAME})*"
+# One match per line, blank, comment or reaction: the ID, the substrates, the
+# '<' of '<->', the products and the stripped weight text. No two runs of
+# whitespace touch, so a rejected line costs linear time.
+_LINE_RE = re.compile(
+    rf"^{_WS}(?:({_NAME}){_WS}:{_WS}(?:({_SIDE}){_WS})?(<?)->{_WS}(?:({_SIDE}){_WS})?"
+    rf"(?:@{_WS}([^\s#](?:[^#\n]*[^\s#])?){_WS})?)?(?:#.*)?$", re.M)
+# a name token is one or more of [A-Za-z0-9_] or '-' not directly before '>'
+_TOKEN_RE = re.compile(r"\s+|(?P<arrow><?->)|(?P<colon>:)|(?P<plus>\+)"
+                       r"|(?P<ident>(?:[A-Za-z0-9_]|-(?!>))+)|(?P<other>.)", re.S)
 # The same grammar over tokens, walked only to locate a rejected line's
 # error: per state, the next state for each token it accepts ("end" closes
 # the line) and the error for any other token.
@@ -76,29 +87,34 @@ def _collector_paused():
             gc.enable()
 
 
-class ReactionRecord(NamedTuple):
-    """One parsed reaction line; duplicates and token order preserved."""
+class ReactionColumns(NamedTuple):
+    """The records of a reaction text as columns, in file order.
 
-    id: str
-    substrates: tuple[str, ...]
-    products: tuple[str, ...]
-    reversible: bool = False
-    weight: float = 1.0
+    ``names`` holds every record's substrates and then its products, as
+    written (repeats kept); ``tail_len`` and ``head_len`` count how many of
+    a record's names are substrates and how many products.
+    """
+
+    ids: list[str]
+    names: list[str]
+    tail_len: np.ndarray
+    head_len: np.ndarray
+    reversible: np.ndarray
+    weight: np.ndarray
 
 
-def _side_names(side: str | None) -> tuple[str, ...]:
-    return () if side is None else tuple(map(str.strip, side.split("+")))
-
-
-def _raise_line_error(body: str, line_no: int | None) -> NoReturn:
-    """Raise the error of a line, its comment cut off, that the grammar or
-    the weight rule rejects, with its column: a bad weight first, then an
-    unexpected character anywhere, then the first token the grammar cannot
-    take."""
+def parse_reaction_line(line: str, *, line_no: int | None = None) -> None:
+    """Raise the error of a malformed reaction line, with its column: a bad
+    weight first, then an unexpected character anywhere, then the first
+    token the grammar cannot take. A well-formed, blank or comment-only
+    line passes."""
+    comment = line.find("#")
+    body = line if comment < 0 else line[:comment]
+    if not body or body.isspace():
+        return
     at = body.find("@")
     if at >= 0:
-        wtext = body[at + 1:].strip()
-        wcol = at + 2
+        wtext, wcol, body = body[at + 1:].strip(), at + 2, body[:at]
         if not wtext:
             raise BadWeightError("missing weight after '@'", line=line_no, column=wcol)
         try:
@@ -109,62 +125,48 @@ def _raise_line_error(body: str, line_no: int | None) -> NoReturn:
         if not math.isfinite(weight) or weight <= 0.0:
             raise BadWeightError(f"weight must be a positive real, got {wtext}",
                                  line=line_no, column=wcol)
-        body = body[:at]
-
-    tokens = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(body, pos)
-        if m is None:
-            raise ReactionSyntaxError(
-                f"unexpected character {body[pos]!r}", line=line_no, column=pos + 1)
-        tokens.append((m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(("end", "", len(body) + 1))
-
-    state = 0
+    tokens = [(m.lastgroup, m.group(), m.start() + 1)
+              for m in _TOKEN_RE.finditer(body) if m.lastgroup]
     for kind, text, col in tokens:
+        if kind == "other":
+            raise ReactionSyntaxError(f"unexpected character {text!r}",
+                                      line=line_no, column=col)
+    state = 0
+    for kind, text, col in tokens + [("end", "", len(body) + 1)]:
         accepts, error = _WALK[state]
         if kind not in accepts:
             raise ReactionSyntaxError(error.format(text=text), line=line_no, column=col)
         state = accepts[kind]
-    raise AssertionError(f"the reaction grammar rejects a line its tokens accept: {body!r}")
-
-
-def parse_reaction_line(line: str, *, line_no: int | None = None) -> ReactionRecord | None:
-    """Parse one reaction line; returns None for blank/comment-only lines."""
-    comment = line.find("#")
-    code = line if comment < 0 else line[:comment]
-    if not code or code.isspace():
-        return None
-    body, weight = code, 1.0
-    at = code.find("@")
-    if at >= 0:
-        body = code[:at]
-        try:
-            weight = float(code[at + 1:])
-        except ValueError:
-            weight = math.nan
-    m = _REACTION_RE.fullmatch(body)
-    if m is None or not 0.0 < weight < math.inf:
-        _raise_line_error(code, line_no)
-    rid, substrates, arrow, products = m.groups()
-    return ReactionRecord(rid, _side_names(substrates), _side_names(products),
-                          arrow == "<->", weight)
 
 
 @_collector_paused()
-def parse_reactions_text(text: str) -> list[ReactionRecord]:
+def parse_reactions_text(text: str) -> ReactionColumns:
     """Parse a whole reaction file; raises on the first malformed line."""
-    records = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        rec = parse_reaction_line(line, line_no=i)
-        if rec is not None:
-            records.append(rec)
-    return records
+    if any(map(text.__contains__, _BREAKS)):
+        text = "\n".join(text.splitlines())
+    lines = _LINE_RE.findall(text)
+    columns = list(zip(*lines)) or [()] * 5
+    kept = list(map(bool, columns[0]))  # blank and comment-only lines have no ID
+    ids, substrates, reversible, products, weights = (
+        list(compress(column, kept)) for column in columns)
+    try:
+        weight = np.array([float(w or 1) for w in weights], dtype=np.float64)
+        # a text has one line more than '\n's, the last one empty after a
+        # final '\n', and each line that the grammar takes matches once
+        if (len(lines) != text.count("\n") + 1
+                or not ((weight > 0.0) & (weight < math.inf)).all()):
+            raise ValueError
+    except ValueError:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            parse_reaction_line(line, line_no=line_no)
+        raise AssertionError(
+            "the whole-text scan rejects a text whose every line parses") from None
+    # a side is its names with '+' and whitespace between them
+    names = " ".join(chain.from_iterable(zip(substrates, products))).replace("+", " ").split()
+    tail_len, head_len = (np.array([s.count("+") + 1 if s else 0 for s in sides], dtype=np.int64)
+                          for sides in (substrates, products))
+    return ReactionColumns(ids, names, tail_len, head_len,
+                           np.array(list(map(bool, reversible)), dtype=bool), weight)
 
 
 @dataclass
@@ -181,8 +183,16 @@ class IngestReport:
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
 
+def _take(ptr, idx, rows) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (ptr, idx) of the given rows of a CSR block, in the order of ``rows``."""
+    lengths = np.diff(ptr)[rows]
+    taken = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=taken[1:])
+    return taken, idx[np.repeat(ptr[rows] - taken[:-1], lengths) + np.arange(taken[-1])]
+
+
 @_collector_paused()
-def reactions_to_hypergraph(records, reversible_policy: str = SPLIT
+def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SPLIT
                             ) -> tuple[DirectedHypergraph, IngestReport]:
     """Turn parsed reactions into a hypergraph.
 
@@ -197,39 +207,52 @@ def reactions_to_hypergraph(records, reversible_policy: str = SPLIT
     """
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
-    report = IngestReport(records=len(records))
-    index: dict[str, int] = {}
-    intern = index.setdefault
-    arcs = FlatArcs()
-    for rec in records:
-        substrates, products = rec.substrates, rec.products
-        tail_set, head_set = set(substrates), set(products)
-        collapsed = (len(substrates) - len(tail_set)
-                     + len(products) - len(head_set))
-        if collapsed:
-            report.collapsed_duplicates += collapsed
-            report.collapsed.append((rec.id, collapsed))
-        if not tail_set.isdisjoint(head_set):
-            raise TailHeadOverlapError(rec.id, sorted(tail_set & head_set))
-        if not substrates or not products:
-            report.dropped.append((rec.id, f"empty {'tail' if not substrates else 'head'}"))
-            continue
-        # the layout drops a side's repeated vertices
-        tail = [intern(s, len(index)) for s in substrates]
-        head = [intern(p, len(index)) for p in products]
-        if rec.reversible:
-            report.reversible_records += 1
-            if reversible_policy == SPLIT:
-                arcs.add(f"{rec.id}_fwd", tail, head, rec.weight)
-                arcs.add(f"{rec.id}_rev", head, tail, rec.weight)
-                report.split_arcs += 2
-                continue
-        arcs.add(rec.id, tail, head, rec.weight)
-    hg = arcs.hypergraph(tuple(index))
-    ensure_valid(hg)
-    report.vertices = hg.n_vertices
-    report.arcs = hg.n_arcs
-    return hg, report
+    ids, names, (tail_len, head_len, reversible, weight) = (
+        parsed.ids, parsed.names, map(np.asarray, parsed[2:]))
+    sizes = tail_len + head_len
+    kept = (tail_len > 0) & (head_len > 0)
+    # the kept records' names are the vertices, in first-mention order; the
+    # names that only dropped records mention are numbered after them
+    kept_name = np.repeat(kept, sizes)
+    index = dict(zip(dict.fromkeys(chain(compress(names, kept_name.tolist()),
+                                         compress(names, (~kept_name).tolist()))), count()))
+    code = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+    vertices = list(islice(index, int(code[kept_name].max(initial=-1)) + 1))
+    in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+               < np.repeat(tail_len, sizes))
+    lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
+
+    # every record laid out as one arc holds a name once per side, so a
+    # (record, name) key met on both sides is shared
+    span = len(index) + 1
+    shared = np.isin(lay.head_arc * span + lay.head_idx, lay.tail_arc * span + lay.tail_idx,
+                     assume_unique=True)
+    if shared.any():
+        r = lay.head_arc[shared][0]
+        raise TailHeadOverlapError(ids[r], sorted(
+            vertices[v] for v in lay.head_idx[shared & (lay.head_arc == r)].tolist()))
+    collapsed = (sizes - np.diff(lay.tail_ptr) - np.diff(lay.head_ptr)).tolist()
+
+    rec = np.flatnonzero(kept)
+    twice = reversible[rec] & (reversible_policy == SPLIT)
+    arc_rec = np.repeat(rec, 1 + twice)
+    back = np.diff(arc_rec, prepend=-1) == 0  # a split record's second arc
+    arc_ids = np.array(ids, dtype=object)[arc_rec]
+    arc_ids[back] += "_rev"
+    arc_ids[np.flatnonzero(back) - 1] += "_fwd"
+    # rows 0..R-1 are the records' tails, rows R..2R-1 their heads
+    sides = (np.concatenate((lay.tail_ptr, lay.head_ptr[1:] + lay.tail_idx.size)),
+             np.concatenate((lay.tail_idx, lay.head_idx)))
+    hg = ensure_valid(DirectedHypergraph(vertices, arc_ids.tolist(), ArcLayout(
+        *_take(*sides, arc_rec + len(ids) * back), *_take(*sides, arc_rec + len(ids) * ~back),
+        lay.weight[arc_rec])))
+    return hg, IngestReport(
+        records=len(ids), vertices=hg.n_vertices, arcs=hg.n_arcs,
+        reversible_records=int(reversible[rec].sum()), split_arcs=2 * int(twice.sum()),
+        collapsed_duplicates=sum(collapsed),
+        collapsed=[(ids[r], collapsed[r]) for r in np.flatnonzero(collapsed).tolist()],
+        dropped=[(ids[r], "empty head" if tail_len[r] else "empty tail")
+                 for r in np.flatnonzero(~kept).tolist()])
 
 
 _TOP_KEYS = ("vertices", "arcs")
@@ -335,9 +358,10 @@ def load_canonical(text: str) -> DirectedHypergraph:
     # the arc objects go; their fields live on in the columns
     del doc, arcs, columns
 
+    # a name stands for its first position in the vertex list
     index: dict[str, int] = {}
-    for v in vertices:
-        index.setdefault(v, len(index))
+    for pos, v in enumerate(vertices):
+        index.setdefault(v, pos)
     tail_len, tail_idx = _side_columns(index, tails)
     head_len, head_idx = _side_columns(index, heads)
     # names must resolve to build an arc at all; validate checks the rest
@@ -363,34 +387,41 @@ def load_canonical(text: str) -> DirectedHypergraph:
     return ensure_valid(hg)
 
 
-def _json_array(items: list[str], depth: int) -> str:
-    """Encoded items as a JSON array, laid out as json.dumps(indent=2) lays
-    out an array nested ``depth`` levels deep."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
+@_collector_paused()
 def save_canonical(hg: DirectedHypergraph) -> str:
     """Serialize in canonical index order; load(save(hg)) == hg.
 
-    The text is json.dumps(doc, indent=2) plus a newline, assembled from
-    the layout without building the document.
+    The text is json.dumps(doc, indent=2) plus a newline, joined once from
+    pieces placed into one array at positions worked out from the layout.
     """
     ensure_valid(hg)
-    names = [encode_basestring_ascii(v) for v in hg.vertices]
     lay = hg.layout
-
-    def sides(ptr, idx) -> list[str]:
-        members = [names[i] for i in idx.tolist()]
-        bounds = ptr.tolist()
-        return [_json_array(members[a:b], 3) for a, b in zip(bounds, bounds[1:])]
-
-    arcs = [f'{{\n      "id": {encode_basestring_ascii(arc_id)},\n      "tail": {tail},'
-            f'\n      "head": {head},\n      "weight": {weight!r}\n    }}'
-            for arc_id, tail, head, weight
-            in zip(hg.arc_ids, sides(lay.tail_ptr, lay.tail_idx),
-                   sides(lay.head_ptr, lay.head_idx), lay.weight.tolist())]
-    return ('{\n  "vertices": ' + _json_array(names, 1)
-            + ',\n  "arcs": ' + _json_array(arcs, 1) + "\n}\n")
+    names = np.array(list(map(encode_basestring_ascii, hg.vertices)), dtype=object)
+    n = names.size
+    t, h = np.diff(lay.tail_ptr), np.diff(lay.head_ptr)
+    # the opening, a separator and a name per vertex, the text up to the
+    # first arc; per arc its id, its tail's and head's names between texts
+    # and separators, its weight and the text after it
+    size = 2 * (t + h) + 4
+    start = 2 * n + 2 + np.cumsum(size) - size
+    pieces = np.empty(2 * n + 2 + int(size.sum()), dtype=object)
+    pieces[:] = ",\n        "  # np.full would build the array as text first
+    pieces[0] = '{\n  "vertices": ['
+    pieces[1:2 * n:2] = ",\n    "
+    pieces[1:2] = "\n    "
+    pieces[2:2 * n + 1:2] = names
+    pieces[2 * n + 1] = ("\n  ]" if n else "]") + ',\n  "arcs": [' + (
+        '\n    {\n      "id": ' if hg.n_arcs else "]\n}\n")
+    if hg.n_arcs:
+        pieces[start] = np.array(list(map(encode_basestring_ascii, hg.arc_ids)), dtype=object)
+        pieces[start + 1] = ',\n      "tail": [\n        '
+        pieces[start + 2 * t + 1] = '\n      ],\n      "head": [\n        '
+        for first, ptr, idx in ((start + 2, lay.tail_ptr, lay.tail_idx),
+                                (start + 2 * t + 2, lay.head_ptr, lay.head_idx)):
+            pieces[np.repeat(first - 2 * ptr[:-1], np.diff(ptr))
+                   + 2 * np.arange(idx.size)] = names[idx]
+        pieces[start + size - 3] = '\n      ],\n      "weight": '
+        pieces[start + size - 2] = np.array(list(map(repr, lay.weight.tolist())), dtype=object)
+        pieces[start + size - 1] = '\n    },\n    {\n      "id": '
+        pieces[-1] = "\n    }\n  ]\n}\n"
+    return "".join(pieces.tolist())

@@ -21,8 +21,9 @@ from hyperrank.core import (DUPLICATE_ARC_ID, DUPLICATE_VERTEX_ID, EMPTY_HEAD,
                             EMPTY_TAIL, NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP,
                             UNKNOWN_VERTEX, ArcLayout, FlatArcs, ensure_valid)
 from hyperrank.errors import (BadWeightError, ReactionSyntaxError, SchemaError,
-                              ValidationError)
-from hyperrank.ingest import ReactionRecord
+                              TailHeadOverlapError, ValidationError)
+from hyperrank.ingest import (REVERSIBLE_POLICIES, SPLIT, IngestReport,
+                              ReactionColumns)
 
 
 class ArcRow(NamedTuple):
@@ -432,9 +433,10 @@ def load_canonical(text: str) -> DirectedHypergraph:
     if not isinstance(doc["arcs"], list):
         raise SchemaError('"arcs" must be an array')
 
+    # a name stands for its first position in the vertex list
     index: dict[str, int] = {}
-    for v in vertices:
-        index.setdefault(v, len(index))
+    for pos, v in enumerate(vertices):
+        index.setdefault(v, pos)
 
     # names must resolve to build an arc at all; validate checks the rest
     unknown: list[Violation] = []
@@ -459,6 +461,16 @@ def top_k(values, k: int, round_to: int | None = None) -> list[int]:
     """Indices of the k highest values, ties by index, by a keyed sort."""
     keys = values if round_to is None else np.round(values, round_to)
     return sorted(range(len(values)), key=lambda i: (-keys[i], i))[:k]
+
+
+class ReactionRecord(NamedTuple):
+    """One parsed reaction line; duplicates and token order preserved."""
+
+    id: str
+    substrates: tuple[str, ...]
+    products: tuple[str, ...]
+    reversible: bool = False
+    weight: float = 1.0
 
 
 # '-' is an identifier character except when it opens an '->' arrow
@@ -549,3 +561,66 @@ def parse_reaction_line(line: str, line_no: int | None = None) -> ReactionRecord
         raise ReactionSyntaxError(f"unexpected trailing input {text!r}",
                                   line=line_no, column=col)
     return ReactionRecord(rid, substrates, products, arrow == "<->", weight)
+
+
+def parse_reactions_text(text: str) -> list[ReactionRecord]:
+    """A reaction file parsed one line at a time: the record of every
+    reaction line, in file order."""
+    records = []
+    for i, line in enumerate(text.splitlines(), start=1):
+        rec = parse_reaction_line(line, line_no=i)
+        if rec is not None:
+            records.append(rec)
+    return records
+
+
+def reaction_columns(records: list[ReactionRecord]) -> ReactionColumns:
+    """The records as the columns that the library parses a text into."""
+    return ReactionColumns(
+        [rec.id for rec in records],
+        [name for rec in records for name in rec.substrates + rec.products],
+        np.array([len(rec.substrates) for rec in records], dtype=np.int64),
+        np.array([len(rec.products) for rec in records], dtype=np.int64),
+        np.array([rec.reversible for rec in records], dtype=bool),
+        np.array([rec.weight for rec in records], dtype=np.float64))
+
+
+def reactions_to_hypergraph(records: list[ReactionRecord], reversible_policy: str = SPLIT
+                            ) -> tuple[DirectedHypergraph, IngestReport]:
+    """Reaction records turned into arcs one record at a time, each side
+    taken as a set and appended to ``FlatArcs``: the converter the
+    column-wise one replaced."""
+    if reversible_policy not in REVERSIBLE_POLICIES:
+        raise ValueError(f"unknown reversible policy {reversible_policy!r}")
+    report = IngestReport(records=len(records))
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    arcs = FlatArcs()
+    for rec in records:
+        substrates, products = rec.substrates, rec.products
+        tail_set, head_set = set(substrates), set(products)
+        collapsed = (len(substrates) - len(tail_set)
+                     + len(products) - len(head_set))
+        if collapsed:
+            report.collapsed_duplicates += collapsed
+            report.collapsed.append((rec.id, collapsed))
+        if not tail_set.isdisjoint(head_set):
+            raise TailHeadOverlapError(rec.id, sorted(tail_set & head_set))
+        if not substrates or not products:
+            report.dropped.append((rec.id, f"empty {'tail' if not substrates else 'head'}"))
+            continue
+        tail = [intern(s, len(index)) for s in substrates]
+        head = [intern(p, len(index)) for p in products]
+        if rec.reversible:
+            report.reversible_records += 1
+            if reversible_policy == SPLIT:
+                arcs.add(f"{rec.id}_fwd", tail, head, rec.weight)
+                arcs.add(f"{rec.id}_rev", head, tail, rec.weight)
+                report.split_arcs += 2
+                continue
+        arcs.add(rec.id, tail, head, rec.weight)
+    hg = arcs.hypergraph(tuple(index))
+    ensure_valid(hg)
+    report.vertices = hg.n_vertices
+    report.arcs = hg.n_arcs
+    return hg, report

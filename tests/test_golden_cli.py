@@ -6,9 +6,13 @@ CLI contract (data, diagnostics, prune logs, violation order) across
 changes to the internals. Each command runs in a fresh interpreter, as a
 user would run it, with ``tests/data`` as the working directory.
 
-To record the transcripts again from the current code:
+To record the transcripts of commands that ``golden_cli.json`` lacks:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+Only the missing commands (matched by argv) run; every recorded
+transcript is kept as it is. To record a case again, delete it from the
+file first.
 """
 
 from __future__ import annotations
@@ -54,6 +58,14 @@ COMMANDS = [
     # the pruned core keeps a transient vertex, so the null residual of
     # L_sym fails and the command exits 1
     ["laplacian", "small_net.reactions", "--format", "reactions", "--prune"],
+    # CRLF endings, a form feed and a line separator between records,
+    # no-break and em spaces around names, comments, blank lines, a
+    # duplicate mention and boundary records
+    ["ingest", "edge.reactions"],
+    ["ingest", "edge.reactions", "--reversible", "forward-only"],
+    ["validate", "edge.reactions", "--format", "reactions"],
+    # the syntax error follows a line separator, so it is on line 3
+    ["ingest", "edge_error.reactions"],
 ]
 
 
@@ -83,5 +95,6 @@ def test_cli_transcript_is_unchanged(index):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([run_cli(argv) for argv in COMMANDS], indent=1)
-                      + "\n", encoding="utf-8")
+    recorded = {json.dumps(case["argv"]): case for case in _golden()} if GOLDEN.exists() else {}
+    cases = [recorded.get(json.dumps(argv)) or run_cli(argv) for argv in COMMANDS]
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

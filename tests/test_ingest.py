@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import (DirectedHypergraph, build_transition, ingest,
-                       load_canonical, parse_reaction_line, parse_reactions_text,
-                       prune_to_core, reactions_to_hypergraph, save_canonical)
+from hyperrank import (DirectedHypergraph, ReactionColumns, build_transition,
+                       ingest, load_canonical, parse_reaction_line,
+                       parse_reactions_text, prune_to_core, reactions_to_hypergraph,
+                       save_canonical)
 from hyperrank.core import ArcLayout, FlatArcs
 from hyperrank.errors import (BadWeightError, IngestError, ReactionSyntaxError,
                               SchemaError, TailHeadOverlapError, ValidationError)
+from hyperrank.ingest import REVERSIBLE_POLICIES
 
 import oracles
 import randgen
@@ -20,56 +22,68 @@ from randgen import latin1_lines, random_hypergraph
 
 # ---------------------------------------------------------------- parsing
 
+def _plain(parsed):
+    """Parsed columns as lists, with the dtypes of the numeric ones, so two
+    parses compare with ==."""
+    return (parsed.ids, parsed.names,
+            *((column.dtype.str, column.tolist())
+              for column in (parsed.tail_len, parsed.head_len, parsed.reversible,
+                             parsed.weight)))
+
+
 def test_parse_basic_irreversible():
-    rec = parse_reaction_line("R1: ATP + H2O -> ADP + Pi + H")
-    assert rec.id == "R1"
-    assert rec.substrates == ("ATP", "H2O")
-    assert rec.products == ("ADP", "Pi", "H")
-    assert not rec.reversible
-    assert rec.weight == 1.0
+    parsed = parse_reactions_text("R1: ATP + H2O -> ADP + Pi + H")
+    assert parsed.ids == ["R1"]
+    assert parsed.names == ["ATP", "H2O", "ADP", "Pi", "H"]
+    assert parsed.tail_len.tolist() == [2] and parsed.head_len.tolist() == [3]
+    assert parsed.reversible.tolist() == [False]
+    assert parsed.weight.tolist() == [1.0]
 
 
 def test_parse_reversible_with_weight():
-    rec = parse_reaction_line("R2: A <-> B @ 2.0")
-    assert rec.reversible
-    assert rec.weight == 2.0
+    parsed = parse_reactions_text("R2: A <-> B @ 2.0")
+    assert parsed.reversible.tolist() == [True]
+    assert parsed.weight.tolist() == [2.0]
 
 
 def test_parse_preserves_token_order_and_duplicates():
-    rec = parse_reaction_line("R: b + a + a -> c")
-    assert rec.substrates == ("b", "a", "a")
+    parsed = parse_reactions_text("R: b + a + a -> c")
+    assert parsed.names == ["b", "a", "a", "c"]
+    assert parsed.tail_len.tolist() == [3]
 
 
 def test_parsed_record_is_immutable():
-    rec = parse_reaction_line("R1: A -> B")
-    for name in ("id", "substrates", "products", "reversible", "weight"):
+    parsed = parse_reactions_text("R1: A -> B")
+    for name in ReactionColumns._fields:
         with pytest.raises(AttributeError):
-            setattr(rec, name, getattr(rec, name))
+            setattr(parsed, name, getattr(parsed, name))
 
 
 def test_parse_empty_side():
-    assert parse_reaction_line("R3: A ->").products == ()
-    assert parse_reaction_line("R4: -> A").substrates == ()
+    parsed = parse_reactions_text("R3: A ->\nR4: -> A")
+    assert parsed.tail_len.tolist() == [1, 0]
+    assert parsed.head_len.tolist() == [0, 1]
+    assert parsed.names == ["A", "A"]
 
 
 def test_parse_comments_and_blanks():
-    assert parse_reaction_line("") is None
-    assert parse_reaction_line("   # just a comment") is None
-    rec = parse_reaction_line("R: A -> B  # bodies end at the comment")
-    assert rec.products == ("B",)
+    for text in ("", "\n", "   # just a comment", " \t\n# a\n\n"):
+        parsed = parse_reactions_text(text)
+        assert _plain(parsed) == _plain(oracles.reaction_columns([])), repr(text)
+    parsed = parse_reactions_text("R: A -> B  # bodies end at the comment")
+    assert parsed.names == ["A", "B"] and parsed.head_len.tolist() == [1]
 
 
 def test_parse_arrow_without_spaces():
-    rec = parse_reaction_line("R:A->B")
-    assert rec.substrates == ("A",) and rec.products == ("B",)
-    rec = parse_reaction_line("R:A<->B")
-    assert rec.reversible
+    parsed = parse_reactions_text("R:A->B\nR:A<->B")
+    assert parsed.names == ["A", "B", "A", "B"]
+    assert parsed.reversible.tolist() == [False, True]
 
 
 def test_parse_hyphenated_identifiers():
-    rec = parse_reaction_line("R: Coenzyme-A -> Acetyl-CoA")
-    assert rec.substrates == ("Coenzyme-A",)
-    assert rec.products == ("Acetyl-CoA",)
+    parsed = parse_reactions_text("R: Coenzyme-A -> Acetyl-CoA\nR-2: A-->B")
+    assert parsed.ids == ["R", "R-2"]
+    assert parsed.names == ["Coenzyme-A", "Acetyl-CoA", "A-", "B"]
 
 
 def test_parse_syntax_errors_carry_positions():
@@ -92,6 +106,8 @@ def test_parse_bad_weights():
                  "R: A -> B @", "R: A -> B @ inf", "R: A -> B @ nan"):
         with pytest.raises(BadWeightError):
             parse_reaction_line(text)
+        with pytest.raises(BadWeightError):
+            parse_reactions_text(text)
 
 
 def test_parse_reactions_text_reports_line():
@@ -101,17 +117,32 @@ def test_parse_reactions_text_reports_line():
     assert exc.value.line == 3
 
 
-def _outcome(parse, line, line_no):
-    """A parser's record for the line, or its error's type, text and position."""
+def _outcome(call):
+    """The call's result, or the error it raises as its type, text and position."""
     try:
-        return parse(line, line_no=line_no)
-    except IngestError as exc:
-        return type(exc), str(exc), exc.line, exc.column
+        return call()
+    except (IngestError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _oracle_parse(text):
+    return oracles.reaction_columns(oracles.parse_reactions_text(text))
+
+
+def assert_text_parses_as_oracle(text):
+    assert (_outcome(lambda: _plain(parse_reactions_text(text)))
+            == _outcome(lambda: _plain(_oracle_parse(text)))), repr(text)
 
 
 def assert_parses_as_oracle(line, line_no=None):
-    assert (_outcome(parse_reaction_line, line, line_no)
-            == _outcome(oracles.parse_reaction_line, line, line_no)), repr(line)
+    """The error locator raises the oracle parser's error for the line, or
+    passes where the oracle parses it; and the whole-text scan of the line
+    agrees with the oracle's line-by-line parse."""
+    expected = _outcome(lambda: oracles.parse_reaction_line(line, line_no=line_no))
+    if isinstance(expected, oracles.ReactionRecord):
+        expected = None
+    assert _outcome(lambda: parse_reaction_line(line, line_no=line_no)) == expected, repr(line)
+    assert_text_parses_as_oracle(line)
 
 
 @settings(max_examples=300, deadline=None)
@@ -165,8 +196,10 @@ def test_parse_fuzz_corpus_as_the_oracle():
     rng = np.random.default_rng(1008)
     for _ in range(1000):
         random_hypergraph(rng, max_vertices=12, max_arcs=20)
-    for i, line in enumerate(latin1_lines(rng, 2000), start=1):
+    lines = latin1_lines(rng, 2000)
+    for i, line in enumerate(lines, start=1):
         assert_parses_as_oracle(line, line_no=i)
+    assert_text_parses_as_oracle("\n".join(lines))
 
 
 # fragments that land near the grammar, so most drawn lines are almost reactions
@@ -181,45 +214,59 @@ def test_parse_fragment_lines_as_the_oracle(fragments):
     assert_parses_as_oracle("".join(fragments), line_no=3)
 
 
+# every line break of str.splitlines; "\r\n" is one
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"U+{ord(b[-1]):04X}" for b in LINE_BREAKS])
+def test_every_line_break_ends_a_line(brk):
+    text = brk.join(["R1: A -> B", "", "R2: B -> A @ 2", "R3 A -> C", "R4: C -> A"])
+    assert_text_parses_as_oracle(text.replace("R3 ", "R3: ") + brk)
+    with pytest.raises(ReactionSyntaxError) as exc:
+        parse_reactions_text(text)
+    assert (exc.value.line, exc.value.column) == (4, 4)
+
+
 def test_valid_text_never_enters_the_error_walk(monkeypatch):
-    def walk(line, line_no):
+    def locate(line, line_no):
         raise AssertionError(f"line {line_no} left the grammar: {line!r}")
 
-    monkeypatch.setattr(ingest, "_raise_line_error", walk)
-    text = ("# a header comment\n\n   \n"
+    monkeypatch.setattr(ingest, "parse_reaction_line", locate)
+    text = ("# a header comment\r\n\r\n   \n"
             "R1: A + B -> C @ 2.5\n"
-            "R2: C <-> A  # reversible\n"
-            "R-3:Coenzyme-A+H2O->Acetyl-CoA@1e-3\n"
-            "\tEX_glc: glc ->\n"
-            "EX_out: -> pyr @ 7 # weighted boundary\n"
-            "R4 : a + a + b<->c\u3000@\u30001_0\n"
+            "R2: C <-> A  # reversible\x0c"
+            "R-3:Coenzyme-A+H2O->Acetyl-CoA@1e-3\u2028"
+            "\tEX_glc: glc ->\x85"
+            "EX_out: -> pyr @ 7 # weighted boundary\r"
+            "R4 :\xa0a + a + b<->c\u3000@\u30001_0\n"
             "R5: x -> y @ 1e300 # @ in a comment\n")
-    records = parse_reactions_text(text)
-    assert len(records) == 7
-    assert records == [rec for rec in map(oracles.parse_reaction_line, text.splitlines())
-                       if rec is not None]
-    with pytest.raises(AssertionError, match="line 2 left the grammar"):
+    parsed = parse_reactions_text(text)
+    assert len(parsed.ids) == 7
+    assert _plain(parsed) == _plain(_oracle_parse(text))
+    # a rejected text is read again from its first line
+    with pytest.raises(AssertionError, match="line 1 left the grammar: 'R1: A -> B'"):
         parse_reactions_text("R1: A -> B\nR2 B -> C\n")
 
 
 # ------------------------------------------------------------- conversion
 
 def test_reactions_to_hypergraph_basic():
-    records = parse_reactions_text("R1: ATP + H2O -> ADP + Pi + H\n")
-    hg, report = reactions_to_hypergraph(records)
+    parsed = parse_reactions_text("R1: ATP + H2O -> ADP + Pi + H\n")
+    hg, report = reactions_to_hypergraph(parsed)
     assert hg.n_arcs == 1
     assert hg.n_vertices == 5
     assert report.arcs == 1 and report.vertices == 5
 
 
 def test_split_policy_doubles_reversible():
-    records = parse_reactions_text("R2: A <-> B\n")
-    hg, report = reactions_to_hypergraph(records, "split")
+    parsed = parse_reactions_text("R2: A <-> B\n")
+    hg, report = reactions_to_hypergraph(parsed, "split")
     assert [(a.id, a.tail, a.head) for a in oracles.arc_rows(hg)] == [
         ("R2_fwd", (0,), (1,)), ("R2_rev", (1,), (0,))]
     assert report.split_arcs == 2
 
-    hg, _ = reactions_to_hypergraph(records, "forward-only")
+    hg, _ = reactions_to_hypergraph(parsed, "forward-only")
     assert hg.arc_ids == ("R2",)
 
 
@@ -230,17 +277,27 @@ def test_split_policy_count_property():
         n_rev = int(rng.integers(0, 6))
         lines = [f"I{k}: a{k} -> b{k}" for k in range(n_irr)]
         lines += [f"V{k}: c{k} <-> d{k}" for k in range(n_rev)]
-        records = parse_reactions_text("\n".join(lines))
-        hg, _ = reactions_to_hypergraph(records, "split")
+        parsed = parse_reactions_text("\n".join(lines))
+        hg, _ = reactions_to_hypergraph(parsed, "split")
         assert hg.n_arcs == n_irr + 2 * n_rev
 
 
 def test_overlap_rejected_with_record_id():
-    records = parse_reactions_text("R4: A + B -> B + C\n")
+    parsed = parse_reactions_text("R4: A + B -> B + C\n")
     with pytest.raises(TailHeadOverlapError) as exc:
-        reactions_to_hypergraph(records)
+        reactions_to_hypergraph(parsed)
     assert exc.value.record_id == "R4"
     assert "B" in str(exc.value)
+
+
+def test_first_overlapping_record_is_reported():
+    text = ("EX: q ->\nR1: z + a -> b\nR2: b + y + c -> c + y\n"
+            "R3: a -> a\nR4: x + x -> x\n")
+    for policy in REVERSIBLE_POLICIES:
+        with pytest.raises(TailHeadOverlapError) as exc:
+            reactions_to_hypergraph(parse_reactions_text(text), policy)
+        assert str(exc.value) == "reaction R2: species on both sides: c, y"
+        assert_converts_as_oracle(text)
 
 
 def test_duplicates_collapse_with_count():
@@ -256,15 +313,107 @@ def test_duplicates_collapse_with_count():
 
 
 def test_empty_side_dropped():
-    records = parse_reactions_text("EX1: glc ->\nR: glc -> pyr\nEX2: -> pyr\n")
-    hg, report = reactions_to_hypergraph(records)
+    parsed = parse_reactions_text("EX1: glc ->\nR: glc -> pyr\nEX2: -> pyr\n")
+    hg, report = reactions_to_hypergraph(parsed)
     assert hg.arc_ids == ("R",)
     assert report.dropped == [("EX1", "empty head"), ("EX2", "empty tail")]
 
 
+def test_vertices_in_first_mention_order_over_kept_records():
+    # names only a dropped record mentions are no vertices; a kept record's
+    # substrates come before its products
+    text = "EX: q + r ->\nR1: b + a -> c + q\nR2: d <-> a\nEX2: -> s + d\n"
+    for policy in REVERSIBLE_POLICIES:
+        hg, _ = reactions_to_hypergraph(parse_reactions_text(text), policy)
+        assert hg.vertices == ("b", "a", "c", "q", "d")
+    assert_converts_as_oracle(text)
+
+
 def test_unknown_reversible_policy():
     with pytest.raises(ValueError):
-        reactions_to_hypergraph([], "both-ways")
+        reactions_to_hypergraph(parse_reactions_text(""), "both-ways")
+
+
+def assert_converts_as_oracle(text):
+    """Both policies give the oracle's hypergraph and report, or its error."""
+    for policy in REVERSIBLE_POLICIES:
+        assert (_outcome(lambda: reactions_to_hypergraph(parse_reactions_text(text), policy))
+                == _outcome(lambda: oracles.reactions_to_hypergraph(
+                    oracles.parse_reactions_text(text), policy))), (policy, text)
+
+
+_species = st.sampled_from(["A", "B", "c", "glc__D", "x-1", "h2o", "NAD_p", "9", "-q-"])
+# whitespace that may surround a token; float() does not strip U+001F
+_blank = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003", "\u3000", "\x1f"])
+_break = st.sampled_from(LINE_BREAKS)
+
+
+@st.composite
+def reaction_lines(draw):
+    """A reaction line as the grammar takes it: any whitespace around the
+    tokens, repeated and shared species, empty sides, both arrows, weights
+    and comments; or a blank or comment-only line."""
+    kind = draw(st.sampled_from(["reaction"] * 6 + ["blank", "comment"]))
+    if kind == "blank":
+        return draw(_blank)
+    if kind == "comment":
+        return draw(_blank) + "# " + draw(st.sampled_from(["note", "R: A -> B @ 0", "@"]))
+
+    def side():
+        names = draw(st.lists(_species, max_size=4))
+        sep = draw(_blank) + "+" + draw(_blank)
+        return sep.join(names)
+
+    line = (draw(_blank) + draw(st.sampled_from(["R1", "R2", "r-3", "EX_a", "R1_fwd"]))
+            + draw(_blank) + ":" + draw(_blank) + side() + draw(_blank)
+            + draw(st.sampled_from(["->", "<->"])) + draw(_blank) + side() + draw(_blank))
+    if draw(st.booleans()):
+        line += "@" + draw(_blank) + draw(st.sampled_from(
+            ["2", "0.5", "1e-3", "1_0", "7.25", "3e300"])) + draw(_blank)
+    if draw(st.booleans()):
+        line += "# " + draw(st.sampled_from(["a comment", "@ 0", "x # y"]))
+    return line
+
+
+@st.composite
+def reaction_texts(draw):
+    """Lines between drawn line breaks, a break after the last one or not."""
+    lines = draw(st.lists(reaction_lines(), max_size=10))
+    text = "".join(line + draw(_break) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(reaction_texts())
+def test_convert_matches_the_oracle_on_generated_texts(text):
+    assert_text_parses_as_oracle(text)
+    assert_converts_as_oracle(text)
+
+
+@st.composite
+def mutated_texts(draw):
+    """A generated text with one to three lines spliced with grammar
+    fragments, or with a species put on both sides of a line."""
+    lines = draw(reaction_texts()).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        if draw(st.booleans()) and "->" in line:
+            a = draw(_species)
+            lines[k] = line.replace("->", f" + {a} -> {a} + ", 1)
+        else:
+            at = draw(st.integers(0, len(line)))
+            lines[k] = line[:at] + draw(st.sampled_from(FRAGMENTS)) + line[at:]
+    return "".join(line + draw(_break) for line in lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_texts())
+def test_convert_matches_the_oracle_on_mutated_texts(text):
+    assert_text_parses_as_oracle(text)
+    assert_converts_as_oracle(text)
 
 
 # ---------------------------------------------------------- canonical JSON
@@ -364,6 +513,18 @@ def test_load_reports_every_violation():
     assert exc.value.report.codes() == {"DuplicateVertexId", "TailHeadOverlap",
                                         "EmptyTail", "NonpositiveWeight",
                                         "DuplicateArcId"}
+
+
+def test_repeated_vertex_id_names_its_first_position():
+    # a name stands for its first position in "vertices", so the overlap
+    # names "c", not the vertex one slot before it
+    text = ('{"vertices": ["a", "b", "b", "c"], "arcs": [{"id": "e", "tail": ["c"],'
+            ' "head": ["c"], "weight": 1}]}')
+    for load in (load_canonical, oracles.load_canonical):
+        with pytest.raises(ValidationError) as exc:
+            load(text)
+        assert str(exc.value) == ("DuplicateVertexId: b: vertex id occurs more than once\n"
+                                  "TailHeadOverlap: e: tail and head share: c")
 
 
 def test_load_reports_unknown_vertices_with_every_other_violation():
@@ -559,7 +720,8 @@ def test_valid_documents_never_enter_the_per_arc_scan(monkeypatch):
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_loaders_leave_the_collector_as_they_found_it(enabled, monkeypatch):
     valid = save_canonical(DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)]))
-    # each load that builds a layout does so with the collector off
+    # each load that builds a layout does so with the collector off; the
+    # reaction converter lays out the records before it checks their sides
     build, collecting = ArcLayout.from_sides, []
     monkeypatch.setattr(ArcLayout, "from_sides",
                         lambda *sides: collecting.append(gc.isenabled()) or build(*sides))
@@ -571,7 +733,8 @@ def test_loaders_leave_the_collector_as_they_found_it(enabled, monkeypatch):
              (lambda: reactions_to_hypergraph(parse_reactions_text("R: A -> B\n")), None),
              (lambda: parse_reactions_text("R A -> B\n"), ReactionSyntaxError),
              (lambda: reactions_to_hypergraph(parse_reactions_text("R: A -> A\n")),
-              TailHeadOverlapError)]
+              TailHeadOverlapError),
+             (lambda: save_canonical(load_canonical(valid)), None)]
     was_enabled = gc.isenabled()
     try:
         for load, error in loads:
@@ -582,7 +745,7 @@ def test_loaders_leave_the_collector_as_they_found_it(enabled, monkeypatch):
                 with pytest.raises(error):
                     load()
             assert gc.isenabled() is enabled
-        assert collecting == [False] * 3
+        assert collecting == [False] * 5
     finally:
         gc.enable() if was_enabled else gc.disable()
 
