@@ -424,4 +424,5 @@ def save_canonical(hg: DirectedHypergraph) -> str:
         pieces[start + size - 2] = np.array(list(map(repr, lay.weight.tolist())), dtype=object)
         pieces[start + size - 1] = '\n    },\n    {\n      "id": '
         pieces[-1] = "\n    }\n  ]\n}\n"
-    return "".join(pieces.tolist())
+    pieces = pieces.tolist()  # the array is dropped before the text is built
+    return "".join(pieces)
