@@ -382,25 +382,34 @@ def prune_to_core(hg: DirectedHypergraph) -> tuple[DirectedHypergraph, list[Prun
         doomed = alive_vertex & (no_tail | no_head)
         if not doomed.any():
             break
-        for v in np.flatnonzero(doomed).tolist():
-            events.append(PruneEvent(rnd, "vertex", hg.vertices[v],
-                                     _VERTEX_REASONS[no_tail[v], no_head[v]]))
+        v = np.flatnonzero(doomed)
+        events += [PruneEvent(rnd, "vertex", name, _VERTEX_REASONS[reason])
+                   for name, reason in zip(_gather(hg.vertices, v),
+                                           zip(no_tail[v].tolist(), no_head[v].tolist()))]
         alive_vertex &= ~doomed
         emptied_tail = np.bincount(tail_arc[alive_vertex[lay.tail_idx]], minlength=m) == 0
         emptied_head = np.bincount(head_arc[alive_vertex[lay.head_idx]], minlength=m) == 0
         dying = alive_arc & (emptied_tail | emptied_head)
-        for k in np.flatnonzero(dying).tolist():
-            events.append(PruneEvent(rnd, "arc", hg.arc_ids[k],
-                                     _ARC_REASONS[emptied_tail[k], emptied_head[k]]))
+        k = np.flatnonzero(dying)
+        events += [PruneEvent(rnd, "arc", name, _ARC_REASONS[reason])
+                   for name, reason in zip(_gather(hg.arc_ids, k),
+                                           zip(emptied_tail[k].tolist(), emptied_head[k].tolist()))]
         alive_arc &= ~dying
     remap = np.cumsum(alive_vertex) - 1
     keep = np.flatnonzero(alive_arc)
     layout = ArcLayout(*_surviving_side(lay.tail_idx, tail_arc, alive_vertex, alive_arc, remap),
                        *_surviving_side(lay.head_idx, head_arc, alive_vertex, alive_arc, remap),
                        lay.weight[keep])
-    vertices = tuple(hg.vertices[v] for v in np.flatnonzero(alive_vertex).tolist())
-    arc_ids = tuple(hg.arc_ids[k] for k in keep.tolist())
-    return DirectedHypergraph(vertices, arc_ids, layout), events
+    core = DirectedHypergraph(_gather(hg.vertices, np.flatnonzero(alive_vertex)),
+                              _gather(hg.arc_ids, keep), layout)
+    # pruning a valid hypergraph leaves it valid, so the input's (empty)
+    # report is the core's, stored where validate memoises it
+    core.__dict__["_report"] = hg._report
+    return core, events
+
+
+def _gather(seq: tuple[str, ...], idx: np.ndarray) -> tuple[str, ...]:
+    return tuple(map(seq.__getitem__, idx.tolist()))
 
 
 def _surviving_side(idx, arc, alive_vertex, alive_arc, remap):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -297,38 +297,63 @@ def _check_arc(pos: int, raw) -> None:
 def _arc_columns(arcs: list) -> tuple[list, list, list, list] | None:
     """The arcs' id, tail, head and weight columns, or None if an arc breaks
     the schema. json.loads makes only exact built-in types, so a set of
-    types stands for the isinstance checks of ``_check_arc``."""
+    types stands for the isinstance checks of ``_check_arc``; the names on
+    the sides are checked by resolving them."""
     if not (set(map(type, arcs)) <= {dict} and set(map(len, arcs)) <= {len(_ARC_KEYS)}):
         return None
     try:
         ids, tails, heads, weights = [list(map(get, arcs)) for get in _ARC_FIELDS]
     except KeyError:  # with four keys, a missing one means an unknown one
         return None
-    # each test runs only once the one before it holds: a string side
-    # would chain into its characters
     if (set(map(type, ids)) <= {str}
             and set(map(type, tails)) | set(map(type, heads)) <= {list}
-            and set(map(type, chain.from_iterable(tails)))
-            | set(map(type, chain.from_iterable(heads))) <= {str}
             and set(map(type, weights)) <= {int, float}):
         return ids, tails, heads, weights
     return None
 
 
-def _side_columns(index: dict[str, int], sides: list[list[str]]
-                  ) -> tuple[list[int], list[int | None]]:
-    """Each side's length, and the vertex indices of all sides concatenated;
-    None stands for an unknown name."""
-    return list(map(len, sides)), list(map(index.get, chain.from_iterable(sides)))
+def _resolved(index: dict[str, int], sides: list[list]) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's length, and the vertex indices of all sides concatenated.
+    A name that is unknown, or no string, raises KeyError or TypeError."""
+    lengths = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
+    return lengths, np.fromiter(map(index.__getitem__, chain.from_iterable(sides)),
+                                dtype=np.int64, count=int(lengths.sum()))
+
+
+def _weight_column(weights: list) -> np.ndarray:
+    try:
+        return np.array(weights, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return np.array(list(map(_float, weights)), dtype=np.float64)
+
+
+def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: list,
+                  heads: list, weights: list) -> NoReturn:
+    """Raise the error of arcs whose names do not all resolve. A name that is
+    no string breaks the schema, first arc first, tail before head. Unknown
+    names are violations, after those of the arcs whose names all resolve."""
+    for pos, (tail, head) in enumerate(zip(tails, heads)):
+        _string_list(tail, f'arcs[{pos}]."tail"')
+        _string_list(head, f'arcs[{pos}]."head"')
+    known = [all(map(index.__contains__, chain(t, h))) for t, h in zip(tails, heads)]
+    unknown = tuple(Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
+                    for arc_id, t, h, ok in zip(ids, tails, heads, known) if not ok
+                    for name in t + h if name not in index)
+    ids, tails, heads, weights = (list(compress(column, known))
+                                  for column in (ids, tails, heads, weights))
+    hg = DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
+        *_resolved(index, tails), *_resolved(index, heads), _weight_column(weights)))
+    raise ValidationError(ValidationReport(validate(hg).violations + unknown))
 
 
 @_collector_paused()
 def load_canonical(text: str) -> DirectedHypergraph:
     """Parse the canonical JSON format; reports every semantic violation.
 
-    The arcs are read a field at a time across all of them and handed to
-    ``ArcLayout.from_sides`` as columns. Only a document that a bulk check
-    rejects is scanned arc by arc, to raise its first schema error.
+    The arcs are read a field at a time across all of them, their names
+    resolved in one pass per side, and handed to ``ArcLayout.from_sides``
+    as columns. Only a document that a bulk check rejects, or with a name
+    that does not resolve, is scanned arc by arc, to raise its error.
     """
     try:
         doc = json.loads(text)
@@ -358,33 +383,18 @@ def load_canonical(text: str) -> DirectedHypergraph:
     # the arc objects go; their fields live on in the columns
     del doc, arcs, columns
 
-    # a name stands for its first position in the vertex list
-    index: dict[str, int] = {}
-    for pos, v in enumerate(vertices):
-        index.setdefault(v, pos)
-    tail_len, tail_idx = _side_columns(index, tails)
-    head_len, head_idx = _side_columns(index, heads)
-    # names must resolve to build an arc at all; validate checks the rest
-    unknown: list[Violation] = []
-    if None in tail_idx or None in head_idx:
-        known = [all(map(index.__contains__, chain(t, h))) for t, h in zip(tails, heads)]
-        unknown = [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
-                   for arc_id, t, h, ok in zip(ids, tails, heads, known) if not ok
-                   for name in t + h if name not in index]
-        ids, tails, heads, weights = (list(compress(column, known))
-                                      for column in (ids, tails, heads, weights))
-        tail_len, tail_idx = _side_columns(index, tails)
-        head_len, head_idx = _side_columns(index, heads)
-    del tails, heads
+    # a name stands for its first position in the vertex list: the
+    # positions are entered last to first, so the first one stays
+    index = dict(zip(reversed(vertices), range(len(vertices) - 1, -1, -1)))
     try:
-        weight = np.array(weights, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        weight = np.array(list(map(_float, weights)), dtype=np.float64)
-    hg = DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
-        tail_len, tail_idx, head_len, head_idx, weight))
-    if unknown:
-        raise ValidationError(ValidationReport(validate(hg).violations + tuple(unknown)))
-    return ensure_valid(hg)
+        # every key is a string, so a name that resolves is one
+        tail_len, tail_idx = _resolved(index, tails)
+        head_len, head_idx = _resolved(index, heads)
+    except (KeyError, TypeError):
+        _reject_names(vertices, index, ids, tails, heads, weights)
+    del tails, heads
+    return ensure_valid(DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
+        tail_len, tail_idx, head_len, head_idx, _weight_column(weights))))
 
 
 @_collector_paused()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositivePiError, NotStationaryError
-from .sparse import SparseRealMatrix
+from .sparse import SparseRealMatrix, packed_unique
 from .walk import L1, RankVector, TransitionMatrix
 
 STATIONARITY_TOL = 1e-8
@@ -55,18 +55,14 @@ def _union_pattern(P: SparseRealMatrix):
     rows = np.repeat(np.arange(n), np.diff(P.indptr))
     keys = np.concatenate([rows * n + P.indices, P.indices * n + rows,
                            np.arange(n) * (n + 1)])
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    u, v = np.divmod(keys[first], n)
+    distinct, slot, pos = packed_unique(keys, n * n)
     del keys
-    # slot[k]: the position of the k-th key among the distinct keys
-    slot = np.empty(first.size, dtype=np.int64)
-    slot[order] = np.cumsum(first) - 1
-    del order, first
-    own, mirrored, diagonal = slot[:nnz], slot[nnz:2 * nnz], slot[2 * nnz:]
+    u, v = np.divmod(distinct, n)
+    # inverse[k]: the position of the k-th key among the distinct keys
+    inverse = np.empty_like(slot)
+    inverse[pos] = slot
+    del slot, pos
+    own, mirrored, diagonal = inverse[:nnz], inverse[nnz:2 * nnz], inverse[2 * nnz:]
     forward = np.zeros(u.size)
     forward[own] = P.data
     backward = np.zeros(u.size)

@@ -18,6 +18,36 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def packed_unique(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the int64 keys in [0, size) by value, each group in input order.
+
+    Returns the distinct keys in ascending order, then, for the entries
+    sorted by (key, input position), each one's slot among the distinct keys
+    and its input position. ``key`` is overwritten.
+    """
+    top = np.iinfo(np.int64).max
+    if size - 1 > top:
+        raise ValueError(f"keys up to {size - 1} do not fit in int64")
+    shift = max(key.size - 1, 0).bit_length()
+    if (max(size, 1) - 1) << shift <= top:
+        # each key with its input position in the low bits: one plain sort
+        # orders the keys and, within a key, the positions
+        key <<= shift
+        key |= np.arange(key.size)
+        key.sort()
+        pos = key & ((1 << shift) - 1)
+        key >>= shift
+    else:  # the positions do not fit beside the keys
+        pos = np.argsort(key, kind="stable")
+        key = key[pos]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    slot = np.cumsum(first)
+    slot -= 1
+    return key[first], slot, pos
+
+
 class SparseRealMatrix:
     """CSR matrix with sorted, duplicate-free columns and no stored zeros."""
 
@@ -58,7 +88,8 @@ class SparseRealMatrix:
     def from_coo(cls, rows: int, cols: int, row, col, value) -> "SparseRealMatrix":
         """Build from parallel (row, col, value) arrays; duplicates sum, zeros drop.
 
-        Duplicates are summed in input order, starting from 0.0.
+        Duplicates are summed in input order, starting from 0.0. A shape
+        whose rows·cols exceeds the int64 range is a ValueError.
         """
         row = np.asarray(row, dtype=np.int64)
         col = np.asarray(col, dtype=np.int64)
@@ -70,9 +101,16 @@ class SparseRealMatrix:
         if outside.size:
             k = outside[0]
             raise IndexError(f"entry ({row[k]}, {col[k]}) outside {rows}x{cols}")
-        keys, slot = np.unique(row * cols + col, return_inverse=True)
-        # bincount adds each key's values in input order, like a running sum
-        sums = np.bincount(slot, weights=value, minlength=keys.size)
+        if rows * cols - 1 > np.iinfo(np.int64).max:
+            raise ValueError(f"a {rows}x{cols} matrix has more positions than int64 keys")
+        key = row * cols
+        key += col
+        keys, slot, pos = packed_unique(key, rows * cols)
+        del key
+        # bincount adds each key's values in sorted order, which within a
+        # key is input order, like a running sum
+        sums = np.bincount(slot, weights=value[pos], minlength=keys.size)
+        del slot, pos
         kept = sums != 0.0
         keys, sums = keys[kept], sums[kept]
         indptr = np.zeros(rows + 1, dtype=np.int64)

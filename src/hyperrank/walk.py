@@ -171,10 +171,14 @@ def build_transition(hg: DirectedHypergraph,
     fan = deg.arc_head[tail_arc]
     head_pos = (np.repeat(lay.head_ptr[tail_arc] - (np.cumsum(fan) - fan), fan)
                 + np.arange(fan.sum()))
-    # then each dangling vertex's uniform row, which has no arc entries
-    rows = np.concatenate([np.repeat(lay.tail_idx, fan), np.repeat(jumpers, n)])
-    cols = np.concatenate([lay.head_idx[head_pos], np.tile(np.arange(n), jumpers.size)])
-    vals = np.concatenate([np.repeat(step, fan), np.full(jumpers.size * n, 1.0 / n)])
+    rows = np.repeat(lay.tail_idx, fan)
+    cols = lay.head_idx[head_pos]
+    vals = np.repeat(step, fan)
+    del head_pos, step, fan
+    if jumpers.size:  # each dangling vertex's uniform row, which has no arc entries
+        rows = np.concatenate([rows, np.repeat(jumpers, n)])
+        cols = np.concatenate([cols, np.tile(np.arange(n), jumpers.size)])
+        vals = np.concatenate([vals, np.full(jumpers.size * n, 1.0 / n)])
     matrix = SparseRealMatrix.from_coo(n, n, rows, cols, vals)
     return TransitionMatrix(matrix, hg.vertices)
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from hyperrank import (DirectedHypergraph, build_incidence, compute_degrees,
                        prune_to_core, validate)
+from hyperrank import core
 from hyperrank.core import ArcLayout, FlatArcs
 from hyperrank.errors import ValidationError
+from hyperrank.walk import build_transition
 
 import oracles
 from randgen import (hypergraphs, invalid_hypergraphs, random_hypergraph,
@@ -280,6 +282,36 @@ def test_prune_to_empty_matches_loop_oracle(chain):
         (1, "arc", "e2", "head emptied"),
         (2, "vertex", "b", "zero tail and head degree"),
     ]
+
+
+
+def _assert_core_keeps_a_true_report(hg):
+    """The core carries the input's report; a fresh loop check agrees, and
+    building the core's transition matrix checks nothing again."""
+    pruned, _ = prune_to_core(hg)
+    fresh = oracles.validate(pruned)
+    assert fresh.ok
+    assert validate(pruned) == fresh
+    if pruned.n_vertices:
+        checked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_check", checked.append)
+            build_transition(pruned)
+        assert checked == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+def test_pruned_core_report_is_true_on_generated_hypergraphs(hg):
+    _assert_core_keeps_a_true_report(hg)
+
+
+def test_pruned_core_report_is_true_on_seeded_hypergraphs(chain):
+    rng = np.random.default_rng(73)
+    for _ in range(60):
+        _assert_core_keeps_a_true_report(random_hypergraph(rng, max_vertices=12))
+    _assert_core_keeps_a_true_report(chain)  # prunes to empty
+    _assert_core_keeps_a_true_report(FlatArcs().hypergraph(()))
 
 
 # ------------------------------------------ array-backed model vs records

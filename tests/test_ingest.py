@@ -572,6 +572,22 @@ SCHEMA_CASES = [
      'arcs[1]: "weight" must be a number'),
     ("{not json", "invalid JSON: Expecting property name enclosed in double quotes"
                   " (line 1, column 2)"),
+    # names that do not resolve: unhashable, null and true
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": [["a"]], "head": ["a"],'
+     ' "weight": 1}]}', 'arcs[0]."tail" must be an array of strings'),
+    ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], "head": ["b", {"a": 1}],'
+     ' "weight": 1}]}', 'arcs[0]."head" must be an array of strings'),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": [null], "head": ["a"],'
+     ' "weight": 1}]}', 'arcs[0]."tail" must be an array of strings'),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": [true],'
+     ' "weight": 1}]}', 'arcs[0]."head" must be an array of strings'),
+    # a name that is no string in a later arc outranks an earlier unknown name
+    ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["zz"], "head": ["b"],'
+     ' "weight": 1}, {"id": "f", "tail": ["a", 1], "head": ["b"], "weight": 1}]}',
+     'arcs[1]."tail" must be an array of strings'),
+    ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], "head": [null],'
+     ' "weight": 1}, {"id": "f", "tail": [false], "head": ["b"], "weight": 1}]}',
+     'arcs[0]."head" must be an array of strings'),
 ]
 
 
@@ -632,7 +648,7 @@ WRONG_TYPES = [3, 1.5, True, None, "a", [], ["a"], [1], {}, {"a": 1}]
 def mutated_docs(draw):
     """A generated document with one to three faults: a key dropped or added,
     a field of another type, an arc that is no object, an unknown name, a
-    name on both sides, an integer weight beyond the float range or a true
+    name of any JSON type, a name on both sides, an integer weight beyond the float range or a true
     weight."""
     doc = draw(st.one_of(relaid_docs(),
                          _any_hypergraphs.map(save_canonical).map(json.loads)))
@@ -643,8 +659,8 @@ def mutated_docs(draw):
             j = draw(st.integers(0, len(arcs) - 1))
             arc = arcs[j] if isinstance(arcs[j], dict) else {}
         fault = draw(st.sampled_from(["drop", "add", "retype", "no object",
-                                      "unknown name", "overlap", "huge weight",
-                                      "true weight"]))
+                                      "unknown name", "odd name", "overlap",
+                                      "huge weight", "true weight"]))
         target = arc
         if fault in ("drop", "add", "retype"):
             target = draw(st.sampled_from([doc, arc]))
@@ -662,6 +678,10 @@ def mutated_docs(draw):
             if isinstance(side, list):
                 name = draw(st.sampled_from(["zz", "@"]))
                 side.insert(draw(st.integers(0, len(side))), name)
+        elif fault == "odd name":
+            side = arc.get(draw(st.sampled_from(["tail", "head"])))
+            if isinstance(side, list):
+                side.insert(draw(st.integers(0, len(side))), draw(st.sampled_from(WRONG_TYPES)))
         elif (fault == "overlap" and isinstance(arc.get("tail"), list) and arc["tail"]
                 and isinstance(arc.get("head"), list)):
             arc["head"].append(draw(st.sampled_from(arc["tail"])))
@@ -715,6 +735,28 @@ def test_valid_documents_never_enter_the_per_arc_scan(monkeypatch):
     with pytest.raises(AssertionError, match="arc 0 left the bulk checks"):
         load_canonical('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"],'
                        ' "head": ["a"], "weight": 1, "color": 1}]}')
+
+
+def test_resolvable_documents_never_enter_the_name_scan(monkeypatch):
+    def scan(*columns):
+        raise AssertionError("a name left the bulk lookup")
+
+    monkeypatch.setattr(ingest, "_reject_names", scan)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        hg = random_hypergraph(rng, max_vertices=12, max_arcs=20)
+        assert load_canonical(save_canonical(hg)) == hg
+    # a repeated vertex id resolves to its first position; validate rejects it
+    with pytest.raises(ValidationError) as exc:
+        load_canonical('{"vertices": ["a", "b", "a"], "arcs": [{"id": "e", "tail": ["a"],'
+                       ' "head": ["b", "b"], "weight": 1e999}]}')
+    assert exc.value.report.codes() == {"DuplicateVertexId", "NonpositiveWeight"}
+    for text in ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["zz"], "head": ["a"],'
+                 ' "weight": 1}]}',
+                 '{"vertices": ["a"], "arcs": [{"id": "e", "tail": [["a"]], "head": ["a"],'
+                 ' "weight": 1}]}'):
+        with pytest.raises(AssertionError, match="a name left the bulk lookup"):
+            load_canonical(text)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperrank import SparseRealMatrix
+from hyperrank.sparse import packed_unique
 
 import oracles
 
@@ -158,3 +159,43 @@ def test_from_coo_rejects_misaligned_arrays():
         SparseRealMatrix.from_coo(2, 2, [0, 1], [0], [1.0])
     with pytest.raises(ValueError):
         SparseRealMatrix.from_coo(2, 2, [[0]], [[0]], [[1.0]])
+
+
+@pytest.mark.parametrize("row, col, value", [([4], [0], [1.0]),
+                                             ([4, 0], [3, 3], [1.0, 2.0])])
+def test_from_coo_refuses_shapes_beyond_int64_keys(row, col, value):
+    # 5·2**62 positions: a packed key row·cols + col would wrap past 2**63
+    with pytest.raises(ValueError, match="int64"):
+        SparseRealMatrix.from_coo(5, 2**62, row, col, value)
+
+
+def test_from_coo_beside_int64_limit_matches_dict_oracle_bitwise():
+    # 2**62 positions fit, but three entries need two position bits beside
+    # the keys, so the grouping falls back to a stable argsort
+    big = 2**62 - 1
+    case = (1, 2**62, [0] * 6, [big, 0, big, 5, 0, big],
+            [1e16, 2.0, -1e16, 3.0, -2.0, 1.0])
+    m = SparseRealMatrix.from_coo(*case)
+    assert oracles.csr_bytes(m) == oracles.csr_bytes(oracles.from_coo(*case))
+    # summed in input order (1e16 - 1e16) + 1.0; the reverse order gives 0.0
+    assert (m.indices.tolist(), m.data.tolist()) == ([5, big], [3.0, 1.0])
+
+
+def _grouped_by_oracle(keys):
+    distinct = sorted(set(keys))
+    pos = sorted(range(len(keys)), key=lambda k: (keys[k], k))
+    return distinct, [distinct.index(keys[k]) for k in pos], pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30), st.sampled_from([41, 2**40, 2**62, 2**63]))
+def test_packed_unique_groups_keys_in_input_order(keys, size):
+    # sizes near 2**63 leave no room for positions and take the argsort path
+    got = packed_unique(np.array(keys, dtype=np.int64), size)
+    assert [a.dtype for a in got] == [np.dtype(np.int64)] * 3
+    assert tuple(a.tolist() for a in got) == _grouped_by_oracle(keys)
+
+
+def test_packed_unique_refuses_keys_beyond_int64():
+    with pytest.raises(ValueError, match="int64"):
+        packed_unique(np.zeros(1, dtype=np.int64), 2**63 + 1)
