@@ -26,8 +26,8 @@ def packed_unique(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, n
     and its input position. ``key`` is overwritten.
     """
     top = np.iinfo(np.int64).max
-    if size - 1 > top:
-        raise ValueError(f"keys up to {size - 1} do not fit in int64")
+    if size > top:
+        raise ValueError(f"a range of {size} keys is beyond int64")
     shift = max(key.size - 1, 0).bit_length()
     if (max(size, 1) - 1) << shift <= top:
         # each key with its input position in the low bits: one plain sort
@@ -101,7 +101,7 @@ class SparseRealMatrix:
         if outside.size:
             k = outside[0]
             raise IndexError(f"entry ({row[k]}, {col[k]}) outside {rows}x{cols}")
-        if rows * cols - 1 > np.iinfo(np.int64).max:
+        if rows * cols > np.iinfo(np.int64).max:  # before row·cols + col can wrap
             raise ValueError(f"a {rows}x{cols} matrix has more positions than int64 keys")
         key = row * cols
         key += col

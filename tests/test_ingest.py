@@ -525,6 +525,14 @@ def test_repeated_vertex_id_names_its_first_position():
             load(text)
         assert str(exc.value) == ("DuplicateVertexId: b: vertex id occurs more than once\n"
                                   "TailHeadOverlap: e: tail and head share: c")
+    # by its last position "a" would sort after "b"
+    text = ('{"vertices": ["a", "b", "a"], "arcs": [{"id": "e", "tail": ["a", "b"],'
+            ' "head": ["b", "a"], "weight": 1}]}')
+    for load in (load_canonical, oracles.load_canonical):
+        with pytest.raises(ValidationError) as exc:
+            load(text)
+        assert str(exc.value) == ("DuplicateVertexId: a: vertex id occurs more than once\n"
+                                  "TailHeadOverlap: e: tail and head share: a, b")
 
 
 def test_load_reports_unknown_vertices_with_every_other_violation():
@@ -581,6 +589,8 @@ SCHEMA_CASES = [
      ' "weight": 1}]}', 'arcs[0]."tail" must be an array of strings'),
     ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": ["a"], "head": [true],'
      ' "weight": 1}]}', 'arcs[0]."head" must be an array of strings'),
+    ('{"vertices": ["a"], "arcs": [{"id": "e", "tail": [null], "head": [1],'
+     ' "weight": 1}]}', 'arcs[0]."tail" must be an array of strings'),
     # a name that is no string in a later arc outranks an earlier unknown name
     ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["zz"], "head": ["b"],'
      ' "weight": 1}, {"id": "f", "tail": ["a", 1], "head": ["b"], "weight": 1}]}',

@@ -161,16 +161,18 @@ def test_from_coo_rejects_misaligned_arrays():
         SparseRealMatrix.from_coo(2, 2, [[0]], [[0]], [[1.0]])
 
 
-@pytest.mark.parametrize("row, col, value", [([4], [0], [1.0]),
-                                             ([4, 0], [3, 3], [1.0, 2.0])])
-def test_from_coo_refuses_shapes_beyond_int64_keys(row, col, value):
-    # 5·2**62 positions: a packed key row·cols + col would wrap past 2**63
+@pytest.mark.parametrize("rows, cols, row, col, value", [
+    (5, 2**62, [4], [0], [1.0]),  # 5·2**62 positions: the key row·cols + col would wrap
+    (5, 2**62, [4, 0], [3, 3], [1.0, 2.0]),
+    (1, 2**63, [0], [0], [1.0]),  # cols itself is beyond int64
+])
+def test_from_coo_refuses_shapes_beyond_int64_keys(rows, cols, row, col, value):
     with pytest.raises(ValueError, match="int64"):
-        SparseRealMatrix.from_coo(5, 2**62, row, col, value)
+        SparseRealMatrix.from_coo(rows, cols, row, col, value)
 
 
 def test_from_coo_beside_int64_limit_matches_dict_oracle_bitwise():
-    # 2**62 positions fit, but three entries need two position bits beside
+    # 2**62 positions fit, but six entries need three position bits beside
     # the keys, so the grouping falls back to a stable argsort
     big = 2**62 - 1
     case = (1, 2**62, [0] * 6, [big, 0, big, 5, 0, big],
@@ -188,7 +190,7 @@ def _grouped_by_oracle(keys):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 40), max_size=30), st.sampled_from([41, 2**40, 2**62, 2**63]))
+@given(st.lists(st.integers(0, 40), max_size=30), st.sampled_from([41, 2**40, 2**62, 2**63 - 1]))
 def test_packed_unique_groups_keys_in_input_order(keys, size):
     # sizes near 2**63 leave no room for positions and take the argsort path
     got = packed_unique(np.array(keys, dtype=np.int64), size)
@@ -198,4 +200,4 @@ def test_packed_unique_groups_keys_in_input_order(keys, size):
 
 def test_packed_unique_refuses_keys_beyond_int64():
     with pytest.raises(ValueError, match="int64"):
-        packed_unique(np.zeros(1, dtype=np.int64), 2**63 + 1)
+        packed_unique(np.zeros(1, dtype=np.int64), 2**63)
