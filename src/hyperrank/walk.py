@@ -9,10 +9,14 @@ the row-stochastic transition matrix.
 
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
+import signal
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import BinaryIO, Mapping
 
 import numpy as np
 
@@ -35,6 +39,9 @@ DANGLING_POLICIES = (ON_DANGLING_ERROR, ON_DANGLING_UNIFORM_JUMP)
 DENSE_LIMIT = 512
 
 _WALK_CHUNK = 1 << 18
+# steps between two recorded states of a forked walk segment; at least 4·|V|
+# (see _split_walk)
+_WALK_STRIDE = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,6 +278,12 @@ class _WalkTables:
     head_ptr: np.ndarray    # per-arc slice bounds into head_verts
     head_verts: np.ndarray
 
+    def steps(self, u: int, r_arc, r_head, counts: np.ndarray) -> int:
+        """Walk from u over the draws, adding each visit to counts; the end vertex."""
+        return _kernels.walk_steps(self.arc_ptr, self.arc_cum, self.arc_of_slot,
+                                   self.head_ptr, self.head_verts,
+                                   u, r_arc, r_head, counts)
+
 
 def _walk_tables(hg: DirectedHypergraph) -> _WalkTables:
     deg = compute_degrees(hg)
@@ -300,8 +313,8 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
     """Empirical visit distribution after `steps` transitions from `start`.
 
     Counts the state landed on after each transition (the start state is
-    not counted), L1-normalized. Deterministic for a fixed seed, and
-    identical across kernel backends.
+    not counted), L1-normalized. Deterministic for a fixed seed: the counts
+    are identical for any number of worker processes (see `_split_walk`).
     """
     ensure_valid(hg)
     if steps < 1:
@@ -310,24 +323,156 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
         raise ValueError("seed must be a non-negative integer")
     if start not in hg.index_of:
         raise ValueError(f"unknown start vertex {start!r}")
-    tables = _walk_tables(hg)
-    counts = np.zeros(hg.n_vertices, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    u = hg.index_of[start]
-    remaining = steps
-    # one buffer for every chunk's draws; a short last chunk fills a prefix
-    buffer = np.empty(2 * min(_WALK_CHUNK, steps))
-    while remaining > 0:
-        chunk = min(_WALK_CHUNK, remaining)
-        draws = buffer[:2 * chunk].reshape(2, chunk)
-        rng.random(out=draws)
-        u = _kernels.walk_steps(tables.arc_ptr, tables.arc_cum,
-                                tables.arc_of_slot, tables.head_ptr,
-                                tables.head_verts, u, draws[0], draws[1],
-                                counts)
-        remaining -= chunk
+    counts = _split_walk(_walk_tables(hg), hg.index_of[start], steps, seed)
     freq = counts / float(steps)
     return {v: float(freq[i]) for i, v in enumerate(hg.vertices)}
+
+
+def _pieces(seed: int, first: int, last: int, stride: int, buffer: np.ndarray):
+    """The draws of steps [first, last) exactly as a walk of every step from
+    step 0 reads them, one chunk at a time in ``buffer``, cut into
+    ``(r_arc, r_head)`` pieces at every multiple of ``stride`` within each
+    chunk. ``first`` is a chunk boundary: each earlier chunk took 2·chunk
+    doubles, one 64-bit output each, so the stream there is PCG64(seed)
+    advanced by 2·first."""
+    bits = np.random.PCG64(seed)
+    bits.advance(2 * first)
+    rng = np.random.Generator(bits)
+    for a in range(first, last, _WALK_CHUNK):
+        chunk = min(_WALK_CHUNK, last - a)
+        draws = buffer[:2 * chunk].reshape(2, chunk)
+        rng.random(out=draws)
+        for b in range(0, chunk, stride):
+            yield draws[0, b:b + stride], draws[1, b:b + stride]
+
+
+def _worker_count(chunks: int) -> int:
+    """One process per available CPU, at most one per chunk. One alone where
+    there is no fork; where a second thread is alive, since a child would
+    hold a copy of any lock that thread held and no thread to release it;
+    and where SIGCHLD is ignored, since no child's exit status is kept."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if chunks < 2 or affinity is None or not hasattr(os, "fork") \
+            or threading.active_count() > 1 \
+            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+        return 1
+    return min(len(affinity(0)), chunks)
+
+
+def _split_walk(tables: _WalkTables, start: int, steps: int,
+                seed: int) -> np.ndarray:
+    """Visit counts of the seeded walk of `steps` steps from `start`, split
+    at chunk boundaries into one segment per worker process.
+
+    Segment 0 is walked here. Every later segment is walked from `start` by
+    a forked child, which records its state every `stride` steps (a piece).
+    Once this process has the true state at a segment's first step, it
+    follows the true path piece by piece until it stands where the child
+    stood. From there on both read the same draws from the same vertex, so
+    they coincide (the coupling of Propp & Wilson, "Exact sampling with
+    coupled Markov chains", 1996): the child's counts and end vertex hold
+    from that piece on, and its counts of the pieces before it are walked
+    again and taken off. A segment whose paths never meet, or whose child
+    failed, is walked here in full. The counts are therefore those of one
+    process walking every step, whatever the number of workers.
+    """
+    n = tables.arc_ptr.size - 1
+    chunks = -(-steps // _WALK_CHUNK)
+    workers = _worker_count(chunks)
+    bounds = [min(k * chunks // workers * _WALK_CHUNK, steps) for k in range(workers + 1)]
+    # the stepper converts the counts to a list and back on every call
+    stride = max(_WALK_STRIDE, 4 * n)
+    parent = os.getpid()
+    children: dict[int, tuple[int, BinaryIO]] = {}  # segment -> (pid, pipe)
+    try:
+        # fork before any draw buffer exists, so no process holds two
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the rest is walked here
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                os.close(read)
+                _walk_segment(write, tables, start, seed, bounds[k], bounds[k + 1], stride)
+            os.close(write)
+            children[k] = (pid, open(read, "rb"))
+        buffer = np.empty(2 * min(_WALK_CHUNK, steps))
+        counts = np.zeros(n, dtype=np.int64)
+        u = start
+        for r_arc, r_head in _pieces(seed, 0, bounds[1], _WALK_CHUNK, buffer):
+            u = tables.steps(u, r_arc, r_head, counts)
+        for k in range(1, workers):
+            payload = None
+            if k in children:
+                pid, pipe = children[k]
+                data = pipe.read()
+                pipe.close()
+                try:
+                    ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+                except ChildProcessError:  # reaped elsewhere: its exit status is lost
+                    ok = False
+                del children[k]
+                if ok:
+                    payload = np.frombuffer(data, dtype=np.int64)
+            u = _stitch(tables, u, seed, bounds[k], bounds[k + 1], stride, buffer,
+                        counts, payload)
+        return counts
+    finally:
+        if os.getpid() != parent:  # a child that escaped _walk_segment
+            os._exit(1)
+        for pid, pipe in children.values():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _walk_segment(write: int, tables: _WalkTables, start: int, seed: int,
+                  first: int, last: int, stride: int):
+    """In a forked child: walk [first, last) from `start` and write to the
+    pipe ``write`` one int64 buffer, the end vertex, the state at the start
+    of every piece and the counts. Leaves only through ``os._exit``, and
+    writes nothing to stdout or stderr."""
+    code = 1
+    try:
+        counts = np.zeros(tables.arc_ptr.size - 1, dtype=np.int64)
+        states = []
+        u = start
+        buffer = np.empty(2 * min(_WALK_CHUNK, last - first))
+        for r_arc, r_head in _pieces(seed, first, last, stride, buffer):
+            states.append(u)
+            u = tables.steps(u, r_arc, r_head, counts)
+        with open(write, "wb") as pipe:
+            pipe.write(np.concatenate([[u], states, counts]).astype(np.int64).tobytes())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _stitch(tables: _WalkTables, u: int, seed: int, first: int, last: int,
+            stride: int, buffer: np.ndarray, counts: np.ndarray, payload) -> int:
+    """Add the visits of segment [first, last), entered at vertex u, to
+    counts from the child's ``payload`` (None if the child failed); the
+    segment's true end vertex."""
+    n = counts.size
+    states = payload[1:-n].tolist() if payload is not None else []
+    met = None
+    for i, (r_arc, r_head) in enumerate(_pieces(seed, first, last, stride, buffer)):
+        if i < len(states) and u == states[i]:
+            met = i
+            break
+        u = tables.steps(u, r_arc, r_head, counts)
+    if met is None:
+        return u
+    before = np.zeros_like(counts)
+    for v, (r_arc, r_head) in zip(states[:met], _pieces(seed, first, last, stride, buffer)):
+        tables.steps(v, r_arc, r_head, before)
+    counts += payload[-n:]
+    counts -= before
+    return int(payload[0])
 
 
 def top_k(rank: RankVector, k: int,
