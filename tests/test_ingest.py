@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 
@@ -652,6 +653,9 @@ def relaid_docs(draw):
 
 
 WRONG_TYPES = [3, 1.5, True, None, "a", [], ["a"], [1], {}, {"a": 1}]
+# A fresh copy on every draw: a later fault may insert into a list or add a
+# key to a dict it placed, and that must not leak into the next example.
+_wrong_values = st.sampled_from(WRONG_TYPES).map(copy.deepcopy)
 
 
 @st.composite
@@ -680,9 +684,9 @@ def mutated_docs(draw):
             target[draw(st.sampled_from(["color", "id", "weight"]))] = "red"
         elif fault == "retype" and target:
             key = draw(st.sampled_from(sorted(target)))
-            target[key] = draw(st.sampled_from(WRONG_TYPES))
+            target[key] = draw(_wrong_values)
         elif fault == "no object" and arc:
-            arcs[j] = draw(st.sampled_from(WRONG_TYPES))
+            arcs[j] = draw(_wrong_values)
         elif fault == "unknown name":
             side = arc.get(draw(st.sampled_from(["tail", "head"])))
             if isinstance(side, list):
@@ -691,7 +695,7 @@ def mutated_docs(draw):
         elif fault == "odd name":
             side = arc.get(draw(st.sampled_from(["tail", "head"])))
             if isinstance(side, list):
-                side.insert(draw(st.integers(0, len(side))), draw(st.sampled_from(WRONG_TYPES)))
+                side.insert(draw(st.integers(0, len(side))), draw(_wrong_values))
         elif (fault == "overlap" and isinstance(arc.get("tail"), list) and arc["tail"]
                 and isinstance(arc.get("head"), list)):
             arc["head"].append(draw(st.sampled_from(arc["tail"])))
