@@ -8,14 +8,13 @@ produced and all checked invariants held.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
 from .core import DirectedHypergraph, prune_to_core
 from .errors import (DanglingVertexError, DenseLimitExceededError,
-                     HyperrankError, IngestError, NoConvergenceError,
-                     NotStationaryError, ValidationError)
+                     HyperrankError, NoConvergenceError, NotStationaryError,
+                     ValidationError)
 from .ingest import (SPLIT, REVERSIBLE_POLICIES, IngestReport, load_canonical,
                      parse_reactions_text, reactions_to_hypergraph,
                      save_canonical)
@@ -71,13 +70,15 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load(ns) -> DirectedHypergraph:
+def _load(ns) -> tuple[DirectedHypergraph, IngestReport | None]:
+    """The input network and, for reaction text, its ingest report.
+
+    The input text is this call's own, so it is freed when the call returns.
+    """
     text = _read_input(ns.input)
-    if ns.format == "reactions":
-        hg, report = reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
-        _log_ingest(report)
-        return hg
-    return load_canonical(text)
+    if ns.format == "json":
+        return load_canonical(text), None
+    return reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
 
 
 def _note_collapsed(report: IngestReport) -> None:
@@ -98,8 +99,12 @@ def _log_ingest(report: IngestReport) -> None:
                              for rid, reason in report.dropped))
 
 
-def _maybe_prune(ns, hg: DirectedHypergraph) -> DirectedHypergraph:
-    if not getattr(ns, "prune", False):
+def _network(ns) -> DirectedHypergraph:
+    """The input network, its ingest notes written, pruned with --prune."""
+    hg, report = _load(ns)
+    if report is not None:
+        _log_ingest(report)
+    if not ns.prune:
         return hg
     pruned, events = prune_to_core(hg)
     sys.stderr.write("".join(
@@ -109,49 +114,41 @@ def _maybe_prune(ns, hg: DirectedHypergraph) -> DirectedHypergraph:
     return pruned
 
 
-def _power_options(ns, normalization: str | None = None) -> PowerOptions:
+def _power_options(ns) -> PowerOptions:
     return PowerOptions(damping=ns.damping, tolerance=ns.tol,
-                        max_iterations=ns.max_iters,
-                        normalization=normalization or ns.norm)
+                        max_iterations=ns.max_iters)
 
 
 def cmd_ingest(ns) -> int:
     _pin_mmap_threshold()
-    text = _read_input(ns.input)
-    if ns.format == "json":
-        hg = load_canonical(text)
+    hg, report = _load(ns)
+    if report is None:  # canonical JSON: one record per arc
         report = IngestReport(records=hg.n_arcs, vertices=hg.n_vertices,
                               arcs=hg.n_arcs)
-    else:
-        hg, report = reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
-    # nothing reads the input again: free it before the output is built
-    del text
     _log_ingest(report)
     _write_output([save_canonical(hg)], ns.output)
     return 0
 
 
 def cmd_validate(ns) -> int:
-    text = _read_input(ns.input)
     try:
-        if ns.format == "reactions":
-            hg, report = reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
-            _note_collapsed(report)
-        else:
-            hg = load_canonical(text)
+        hg, report = _load(ns)
     except ValidationError as exc:
         for violation in exc.report.violations:
             print(str(violation))
         return 1
+    if report is not None:
+        _note_collapsed(report)
     print("ok")
     _note(f"{hg.n_vertices} vertices, {hg.n_arcs} arcs")
     return 0
 
 
 def cmd_rank(ns) -> int:
-    hg = _maybe_prune(ns, _load(ns))
-    P = build_transition(hg)
-    rank = pagerank_power(P, _power_options(ns))
+    P = build_transition(_network(ns))
+    rank = pagerank_power(P, _power_options(ns)).with_normalization(ns.norm)
+    if ns.top > P.n:
+        _note(f"WARNING top_k clamped from {ns.top} to the {P.n} available vertices")
     rows = top_k(rank, ns.top, round_to=4 if ns.precision == "4" else None)
     lines = ["rank\tvertex\tvalue"]
     lines += [f"{i}\t{vertex}\t{_fmt(value, ns.precision)}"
@@ -184,9 +181,8 @@ def _laplacian_tsv(matrix: SparseRealMatrix):
 
 
 def cmd_laplacian(ns) -> int:
-    hg = _maybe_prune(ns, _load(ns))
-    P = build_transition(hg)
-    pi = pagerank_power(P, _power_options(ns, normalization=L1))
+    P = build_transition(_network(ns))
+    pi = pagerank_power(P, _power_options(ns))
     try:
         pair = build_laplacians(P, pi)
     except NotStationaryError as exc:
@@ -208,7 +204,7 @@ def cmd_laplacian(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
-    hg = _maybe_prune(ns, _load(ns))
+    hg = _network(ns)
     if ns.start is not None:
         start = ns.start
     elif hg.vertices:
@@ -217,7 +213,7 @@ def cmd_simulate(ns) -> int:
         raise ValueError("the network has no vertices to walk on")
     P = build_transition(hg)
     try:
-        pi = pagerank_power(P, _power_options(ns, normalization=L1))
+        pi = pagerank_power(P, _power_options(ns))
     except NoConvergenceError as exc:
         fallback = "power iteration did not converge; comparing against the dense solve"
         try:
@@ -251,14 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, metavar="PATH",
                        help="write data there instead of standard output")
 
-    def add_rank_flags(p):
+    def add_power_flags(p):
         p.add_argument("--prune", action="store_true",
                        help="prune to the positive-degree core first")
         p.add_argument("--damping", type=float, default=1.0, metavar="F")
         p.add_argument("--tol", type=float, default=1e-10, metavar="F")
         p.add_argument("--max-iters", type=int, default=10000, metavar="N")
-        p.add_argument("--norm", choices=NORMALIZATIONS, default=L1)
-        p.add_argument("--precision", choices=("4", "full"), default="4")
 
     p = sub.add_parser("ingest", help="parse a network and emit canonical JSON")
     add_common(p, "reactions")
@@ -270,20 +264,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank vertices by the stationary walk distribution")
     add_common(p, "json")
-    add_rank_flags(p)
+    add_power_flags(p)
+    p.add_argument("--norm", choices=NORMALIZATIONS, default=L1)
+    p.add_argument("--precision", choices=("4", "full"), default="4")
     p.add_argument("--top", type=int, default=10, metavar="K")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("laplacian", help="emit a walk Laplacian as TSV")
     add_common(p, "json")
-    add_rank_flags(p)
+    add_power_flags(p)
     p.add_argument("--kind", choices=("unnormalized", "symmetric"),
                    default="unnormalized")
     p.set_defaults(func=cmd_laplacian)
 
     p = sub.add_parser("simulate", help="Monte Carlo walk and its empirical distribution")
     add_common(p, "json")
-    add_rank_flags(p)
+    add_power_flags(p)
+    p.add_argument("--precision", choices=("4", "full"), default="4")
     p.add_argument("--steps", type=int, default=1000000, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--start", default=None, metavar="VERTEX",
@@ -293,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
@@ -305,10 +301,7 @@ def main(argv=None) -> int:
         _note(f"hyperrank: {exc}")
         _note("hint: run with --prune")
         return 1
-    except (ValidationError, IngestError, HyperrankError, ValueError) as exc:
-        _note(f"hyperrank: {exc}")
-        return 1
-    except OSError as exc:
+    except (HyperrankError, ValueError, OSError) as exc:
         _note(f"hyperrank: {exc}")
         return 1
     except MemoryError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -300,11 +300,11 @@ def ensure_valid(hg: DirectedHypergraph) -> DirectedHypergraph:
 
 @dataclass(frozen=True, eq=False)
 class DegreeTables:
-    """The four degree maps, aligned to canonical vertex/arc order.
+    """The paper's four degree maps, aligned to canonical vertex/arc order.
 
-    Vertex degrees are weight-summed reals; arc degrees are plain
-    cardinalities. The arrays double as the diagonals of the four
-    degree matrices.
+    Vertex degrees are weight-summed reals (H_tail·w and H_head·w for the
+    incidence matrices of build_incidence); arc degrees are plain
+    cardinalities. The arrays are the diagonals of the four degree matrices.
     """
 
     vertex_tail: np.ndarray
@@ -330,7 +330,8 @@ def compute_degrees(hg: DirectedHypergraph) -> DegreeTables:
 
 
 def build_incidence(hg: DirectedHypergraph) -> tuple[SparseRealMatrix, SparseRealMatrix]:
-    """The |V|x|E| 0/1 tail and head membership matrices, in that order."""
+    """The paper's |V|x|E| 0/1 incidence matrices H_tail and H_head, in that
+    order: H_tail[v, e] is 1 exactly when v is in the tail of arc e."""
     ensure_valid(hg)
     lay = hg.layout
     nv, na = hg.n_vertices, hg.n_arcs
@@ -340,8 +341,7 @@ def build_incidence(hg: DirectedHypergraph) -> tuple[SparseRealMatrix, SparseRea
                                       np.ones(lay.head_idx.size)))
 
 
-@dataclass(frozen=True)
-class PruneEvent:
+class PruneEvent(NamedTuple):
     round: int
     kind: str  # "vertex" | "arc"
     identifier: str
@@ -410,6 +410,14 @@ def prune_to_core(hg: DirectedHypergraph) -> tuple[DirectedHypergraph, list[Prun
 
 def _gather(seq: tuple[str, ...], idx: np.ndarray) -> tuple[str, ...]:
     return tuple(map(seq.__getitem__, idx.tolist()))
+
+
+def _take(ptr, idx, rows) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (ptr, idx) of the given rows of a CSR block, in the order of ``rows``."""
+    lengths = np.diff(ptr)[rows]
+    taken = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=taken[1:])
+    return taken, idx[np.repeat(ptr[rows] - taken[:-1], lengths) + np.arange(taken[-1])]
 
 
 def _surviving_side(idx, arc, alive_vertex, alive_arc, remap):

@@ -30,7 +30,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from .core import (UNKNOWN_VERTEX, ArcLayout, DirectedHypergraph,
-                   ValidationReport, Violation, ensure_valid, validate)
+                   ValidationReport, Violation, _take, ensure_valid, validate)
 from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
                      TailHeadOverlapError, ValidationError)
 
@@ -181,14 +181,6 @@ class IngestReport:
     collapsed_duplicates: int = 0
     collapsed: list[tuple[str, int]] = field(default_factory=list)
     dropped: list[tuple[str, str]] = field(default_factory=list)
-
-
-def _take(ptr, idx, rows) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (ptr, idx) of the given rows of a CSR block, in the order of ``rows``."""
-    lengths = np.diff(ptr)[rows]
-    taken = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=taken[1:])
-    return taken, idx[np.repeat(ptr[rows] - taken[:-1], lengths) + np.arange(taken[-1])]
 
 
 @_collector_paused()

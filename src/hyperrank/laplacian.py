@@ -7,8 +7,10 @@ matrix P:
     L_sym = I - (S^½·P·S^-½ + S^-½·Pᵀ·S^½) / 2
 
 Both are sparse, stored on the union of the patterns of P, Pᵀ and the
-diagonal, and symmetrized by averaging with their transpose after
-construction; the pre-symmetrization defect is recorded for reporting.
+diagonal. An entry and its transpose take the same two products, added in
+swapped order, and IEEE addition and multiplication commute, so both
+matrices are exactly symmetric as built. Their symmetry defect is still
+measured and reported, as a check.
 
 The all-ones vector is in the null space of L and sqrt(pi) in the null
 space of L_sym. Both matrices are symmetric with nonpositive off-diagonal
@@ -30,7 +32,10 @@ from .errors import NonpositivePiError, NotStationaryError
 from .sparse import SparseRealMatrix, packed_unique
 from .walk import L1, RankVector, TransitionMatrix
 
-STATIONARITY_TOL = 1e-8
+STATIONARITY_TOL = 1e-8   # build_laplacians: largest L1 residual |pi·P - pi|
+DEFECT_TOL = 1e-12        # SpectralReport.within: largest symmetry defect
+NULL_TOL = 1e-10          # SpectralReport.within: largest null-vector residual
+EIGENVALUE_FLOOR = -1e-9  # SpectralReport.within: least eigenvalue lower bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,22 +79,20 @@ def _union_pattern(P: SparseRealMatrix):
     return u, v, forward, backward, transpose
 
 
-def _symmetrize(n: int, u, v, raw, transpose) -> tuple[SparseRealMatrix, float]:
-    raw_t = raw[transpose]
-    defect = float(np.abs(raw - raw_t).max(initial=0.0))
-    out = 0.5 * (raw + raw_t)
-    kept = out != 0.0
+def _stored(n: int, u, v, raw, transpose) -> tuple[SparseRealMatrix, float]:
+    """The matrix of the entries ``raw`` and its symmetry defect, max |raw - rawᵀ|."""
+    defect = float(np.abs(raw - raw[transpose]).max(initial=0.0))
+    kept = raw != 0.0
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u[kept], minlength=n), out=indptr[1:])
-    return SparseRealMatrix(n, n, indptr, v[kept], out[kept]), defect
+    return SparseRealMatrix(n, n, indptr, v[kept], raw[kept]), defect
 
 
-def build_laplacians(P: TransitionMatrix, pi: RankVector,
-                     stationarity_tol: float = STATIONARITY_TOL) -> LaplacianPair:
+def build_laplacians(P: TransitionMatrix, pi: RankVector) -> LaplacianPair:
     """Construct both Laplacians from P and its stationary rank vector.
 
     pi must carry the L1 tag (a probability vector), be strictly positive,
-    and actually be stationary for P within `stationarity_tol` in L1.
+    and actually be stationary for P within STATIONARITY_TOL in L1.
     Every stored entry takes the same floating-point operations, in the
     same order, as the dense formulas in the module docstring.
     """
@@ -103,8 +106,8 @@ def build_laplacians(P: TransitionMatrix, pi: RankVector,
         raise NonpositivePiError(pi.vertices[int(nonpositive[0])])
     flow = P.matrix.left_multiply(values)
     residual = float(np.abs(flow - values).sum())
-    if residual > stationarity_tol:
-        raise NotStationaryError(residual, stationarity_tol)
+    if residual > STATIONARITY_TOL:
+        raise NotStationaryError(residual, STATIONARITY_TOL)
 
     n = P.n
     u, v, forward, backward, transpose = _union_pattern(P.matrix)
@@ -112,13 +115,13 @@ def build_laplacians(P: TransitionMatrix, pi: RankVector,
     # S - (S·P + Pᵀ·S)/2, entry by entry
     raw = (np.where(diagonal, values[u], 0.0)
            - 0.5 * (values[u] * forward + backward * values[v]))
-    unnormalized, defect_u = _symmetrize(n, u, v, raw, transpose)
+    unnormalized, defect_u = _stored(n, u, v, raw, transpose)
 
     root = np.sqrt(values)
     # I - (S^½·P·S^-½ + S^-½·Pᵀ·S^½)/2, entry by entry
     raw = (np.where(diagonal, 1.0, 0.0)
            - 0.5 * ((root[u] * forward) / root[v] + (backward * root[v]) / root[u]))
-    normalized, defect_n = _symmetrize(n, u, v, raw, transpose)
+    normalized, defect_n = _stored(n, u, v, raw, transpose)
 
     ones_image = 0.5 * (values - flow)
     ones_image.setflags(write=False)
@@ -135,14 +138,13 @@ class SpectralReport:
     lower_bound_unnormalized: float  # <= the smallest eigenvalue of L
     lower_bound_normalized: float    # <= the smallest eigenvalue of L_sym
 
-    def within(self, defect_tol: float = 1e-12, null_tol: float = 1e-10,
-               eigenvalue_floor: float = -1e-9) -> bool:
-        return (self.symmetry_defect_unnormalized <= defect_tol
-                and self.symmetry_defect_normalized <= defect_tol
-                and self.ones_residual <= null_tol
-                and self.sqrt_pi_residual <= null_tol
-                and self.lower_bound_unnormalized >= eigenvalue_floor
-                and self.lower_bound_normalized >= eigenvalue_floor)
+    def within(self) -> bool:
+        return (self.symmetry_defect_unnormalized <= DEFECT_TOL
+                and self.symmetry_defect_normalized <= DEFECT_TOL
+                and self.ones_residual <= NULL_TOL
+                and self.sqrt_pi_residual <= NULL_TOL
+                and self.lower_bound_unnormalized >= EIGENVALUE_FLOOR
+                and self.lower_bound_normalized >= EIGENVALUE_FLOOR)
 
     def lines(self) -> list[str]:
         return [

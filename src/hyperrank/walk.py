@@ -10,7 +10,6 @@ the row-stochastic transition matrix.
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import signal
 import threading
@@ -21,12 +20,10 @@ from typing import BinaryIO, Mapping
 import numpy as np
 
 from . import _kernels
-from .core import DirectedHypergraph, compute_degrees, ensure_valid
+from .core import DirectedHypergraph, _take, compute_degrees, ensure_valid
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      MultipleSolutionsError, NoConvergenceError)
 from .sparse import SparseRealMatrix
-
-logger = logging.getLogger(__name__)
 
 L1 = "l1"
 L2 = "l2"
@@ -175,13 +172,11 @@ def build_transition(hg: DirectedHypergraph,
     # nesting order, so that from_coo sums each pair's steps in arc order
     tail_arc = lay.tail_arc
     step = (lay.weight / deg.arc_head)[tail_arc] / deg.vertex_tail[lay.tail_idx]
-    fan = deg.arc_head[tail_arc]
-    head_pos = (np.repeat(lay.head_ptr[tail_arc] - (np.cumsum(fan) - fan), fan)
-                + np.arange(fan.sum()))
+    taken, cols = _take(lay.head_ptr, lay.head_idx, tail_arc)
+    fan = np.diff(taken)
     rows = np.repeat(lay.tail_idx, fan)
-    cols = lay.head_idx[head_pos]
     vals = np.repeat(step, fan)
-    del head_pos, step, fan
+    del step, fan, taken
     if jumpers.size:  # each dangling vertex's uniform row, which has no arc entries
         rows = np.concatenate([rows, np.repeat(jumpers, n)])
         cols = np.concatenate([cols, np.tile(np.arange(n), jumpers.size)])
@@ -479,15 +474,13 @@ def top_k(rank: RankVector, k: int,
           round_to: int | None = None) -> list[tuple[str, float]]:
     """The k highest-scored vertices, descending, ties by vertex order.
 
+    A k above the number of vertices gives every vertex, without a notice.
     With `round_to`, values are compared after rounding to that many
     decimals, so the ordering agrees with a fixed-precision report.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(rank.vertices)
-    if k > n:
-        logger.warning("top_k clamped from %d to the %d available vertices", k, n)
-        k = n
     keys = rank.values if round_to is None else np.round(rank.values, round_to)
     order = np.lexsort((np.arange(n), -keys))[:k]
     return [(rank.vertices[i], float(rank.values[i])) for i in order.tolist()]

@@ -363,6 +363,42 @@ def test_prune_log_goes_to_stderr(tmp_path, capsys):
     assert captured.out.splitlines()[0] == "rank\tvertex\tvalue"
 
 
+def test_every_call_writes_the_clamp_notice_to_its_own_stderr(capsys):
+    # the notice is a plain write to the current stderr, so a second call in
+    # the same process shows it as the first did
+    argv = ["rank", str(Path(__file__).parent / "data" / "small_net.json"),
+            "--prune", "--top", "50"]
+    notice = "WARNING top_k clamped from 50 to the 30 available vertices\n"
+    errs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].endswith(notice)
+
+
+@pytest.mark.parametrize("argv", [["laplacian", "--norm", "l2"],
+                                  ["laplacian", "--precision", "full"],
+                                  ["simulate", "--norm", "l2"]])
+def test_options_the_command_does_not_read_are_usage_errors(hg3_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], hg3_path, *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hyperrank")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+def test_the_cli_does_not_import_logging():
+    src = str(Path(hyperrank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hyperrank.cli; print('logging' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_integer_weight_beyond_float_range_is_a_violation(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], '

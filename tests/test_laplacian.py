@@ -90,7 +90,11 @@ def test_invariants_on_generated_cores(hg):
     except MultipleSolutionsError:
         assume(False)
     assume(pi.values.min() > 0.0)
-    assert spectral_report(build_laplacians(P, pi)).within()
+    pair = build_laplacians(P, pi)
+    assert spectral_report(pair).within()
+    # an entry and its transpose take the same two products, added in
+    # swapped order, so the matrices are exactly symmetric as built
+    assert (pair.raw_defect_unnormalized, pair.raw_defect_normalized) == (0.0, 0.0)
     _check_against_dense_oracle(P, pi)
 
 

@@ -398,9 +398,10 @@ def test_top_k_matches_the_keyed_sort_on_ties(raw, k, round_to):
     assert top_k(rv, k, round_to) == [(rv.vertices[i], float(rv.values[i])) for i in want]
 
 
-def test_top_k_clamps(hg3):
+def test_top_k_clamps(hg3, capsys):
     rank = pagerank_power(build_transition(hg3))
     assert len(top_k(rank, 10)) == 3
+    assert capsys.readouterr().err == ""
     with pytest.raises(ValueError):
         top_k(rank, 0)
 
