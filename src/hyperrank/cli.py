@@ -26,6 +26,7 @@ from .walk import (DENSE_LIMIT, L1, NORMALIZATIONS, PowerOptions,
 
 
 _M_MMAP_THRESHOLD = -3  # mallopt's parameter number, from glibc's malloc.h
+_SLICE = 1 << 20  # the most characters _write_output writes at once
 
 
 def _note(message: str) -> None:
@@ -37,12 +38,17 @@ def _fmt(value: float, precision: str) -> str:
 
 
 def _write_output(chunks, path: str | None) -> None:
-    """Write the strings of ``chunks``, in order, to standard output or PATH."""
+    """Write the strings of ``chunks``, in order, to standard output or PATH.
+
+    A string is written in slices of at most ``_SLICE`` characters, so its
+    encoding is never copied whole.
+    """
+    slices = (chunk[i:i + _SLICE] for chunk in chunks for i in range(0, len(chunk), _SLICE))
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(slices)
     else:
         with open(path, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
+            out.writelines(slices)
 
 
 def _pin_mmap_threshold() -> None:
@@ -73,12 +79,13 @@ def _read_input(path: str) -> str:
 def _load(ns) -> tuple[DirectedHypergraph, IngestReport | None]:
     """The input network and, for reaction text, its ingest report.
 
-    The input text is this call's own, so it is freed when the call returns.
+    The input text is handed on as a temporary, which its parse is the last
+    to hold.
     """
-    text = _read_input(ns.input)
     if ns.format == "json":
-        return load_canonical(text), None
-    return reactions_to_hypergraph(parse_reactions_text(text), ns.reversible)
+        return load_canonical(_read_input(ns.input)), None
+    return reactions_to_hypergraph(parse_reactions_text(_read_input(ns.input)),
+                                   ns.reversible)
 
 
 def _note_collapsed(report: IngestReport) -> None:

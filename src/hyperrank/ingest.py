@@ -87,6 +87,20 @@ def _collector_paused():
             gc.enable()
 
 
+def _fresh(strings: list[str]) -> list[str]:
+    """Equal strings as new objects, allocated together.
+
+    A string kept from a parse pins the 1 MiB allocator arena it sits in,
+    and with it the rest of the parse's garbage there; copies made while
+    the parse is alive land in arenas of their own, so dropping the parse
+    hands its arenas back to the OS.
+    """
+    joined = "\x00".join(strings)
+    if joined.count("\x00") == len(strings) - 1:  # no string holds a NUL
+        return joined.split("\x00") if strings else []
+    return [(s + "\x00")[:-1] for s in strings]
+
+
 class ReactionColumns(NamedTuple):
     """The records of a reaction text as columns, in file order.
 
@@ -165,7 +179,7 @@ def parse_reactions_text(text: str) -> ReactionColumns:
     names = " ".join(chain.from_iterable(zip(substrates, products))).replace("+", " ").split()
     tail_len, head_len = (np.array([s.count("+") + 1 if s else 0 for s in sides], dtype=np.int64)
                           for sides in (substrates, products))
-    return ReactionColumns(ids, names, tail_len, head_len,
+    return ReactionColumns(_fresh(ids), names, tail_len, head_len,
                            np.array(list(map(bool, reversible)), dtype=bool), weight)
 
 
@@ -209,7 +223,7 @@ def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SP
     index = dict(zip(dict.fromkeys(chain(compress(names, kept_name.tolist()),
                                          compress(names, (~kept_name).tolist()))), count()))
     code = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
-    vertices = list(islice(index, int(code[kept_name].max(initial=-1)) + 1))
+    vertices = _fresh(list(islice(index, int(code[kept_name].max(initial=-1)) + 1)))
     in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
                < np.repeat(tail_len, sizes))
     lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
@@ -338,7 +352,6 @@ def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: 
     raise ValidationError(ValidationReport(validate(hg).violations + unknown))
 
 
-@_collector_paused()
 def load_canonical(text: str) -> DirectedHypergraph:
     """Parse the canonical JSON format; reports every semantic violation.
 
@@ -346,47 +359,56 @@ def load_canonical(text: str) -> DirectedHypergraph:
     resolved in one pass per side, and handed to ``ArcLayout.from_sides``
     as columns. Only a document that a bulk check rejects, or with a name
     that does not resolve, is scanned arc by arc, to raise its error.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}",
-                          line=exc.lineno, column=exc.colno) from None
-    except RecursionError:
-        raise SchemaError("invalid JSON: nesting is too deep") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise SchemaError(f"unknown key {key!r}")
-    for key in _TOP_KEYS:
-        if key not in doc:
-            raise SchemaError(f"missing key {key!r}")
-    vertices = _string_list(doc["vertices"], '"vertices"')
-    arcs = doc["arcs"]
-    if not isinstance(arcs, list):
-        raise SchemaError('"arcs" must be an array')
-    columns = _arc_columns(arcs)
-    if columns is None:
-        for pos, raw in enumerate(arcs):
-            _check_arc(pos, raw)
-        raise AssertionError("the bulk checks reject arcs that every arc's checks accept")
-    ids, tails, heads, weights = columns
-    # the arc objects go; their fields live on in the columns
-    del doc, arcs, columns
 
-    # a name stands for its first position in the vertex list: the
-    # positions are entered last to first, so the first one stays
-    index = dict(zip(reversed(vertices), range(len(vertices) - 1, -1, -1)))
-    try:
-        # every key is a string, so a name that resolves is one
-        tail_len, tail_idx = _resolved(index, tails)
-        head_len, head_idx = _resolved(index, heads)
-    except (KeyError, TypeError):
-        _reject_names(vertices, index, ids, tails, heads, weights)
-    del tails, heads
-    return ensure_valid(DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
-        tail_len, tail_idx, head_len, head_idx, _weight_column(weights))))
+    The text is dropped once parsed, and the document before the layout is
+    built and validated; what the hypergraph keeps of it holds none of its
+    memory (see ``_fresh``), so the load peaks at the document itself.
+    """
+    with _collector_paused():
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc.msg}",
+                              line=exc.lineno, column=exc.colno) from None
+        except RecursionError:
+            raise SchemaError("invalid JSON: nesting is too deep") from None
+        del text
+        if not isinstance(doc, dict):
+            raise SchemaError("top level must be an object")
+        for key in doc:
+            if key not in _TOP_KEYS:
+                raise SchemaError(f"unknown key {key!r}")
+        for key in _TOP_KEYS:
+            if key not in doc:
+                raise SchemaError(f"missing key {key!r}")
+        vertices = _string_list(doc["vertices"], '"vertices"')
+        arcs = doc["arcs"]
+        if not isinstance(arcs, list):
+            raise SchemaError('"arcs" must be an array')
+        columns = _arc_columns(arcs)
+        if columns is None:
+            for pos, raw in enumerate(arcs):
+                _check_arc(pos, raw)
+            raise AssertionError("the bulk checks reject arcs that every arc's checks accept")
+        ids, tails, heads, weights = columns
+
+        # a name stands for its first position in the vertex list: the
+        # positions are entered last to first, so the first one stays
+        index = dict(zip(reversed(vertices), range(len(vertices) - 1, -1, -1)))
+        try:
+            # every key is a string, so a name that resolves is one
+            tail_len, tail_idx = _resolved(index, tails)
+            head_len, head_idx = _resolved(index, heads)
+        except (KeyError, TypeError):
+            _reject_names(vertices, index, ids, tails, heads, weights)
+        weight = _weight_column(weights)
+        del columns, tails, heads, weights, index
+        # each arc id lies among its arc's objects and would keep their
+        # arena; the vertex names lie together, so they are kept as they are
+        ids = _fresh(ids)
+        del doc, arcs
+        return ensure_valid(DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
+            tail_len, tail_idx, head_len, head_idx, weight)))
 
 
 @_collector_paused()

@@ -149,6 +149,19 @@ def test_out_of_memory_is_one_error_line(hg3_path, capsys, monkeypatch, error, l
     assert capsys.readouterr().err == line
 
 
+def test_output_is_written_in_slices(tmp_path, monkeypatch):
+    monkeypatch.setattr(hyperrank.cli, "_SLICE", 4)
+    chunks = ["", "abc", "d\u00e9f\U0001f600gh\n", "0123456789"]
+    path = tmp_path / "out.txt"
+    hyperrank.cli._write_output(iter(chunks), str(path))
+    assert path.read_bytes() == "".join(chunks).encode("utf-8")
+    written = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"writelines": written.extend})())
+    hyperrank.cli._write_output(chunks, None)
+    assert "".join(written) == "".join(chunks)
+    assert max(map(len, written)) == 4
+
+
 def test_ingest_json_passthrough_normalizes(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(HG3_JSON)
