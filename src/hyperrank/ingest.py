@@ -97,7 +97,7 @@ def _fresh(strings: list[str]) -> list[str]:
     """
     joined = "\x00".join(strings)
     if joined.count("\x00") == len(strings) - 1:  # no string holds a NUL
-        return joined.split("\x00") if strings else []
+        return joined.split("\x00")
     return [(s + "\x00")[:-1] for s in strings]
 
 
@@ -362,7 +362,8 @@ def load_canonical(text: str) -> DirectedHypergraph:
 
     The text is dropped once parsed, and the document before the layout is
     built and validated; what the hypergraph keeps of it holds none of its
-    memory (see ``_fresh``), so the load peaks at the document itself.
+    memory (see ``_fresh``), so the load peaks while the document is alive,
+    not after it on top of the layout's temporaries.
     """
     with _collector_paused():
         try:
