@@ -23,6 +23,7 @@ NONPOSITIVE_WEIGHT = "NonpositiveWeight"
 UNKNOWN_VERTEX = "UnknownVertex"
 DUPLICATE_VERTEX_ID = "DuplicateVertexId"
 DUPLICATE_ARC_ID = "DuplicateArcId"
+TAIL_WEIGHT_OVERFLOW = "TailWeightOverflow"
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,8 @@ def validate(hg: DirectedHypergraph) -> ValidationReport:
 
 def _check(hg: DirectedHypergraph) -> ValidationReport:
     """Masks over the layout flag the offending arcs; only those are
-    described, each with its violations in a fixed order."""
+    described, each with its violations in a fixed order. Then each vertex
+    whose tail weights sum beyond the float range is described."""
     violations: list[Violation] = []
     if len(hg.index_of) < hg.n_vertices:
         seen: set[str] = set()
@@ -262,6 +264,7 @@ def _check(hg: DirectedHypergraph) -> ValidationReport:
                                    head_arc[head_ok] * n + lay.head_idx[head_ok])))
     overlap = np.zeros(m, dtype=bool)
     overlap[keys[1:][keys[1:] == keys[:-1]] // max(n, 1)] = True
+    del keys, tail_ok, head_ok
     bad_weight = ~((lay.weight > 0.0) & np.isfinite(lay.weight))
     flagged = repeated | out_of_range | no_tail | no_head | overlap | bad_weight
     for j in np.flatnonzero(flagged).tolist():
@@ -288,6 +291,15 @@ def _check(hg: DirectedHypergraph) -> ValidationReport:
             weight = float(lay.weight[j])
             violations.append(Violation(NONPOSITIVE_WEIGHT, arc_id,
                                         f"weight {weight!r} is not a positive real"))
+    # the tail-weight sum divides its vertex's row of P and of the walk
+    # tables; an arc flagged above, whose indices or weight may be bad, is
+    # left out of it
+    counted = ~flagged[tail_arc]
+    tail_sum = np.bincount(lay.tail_idx[counted], weights=lay.weight[tail_arc[counted]],
+                           minlength=n)
+    for v in np.flatnonzero(~np.isfinite(tail_sum)).tolist():
+        violations.append(Violation(TAIL_WEIGHT_OVERFLOW, hg.vertices[v],
+                                    "tail weights sum beyond the float range"))
     return ValidationReport(tuple(violations))
 
 

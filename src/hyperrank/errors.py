@@ -45,13 +45,11 @@ class SchemaError(IngestError):
 class TailHeadOverlapError(IngestError):
     """A reaction mentions the same species on both sides."""
 
-    def __init__(self, record_id: str, species, line: int | None = None):
+    def __init__(self, record_id: str, species):
         self.record_id = record_id
         self.species = tuple(species)
         super().__init__(
-            f"reaction {record_id}: species on both sides: {', '.join(self.species)}",
-            line=line,
-        )
+            f"reaction {record_id}: species on both sides: {', '.join(self.species)}")
 
 
 class DanglingVertexError(HyperrankError):

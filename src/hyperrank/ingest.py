@@ -117,7 +117,7 @@ class ReactionColumns(NamedTuple):
     weight: np.ndarray
 
 
-def parse_reaction_line(line: str, *, line_no: int | None = None) -> None:
+def _parse_reaction_line(line: str, *, line_no: int | None = None) -> None:
     """Raise the error of a malformed reaction line, with its column: a bad
     weight first, then an unexpected character anywhere, then the first
     token the grammar cannot take. A well-formed, blank or comment-only
@@ -172,7 +172,7 @@ def parse_reactions_text(text: str) -> ReactionColumns:
             raise ValueError
     except ValueError:
         for line_no, line in enumerate(text.splitlines(), start=1):
-            parse_reaction_line(line, line_no=line_no)
+            _parse_reaction_line(line, line_no=line_no)
         raise AssertionError(
             "the whole-text scan rejects a text whose every line parses") from None
     # a side is its names with '+' and whitespace between them
@@ -197,7 +197,6 @@ class IngestReport:
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
 
-@_collector_paused()
 def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SPLIT
                             ) -> tuple[DirectedHypergraph, IngestReport]:
     """Turn parsed reactions into a hypergraph.
@@ -210,55 +209,62 @@ def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SP
     ``report.collapsed``). A record whose sides share a species is rejected
     outright; a record with an empty side is dropped (noted in
     ``report.dropped``).
+
+    The parse, its names and their index are dropped once the names are
+    numbered, before the records are laid out and the result validated.
     """
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
-    ids, names, (tail_len, head_len, reversible, weight) = (
-        parsed.ids, parsed.names, map(np.asarray, parsed[2:]))
-    sizes = tail_len + head_len
-    kept = (tail_len > 0) & (head_len > 0)
-    # the kept records' names are the vertices, in first-mention order; the
-    # names that only dropped records mention are numbered after them
-    kept_name = np.repeat(kept, sizes)
-    index = dict(zip(dict.fromkeys(chain(compress(names, kept_name.tolist()),
-                                         compress(names, (~kept_name).tolist()))), count()))
-    code = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
-    vertices = _fresh(list(islice(index, int(code[kept_name].max(initial=-1)) + 1)))
-    in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-               < np.repeat(tail_len, sizes))
-    lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
+    with _collector_paused():
+        ids, names, (tail_len, head_len, reversible, weight) = (
+            parsed.ids, parsed.names, map(np.asarray, parsed[2:]))
+        del parsed
+        sizes = tail_len + head_len
+        kept = (tail_len > 0) & (head_len > 0)
+        # the kept records' names are the vertices, in first-mention order; the
+        # names that only dropped records mention are numbered after them
+        kept_name = np.repeat(kept, sizes)
+        index = dict(zip(dict.fromkeys(chain(compress(names, kept_name.tolist()),
+                                             compress(names, (~kept_name).tolist()))),
+                         count()))
+        code = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
+        vertices = _fresh(list(islice(index, int(code[kept_name].max(initial=-1)) + 1)))
+        span = len(index) + 1
+        del names, index
+        in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                   < np.repeat(tail_len, sizes))
+        lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
 
-    # every record laid out as one arc holds a name once per side, so a
-    # (record, name) key met on both sides is shared
-    span = len(index) + 1
-    shared = np.isin(lay.head_arc * span + lay.head_idx, lay.tail_arc * span + lay.tail_idx,
-                     assume_unique=True)
-    if shared.any():
-        r = lay.head_arc[shared][0]
-        raise TailHeadOverlapError(ids[r], sorted(
-            vertices[v] for v in lay.head_idx[shared & (lay.head_arc == r)].tolist()))
-    collapsed = (sizes - np.diff(lay.tail_ptr) - np.diff(lay.head_ptr)).tolist()
+        # every record laid out as one arc holds a name once per side, so a
+        # (record, name) key met on both sides is shared
+        shared = np.isin(lay.head_arc * span + lay.head_idx,
+                         lay.tail_arc * span + lay.tail_idx, assume_unique=True)
+        if shared.any():
+            r = lay.head_arc[shared][0]
+            raise TailHeadOverlapError(ids[r], sorted(
+                vertices[v] for v in lay.head_idx[shared & (lay.head_arc == r)].tolist()))
+        collapsed = (sizes - np.diff(lay.tail_ptr) - np.diff(lay.head_ptr)).tolist()
 
-    rec = np.flatnonzero(kept)
-    twice = reversible[rec] & (reversible_policy == SPLIT)
-    arc_rec = np.repeat(rec, 1 + twice)
-    back = np.diff(arc_rec, prepend=-1) == 0  # a split record's second arc
-    arc_ids = np.array(ids, dtype=object)[arc_rec]
-    arc_ids[back] += "_rev"
-    arc_ids[np.flatnonzero(back) - 1] += "_fwd"
-    # rows 0..R-1 are the records' tails, rows R..2R-1 their heads
-    sides = (np.concatenate((lay.tail_ptr, lay.head_ptr[1:] + lay.tail_idx.size)),
-             np.concatenate((lay.tail_idx, lay.head_idx)))
-    hg = ensure_valid(DirectedHypergraph(vertices, arc_ids.tolist(), ArcLayout(
-        *_take(*sides, arc_rec + len(ids) * back), *_take(*sides, arc_rec + len(ids) * ~back),
-        lay.weight[arc_rec])))
-    return hg, IngestReport(
-        records=len(ids), vertices=hg.n_vertices, arcs=hg.n_arcs,
-        reversible_records=int(reversible[rec].sum()), split_arcs=2 * int(twice.sum()),
-        collapsed_duplicates=sum(collapsed),
-        collapsed=[(ids[r], collapsed[r]) for r in np.flatnonzero(collapsed).tolist()],
-        dropped=[(ids[r], "empty head" if tail_len[r] else "empty tail")
-                 for r in np.flatnonzero(~kept).tolist()])
+        rec = np.flatnonzero(kept)
+        twice = reversible[rec] & (reversible_policy == SPLIT)
+        arc_rec = np.repeat(rec, 1 + twice)
+        back = np.diff(arc_rec, prepend=-1) == 0  # a split record's second arc
+        arc_ids = np.array(ids, dtype=object)[arc_rec]
+        arc_ids[back] += "_rev"
+        arc_ids[np.flatnonzero(back) - 1] += "_fwd"
+        # rows 0..R-1 are the records' tails, rows R..2R-1 their heads
+        sides = (np.concatenate((lay.tail_ptr, lay.head_ptr[1:] + lay.tail_idx.size)),
+                 np.concatenate((lay.tail_idx, lay.head_idx)))
+        hg = ensure_valid(DirectedHypergraph(vertices, arc_ids.tolist(), ArcLayout(
+            *_take(*sides, arc_rec + len(ids) * back),
+            *_take(*sides, arc_rec + len(ids) * ~back), lay.weight[arc_rec])))
+        return hg, IngestReport(
+            records=len(ids), vertices=hg.n_vertices, arcs=hg.n_arcs,
+            reversible_records=int(reversible[rec].sum()), split_arcs=2 * int(twice.sum()),
+            collapsed_duplicates=sum(collapsed),
+            collapsed=[(ids[r], collapsed[r]) for r in np.flatnonzero(collapsed).tolist()],
+            dropped=[(ids[r], "empty head" if tail_len[r] else "empty tail")
+                     for r in np.flatnonzero(~kept).tolist()])
 
 
 _TOP_KEYS = ("vertices", "arcs")

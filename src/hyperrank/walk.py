@@ -131,24 +131,6 @@ class TransitionMatrix:
         return float(np.abs(self.matrix.row_sums() - 1.0).max())
 
 
-@dataclass(frozen=True)
-class PowerOptions:
-    damping: float = 1.0
-    tolerance: float = 1e-10
-    max_iterations: int = 10000
-    normalization: str = L1
-
-    def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-
 def build_transition(hg: DirectedHypergraph,
                      dangling: str = ON_DANGLING_ERROR) -> TransitionMatrix:
     """P[u, v] = sum over arcs e of w(e)·[u in tail]/d_tail(u)·[v in head]/|head(e)|.
@@ -171,7 +153,11 @@ def build_transition(hg: DirectedHypergraph,
     # one (u, v, step) entry per arc, tail vertex and head vertex, in that
     # nesting order, so that from_coo sums each pair's steps in arc order
     tail_arc = lay.tail_arc
-    step = (lay.weight / deg.arc_head)[tail_arc] / deg.vertex_tail[lay.tail_idx]
+    per_head = lay.weight / deg.arc_head
+    if per_head.min(initial=1.0) >= np.finfo(np.float64).tiny:
+        step = per_head[tail_arc] / deg.vertex_tail[lay.tail_idx]
+    else:  # a subnormal w/|head| has lost its precision: divide by the tail sum first
+        step = lay.weight[tail_arc] / deg.vertex_tail[lay.tail_idx] / deg.arc_head[tail_arc]
     taken, cols = _take(lay.head_ptr, lay.head_idx, tail_arc)
     fan = np.diff(taken)
     rows = np.repeat(lay.tail_idx, fan)
@@ -185,35 +171,39 @@ def build_transition(hg: DirectedHypergraph,
     return TransitionMatrix(matrix, hg.vertices)
 
 
-def pagerank_power(P: TransitionMatrix,
-                   opts: PowerOptions = PowerOptions()) -> RankVector:
-    """Dominant left eigenvector by power iteration from the uniform start.
+def pagerank_power(P: TransitionMatrix, *, damping: float = 1.0,
+                   tolerance: float = 1e-10, max_iterations: int = 10000) -> RankVector:
+    """Dominant left eigenvector by power iteration from the uniform start,
+    L1-normalized (``RankVector.with_normalization`` rescales it).
 
     Iterates x <- damping·(PᵀX) + (1-damping)/|V|, renormalizing to L1 each
     step, until the L1 change drops below the tolerance. Deterministic:
     fixed summation order, serial kernels.
     """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must be in (0, 1]")
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     n = P.n
     if n == 0:
         raise ValueError("empty transition matrix")
     x = np.full(n, 1.0 / n)
     y = np.zeros(n)
-    jump = (1.0 - opts.damping) / n
+    jump = (1.0 - damping) / n
     residual = np.inf
-    for iteration in range(1, opts.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         P.matrix.left_multiply(x, out=y)
-        if opts.damping != 1.0:
-            y *= opts.damping
+        if damping != 1.0:
+            y *= damping
             y += jump
         y /= y.sum()
         residual = float(np.abs(y - x).sum())
-        if residual < opts.tolerance:
-            rank = RankVector(P.vertex_order, y, L1, residual, iteration)
-            if opts.normalization != L1:
-                rank = rank.with_normalization(opts.normalization)
-            return rank
+        if residual < tolerance:
+            return RankVector(P.vertex_order, y, L1, residual, iteration)
         x, y = y, x  # reuse buffers; y is overwritten by the next multiply
-    raise NoConvergenceError(residual, opts.max_iterations, P.vertex_order, x.copy())
+    raise NoConvergenceError(residual, max_iterations, P.vertex_order, x.copy())
 
 
 def stationary_dense_oracle(P: TransitionMatrix) -> RankVector:

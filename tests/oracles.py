@@ -19,7 +19,8 @@ from hyperrank import (DirectedHypergraph, PruneEvent, SparseRealMatrix,
 from hyperrank import validate as validate_layout
 from hyperrank.core import (DUPLICATE_ARC_ID, DUPLICATE_VERTEX_ID, EMPTY_HEAD,
                             EMPTY_TAIL, NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP,
-                            UNKNOWN_VERTEX, ArcLayout, FlatArcs, ensure_valid)
+                            TAIL_WEIGHT_OVERFLOW, UNKNOWN_VERTEX, ArcLayout,
+                            FlatArcs, ensure_valid)
 from hyperrank.errors import (BadWeightError, ReactionSyntaxError, SchemaError,
                               TailHeadOverlapError, ValidationError)
 from hyperrank.ingest import (REVERSIBLE_POLICIES, SPLIT, IngestReport,
@@ -324,7 +325,8 @@ def min_eigenvalue(symmetric: np.ndarray) -> float:
 
 
 def validate(hg: DirectedHypergraph) -> ValidationReport:
-    """Every violation, found by walking the vertices and then the arcs one by one."""
+    """Every violation, found by walking the vertices, then the arcs one by
+    one, then each vertex's sum of the weights of the arcs leaving it."""
     violations: list[Violation] = []
     seen: set[str] = set()
     for v in hg.vertices:
@@ -334,7 +336,9 @@ def validate(hg: DirectedHypergraph) -> ValidationReport:
         seen.add(v)
     n = hg.n_vertices
     seen_arcs: set[str] = set()
+    tail_sum = [0.0] * n
     for arc in arc_rows(hg):
+        found = len(violations)
         if arc.id in seen_arcs:
             violations.append(Violation(DUPLICATE_ARC_ID, arc.id,
                                         "arc id occurs more than once"))
@@ -356,6 +360,12 @@ def validate(hg: DirectedHypergraph) -> ValidationReport:
         if not (arc.weight > 0.0) or not np.isfinite(arc.weight):
             violations.append(Violation(NONPOSITIVE_WEIGHT, arc.id,
                                         f"weight {arc.weight!r} is not a positive real"))
+        if len(violations) == found:  # an arc with a violation is in no sum
+            for i in arc.tail:
+                tail_sum[i] += arc.weight
+    violations += [Violation(TAIL_WEIGHT_OVERFLOW, hg.vertices[i],
+                             "tail weights sum beyond the float range")
+                   for i, total in enumerate(tail_sum) if not math.isfinite(total)]
     return ValidationReport(tuple(violations))
 
 

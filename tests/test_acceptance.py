@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from hyperrank import (DirectedHypergraph, build_laplacians, build_transition,
-                       pagerank_power, parse_reaction_line,
-                       parse_reactions_text, prune_to_core,
+                       pagerank_power, parse_reactions_text, prune_to_core,
                        reactions_to_hypergraph, save_canonical, simulate_walk,
                        spectral_report, stationary_dense_oracle,
                        load_canonical, top_k, tv_distance)
 from hyperrank.cli import main
 from hyperrank.errors import IngestError, NoConvergenceError
+from hyperrank.ingest import _parse_reaction_line
 
 import oracles
 from randgen import (latin1_lines, random_ergodic_hypergraph, random_hypergraph,
@@ -216,7 +216,7 @@ def test_criterion_8_parser_suite():
     fuzz_failures = 0
     for i, line in enumerate(latin1_lines(rng, 2000)):
         try:
-            parse_reaction_line(line, line_no=i + 1)
+            _parse_reaction_line(line, line_no=i + 1)
         except IngestError as exc:
             if exc.line != i + 1 or (exc.column is not None and exc.column < 1):
                 fuzz_failures += 1

@@ -427,6 +427,70 @@ def test_integer_weight_beyond_float_range_is_a_violation(tmp_path, capsys):
                             "is not a positive real\n")
 
 
+OVERFLOW_JSON = json.dumps({
+    "vertices": ["a", "b"],
+    "arcs": [
+        {"id": "e1", "tail": ["a"], "head": ["b"], "weight": 1e308},
+        {"id": "e2", "tail": ["a"], "head": ["b"], "weight": 1e308},
+        {"id": "e3", "tail": ["b"], "head": ["a"], "weight": 1.0},
+    ],
+})
+
+
+@pytest.mark.parametrize("fmt, text, vertex", [
+    ("json", OVERFLOW_JSON, "a"),
+    ("reactions", "R1: A -> B @ 1e308\nR2: A -> B @ 1e308\nR3: B -> A\n", "A"),
+])
+def test_tail_weights_summing_beyond_float_range_are_a_violation(tmp_path, capsys, fmt,
+                                                                text, vertex):
+    # each weight is finite, but the walk divides by their sum, which is inf
+    path = tmp_path / f"overflow.{fmt}"
+    path.write_text(text)
+    line = f"TailWeightOverflow: {vertex}: tail weights sum beyond the float range\n"
+    assert main(["validate", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (line, "")
+    assert main(["rank", str(path), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "hyperrank: " + line)
+
+
+def test_a_step_that_underflows_to_zero_still_ranks(tmp_path, capsys):
+    # a's step to b is 5e-324 / 1e300, which is 0: that entry is not stored
+    text = json.dumps({
+        "vertices": ["a", "b", "c"],
+        "arcs": [
+            {"id": "tiny", "tail": ["a"], "head": ["b"], "weight": 5e-324},
+            {"id": "huge", "tail": ["a"], "head": ["c"], "weight": 1e300},
+            {"id": "b_a", "tail": ["b"], "head": ["a"], "weight": 1.0},
+            {"id": "c_a", "tail": ["c"], "head": ["a"], "weight": 1.0},
+        ],
+    })
+    P = build_transition(load_canonical(text))
+    assert P.matrix.nnz == 3
+    assert np.abs(P.matrix.row_sums() - 1.0).max() <= 1e-12
+    path = tmp_path / "underflow.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["rank", str(path), "--damping", "0.85"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--damping", "0"], "damping must be in (0, 1]"),
+    (["--damping", "1.5"], "damping must be in (0, 1]"),
+    (["--damping", "nan"], "damping must be in (0, 1]"),
+    (["--tol", "0"], "tolerance must be positive"),
+    (["--max-iters", "0"], "max_iterations must be at least 1"),
+])
+def test_power_settings_out_of_range_are_one_error_line(hg3_path, capsys, flags, message):
+    assert main(["rank", hg3_path, "--prune", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"hyperrank: {message}"
+    assert "Traceback" not in captured.err
+
+
 def _triplets(out: str, n: int) -> np.ndarray:
     """The dense matrix of a ``row col value`` TSV, checking the entries
     come row-major with ascending columns."""

@@ -54,6 +54,40 @@ def test_validate_weight_and_reference_rules():
     assert len(report.violations) == 1
 
 
+def test_validate_flags_tail_weights_summing_beyond_float_range():
+    hg = DirectedHypergraph.from_named_arcs([("e1", ["a"], ["b"], 1e308),
+                                             ("e2", ["a", "b"], ["c"], 1e308),
+                                             ("e3", ["c"], ["a"], 1.0)])
+    assert [str(v) for v in validate(hg).violations] == [
+        "TailWeightOverflow: a: tail weights sum beyond the float range"]
+    # an arc flagged on its own, for an index out of range or a weight that
+    # is no positive real, is in no vertex's sum
+    arcs = FlatArcs()
+    arcs.add("e1", [0], [1], 1e308)
+    arcs.add("e2", [0, -1], [1], 1e308)
+    arcs.add("e3", [0], [1], float("nan"))
+    arcs.add("e4", [0], [1], float("inf"))
+    assert validate(arcs.hypergraph(("a", "b"))).codes() == {"UnknownVertex",
+                                                             "NonpositiveWeight"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs(), st.data())
+def test_weights_over_the_whole_float_range_rank_or_are_a_violation(hg, data):
+    weight = data.draw(st.lists(
+        st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                  st.sampled_from([5e-324, 1e-300, 1e300, 1e308])),
+        min_size=hg.n_arcs, max_size=hg.n_arcs))
+    hg = dataclasses.replace(hg, layout=dataclasses.replace(
+        hg.layout, weight=np.array(weight, dtype=np.float64)))
+    report = validate(hg)
+    assert str(report) == str(oracles.validate(hg))
+    if report.ok:
+        core_hg, _ = prune_to_core(hg)
+        if core_hg.n_vertices:  # the row sums are checked as P is built
+            build_transition(core_hg)
+
+
 def test_validate_collects_every_violation():
     hg = DirectedHypergraph.from_named_arcs([
         ("e1", ["a"], [], 1.0),

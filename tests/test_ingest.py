@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperrank import (DirectedHypergraph, ReactionColumns, build_transition,
-                       ingest, load_canonical, parse_reaction_line,
-                       parse_reactions_text, prune_to_core, reactions_to_hypergraph,
-                       save_canonical)
+                       ingest, load_canonical, parse_reactions_text,
+                       prune_to_core, reactions_to_hypergraph, save_canonical)
 from hyperrank.core import ArcLayout, FlatArcs
 from hyperrank.errors import (BadWeightError, IngestError, ReactionSyntaxError,
                               SchemaError, TailHeadOverlapError, ValidationError)
-from hyperrank.ingest import REVERSIBLE_POLICIES
+from hyperrank.ingest import REVERSIBLE_POLICIES, _parse_reaction_line
 
 import oracles
 import randgen
@@ -93,24 +92,24 @@ def test_parse_hyphenated_identifiers():
 
 def test_parse_syntax_errors_carry_positions():
     with pytest.raises(ReactionSyntaxError) as exc:
-        parse_reaction_line("R1 A -> B", line_no=3)
+        _parse_reaction_line("R1 A -> B", line_no=3)
     assert exc.value.line == 3
     assert exc.value.column is not None
     with pytest.raises(ReactionSyntaxError):
-        parse_reaction_line(": A -> B")
+        _parse_reaction_line(": A -> B")
     with pytest.raises(ReactionSyntaxError):
-        parse_reaction_line("R: A -> B extra ->")
+        _parse_reaction_line("R: A -> B extra ->")
     with pytest.raises(ReactionSyntaxError):
-        parse_reaction_line("R: A + -> B")
+        _parse_reaction_line("R: A + -> B")
     with pytest.raises(ReactionSyntaxError):
-        parse_reaction_line("R: A -> B !")
+        _parse_reaction_line("R: A -> B !")
 
 
 def test_parse_bad_weights():
     for text in ("R: A -> B @ zero", "R: A -> B @ -1", "R: A -> B @ 0",
                  "R: A -> B @", "R: A -> B @ inf", "R: A -> B @ nan"):
         with pytest.raises(BadWeightError):
-            parse_reaction_line(text)
+            _parse_reaction_line(text)
         with pytest.raises(BadWeightError):
             parse_reactions_text(text)
 
@@ -146,7 +145,7 @@ def assert_parses_as_oracle(line, line_no=None):
     expected = _outcome(lambda: oracles.parse_reaction_line(line, line_no=line_no))
     if isinstance(expected, oracles.ReactionRecord):
         expected = None
-    assert _outcome(lambda: parse_reaction_line(line, line_no=line_no)) == expected, repr(line)
+    assert _outcome(lambda: _parse_reaction_line(line, line_no=line_no)) == expected, repr(line)
     assert_text_parses_as_oracle(line)
 
 
@@ -154,7 +153,7 @@ def assert_parses_as_oracle(line, line_no=None):
 @given(st.text(max_size=120))
 def test_parser_totality_on_text(line):
     try:
-        parse_reaction_line(line)
+        _parse_reaction_line(line)
     except IngestError as exc:
         assert exc.column is None or exc.column >= 1
     assert_parses_as_oracle(line)
@@ -165,7 +164,7 @@ def test_parser_totality_on_text(line):
 def test_parser_totality_on_bytes(payload):
     line = payload.decode("latin-1")
     try:
-        parse_reaction_line(line)
+        _parse_reaction_line(line)
     except IngestError:
         pass
     assert_parses_as_oracle(line)
@@ -237,7 +236,7 @@ def test_valid_text_never_enters_the_error_walk(monkeypatch):
     def locate(line, line_no):
         raise AssertionError(f"line {line_no} left the grammar: {line!r}")
 
-    monkeypatch.setattr(ingest, "parse_reaction_line", locate)
+    monkeypatch.setattr(ingest, "_parse_reaction_line", locate)
     text = ("# a header comment\r\n\r\n   \n"
             "R1: A + B -> C @ 2.5\n"
             "R2: C <-> A  # reversible\x0c"

@@ -4,11 +4,8 @@ import contextlib
 import gc
 import os
 import signal
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,18 +186,6 @@ def test_walk_tables_are_read_only():
 
 def test_kernel_backend_is_python():
     assert hyperrank.KERNEL_BACKEND == "python"
-
-
-def test_bench_kernels_runs_at_tiny_size():
-    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
-    src = str(Path(hyperrank.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(script), "--vertices", "50",
-                           "--arcs", "150", "--steps", "1000"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "network: 50 vertices, 150 arcs" in proc.stdout
 
 
 # ------------------------------------------------- the walk split over processes

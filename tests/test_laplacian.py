@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from hyperrank import (DirectedHypergraph, PowerOptions, RankVector,
+from hyperrank import (DirectedHypergraph, RankVector,
                        SparseRealMatrix, TransitionMatrix, build_laplacians,
                        build_transition, pagerank_power, prune_to_core,
                        spectral_report, stationary_dense_oracle)
@@ -130,14 +130,14 @@ def test_rejects_non_stationary_pi(hg3):
 
 def test_rejects_non_l1_pi(hg3):
     P = build_transition(hg3)
-    pi = pagerank_power(P, PowerOptions(normalization="l2"))
+    pi = pagerank_power(P).with_normalization("l2")
     with pytest.raises(ValueError, match="L1"):
         build_laplacians(P, pi)
 
 
 def test_rejects_mismatched_vertex_order(hg3, two_cycle):
     P = build_transition(hg3)
-    other = pagerank_power(build_transition(two_cycle), PowerOptions(damping=0.85))
+    other = pagerank_power(build_transition(two_cycle), damping=0.85)
     with pytest.raises(ValueError, match="vertex order"):
         build_laplacians(P, other)
 

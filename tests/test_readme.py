@@ -1,0 +1,15 @@
+"""README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:  # one namespace: a later block may use an earlier one's names
+        exec(compile(block, str(README), "exec"), namespace)

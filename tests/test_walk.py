@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import (DirectedHypergraph, PowerOptions, RankVector,
-                       build_incidence, build_transition, compute_degrees,
-                       pagerank_power, prune_to_core, simulate_walk,
-                       stationary_dense_oracle, top_k, tv_distance)
+from hyperrank import (DirectedHypergraph, RankVector, build_incidence,
+                       build_transition, compute_degrees, pagerank_power,
+                       prune_to_core, simulate_walk, stationary_dense_oracle,
+                       top_k, tv_distance)
 from hyperrank.core import FlatArcs
 from hyperrank.errors import (DanglingVertexError, DenseLimitExceededError,
                               MultipleSolutionsError, NoConvergenceError)
@@ -201,8 +201,7 @@ def test_power_hg3(hg3):
 
 
 def test_power_two_cycle_damped(two_cycle):
-    rank = pagerank_power(build_transition(two_cycle),
-                          PowerOptions(damping=0.85))
+    rank = pagerank_power(build_transition(two_cycle), damping=0.85)
     np.testing.assert_allclose(rank.values, [0.5, 0.5], atol=1e-12)
 
 
@@ -216,14 +215,13 @@ def test_power_two_cycle_undamped_converges_from_uniform(two_cycle):
 
 def test_power_no_convergence_on_asymmetric_periodic(periodic3):
     with pytest.raises(NoConvergenceError) as exc:
-        pagerank_power(build_transition(periodic3),
-                       PowerOptions(max_iterations=500))
+        pagerank_power(build_transition(periodic3), max_iterations=500)
     err = exc.value
     assert err.iterations == 500
     assert err.residual > 0.1
     assert err.iterate.shape == (3,)
     # damping restores convergence
-    rank = pagerank_power(build_transition(periodic3), PowerOptions(damping=0.85))
+    rank = pagerank_power(build_transition(periodic3), damping=0.85)
     assert rank.values[0] > rank.values[1]
 
 
@@ -231,34 +229,43 @@ def test_power_k_cycle_uniform_via_damping():
     for k in (3, 4, 7):
         arcs = [(f"e{i}", [f"v{i}"], [f"v{(i + 1) % k}"], 1.0) for i in range(k)]
         hg = DirectedHypergraph.from_named_arcs(arcs)
-        rank = pagerank_power(build_transition(hg), PowerOptions(damping=0.9))
+        rank = pagerank_power(build_transition(hg), damping=0.9)
         np.testing.assert_allclose(rank.values, np.full(k, 1.0 / k), atol=1e-10)
 
 
 def test_power_stationarity_residual():
     rng = np.random.default_rng(43)
-    opts = PowerOptions()
     for _ in range(20):
         hg = random_ergodic_hypergraph(rng)
         P = build_transition(hg)
-        rank = pagerank_power(P, opts)
+        rank = pagerank_power(P)
         gap = float(np.abs(P.matrix.left_multiply(rank.values) - rank.values).sum())
-        assert gap <= 10 * opts.tolerance
+        assert gap <= 10 * 1e-10  # the default tolerance
 
 
 def test_power_l2_output(hg3):
-    rank = pagerank_power(build_transition(hg3),
-                          PowerOptions(normalization="l2"))
+    rank = pagerank_power(build_transition(hg3)).with_normalization("l2")
     assert abs(np.square(rank.values).sum() - 1.0) <= 1e-10
     np.testing.assert_allclose(rank.values, HG3_PI / np.linalg.norm(HG3_PI),
                                atol=1e-9)
 
 
-def test_power_options_validation():
-    for bad in (dict(damping=0.0), dict(damping=1.5), dict(tolerance=0.0),
-                dict(max_iterations=0), dict(normalization="sup")):
-        with pytest.raises(ValueError):
-            PowerOptions(**bad)
+def test_power_options_validation(hg3, monkeypatch):
+    P = build_transition(hg3)
+
+    def multiply(*args, **kwargs):
+        raise AssertionError("an invalid setting is rejected before the first step")
+
+    monkeypatch.setattr(type(P.matrix), "left_multiply", multiply)
+    for bad, message in ((dict(damping=0.0), "damping must be in (0, 1]"),
+                         (dict(damping=1.5), "damping must be in (0, 1]"),
+                         (dict(damping=float("nan")), "damping must be in (0, 1]"),
+                         (dict(tolerance=0.0), "tolerance must be positive"),
+                         (dict(tolerance=float("nan")), "tolerance must be positive"),
+                         (dict(max_iterations=0), "max_iterations must be at least 1")):
+        with pytest.raises(ValueError) as exc:
+            pagerank_power(P, **bad)
+        assert str(exc.value) == message
 
 
 # ------------------------------------------------------------ dense oracle
