@@ -7,9 +7,11 @@ these orders, so all layouts and rankings are reproducible run to run.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -124,44 +126,14 @@ def _side(lengths, idx) -> tuple[np.ndarray, np.ndarray]:
     return ptr, idx[first]
 
 
-class FlatArcs:
-    """Arcs appended one by one to flat lists: ids, weights, and each side's
-    length plus its vertex indices, concatenated in arc order. Its layout
-    sorts each side and drops repeated vertices."""
-
-    def __init__(self):
-        self.ids: list[str] = []
-        self.weights: list[float] = []
-        self.tail_len: list[int] = []
-        self.tail_idx: list[int] = []
-        self.head_len: list[int] = []
-        self.head_idx: list[int] = []
-
-    def add(self, arc_id: str, tail: Sequence[int], head: Sequence[int],
-            weight: float) -> None:
-        self.ids.append(arc_id)
-        self.weights.append(weight)
-        self.tail_len.append(len(tail))
-        self.tail_idx += tail
-        self.head_len.append(len(head))
-        self.head_idx += head
-
-    def layout(self) -> ArcLayout:
-        return ArcLayout.from_sides(self.tail_len, self.tail_idx, self.head_len,
-                                    self.head_idx, self.weights)
-
-    def hypergraph(self, vertices: Iterable[str]) -> "DirectedHypergraph":
-        return DirectedHypergraph(vertices, self.ids, self.layout())
-
-
 @dataclass(frozen=True)
 class DirectedHypergraph:
     """Ordered vertices plus ordered hyper-arcs over their indices.
 
     The state is the vertex ids, the arc ids and the flat ``layout``, whose
-    sides must already be normalised; ``FlatArcs`` and ``from_named_arcs``
-    build one from indices or names. Instances are immutable and compare by
-    value.
+    sides must already be normalised, as ``ArcLayout.from_sides`` leaves
+    them; ``from_named_arcs`` builds one from names. Instances are immutable
+    and compare by value.
     """
 
     vertices: tuple[str, ...]
@@ -184,10 +156,6 @@ class DirectedHypergraph:
         return len(self.arc_ids)
 
     @cached_property
-    def index_of(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
     def _report(self) -> "ValidationReport":
         return _check(self)
 
@@ -197,30 +165,69 @@ class DirectedHypergraph:
         """Build from (id, tail names, head names[, weight]) rows.
 
         Vertex ids are interned in first-mention order (tail before head,
-        rows in order) unless an explicit vertex list is given.
+        rows in order) unless an explicit vertex list is given. Names and
+        weights are read as ``load_canonical`` reads them, and a name that
+        does not resolve raises its ``ValidationError``, with every violation.
         """
         rows = [tuple(r) for r in named_arcs]
+        ids = [str(r[0]) for r in rows]
+        tails, heads = [list(r[1]) for r in rows], [list(r[2]) for r in rows]
+        weight = _weight_column([r[3] if len(r) > 3 else 1.0 for r in rows])
         if vertices is None:
-            seen: dict[str, None] = {}
-            for r in rows:
-                for name in list(r[1]) + list(r[2]):
-                    seen.setdefault(name)
-            vertex_list = list(seen)
-        else:
-            vertex_list = list(vertices)
-        index = {v: i for i, v in enumerate(vertex_list)}
-        flat = FlatArcs()
-        for r in rows:
-            arc_id, tail, head = r[0], r[1], r[2]
-            weight = float(r[3]) if len(r) > 3 else 1.0
-            for name in list(tail) + list(head):
-                if name not in index:
-                    report = ValidationReport((Violation(
-                        UNKNOWN_VERTEX, str(arc_id), f"unknown vertex id {name!r}"),))
-                    raise ValidationError(report)
-            flat.add(str(arc_id), [index[v] for v in tail], [index[v] for v in head],
-                     weight)
-        return flat.hypergraph(vertex_list)
+            vertices = list(dict.fromkeys(chain.from_iterable(chain(*zip(tails, heads)))))
+        index = _positions(vertices)
+        try:
+            sides = *_resolved(index, tails), *_resolved(index, heads)
+        except KeyError:
+            _reject_unknown(vertices, index, ids, tails, heads, weight)
+        return cls(vertices, ids, ArcLayout.from_sides(*sides, weight))
+
+
+def _float(weight: int | float) -> float:
+    """The weight as a float; an integer beyond the float range is inf."""
+    try:
+        return float(weight)
+    except OverflowError:
+        return np.inf
+
+
+def _weight_column(weights: list) -> np.ndarray:
+    try:
+        return np.array(weights, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return np.array(list(map(_float, weights)), dtype=np.float64)
+
+
+def _positions(vertices: Sequence[str]) -> dict[str, int]:
+    """Each vertex id's position, the first one where an id repeats."""
+    return dict(zip(reversed(vertices), range(len(vertices) - 1, -1, -1)))
+
+
+def _resolved(index: dict[str, int], sides: list) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's length, and the vertex indices of all sides concatenated.
+    A name that is unknown, or unhashable, raises KeyError or TypeError."""
+    lengths = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
+    return lengths, np.fromiter(map(index.__getitem__, chain.from_iterable(sides)),
+                                dtype=np.int64, count=int(lengths.sum()))
+
+
+def _reject_unknown(vertices: Sequence[str], index: dict[str, int], ids: list,
+                    tails: list, heads: list, weight: np.ndarray) -> NoReturn:
+    """Raise the report of named arcs some of whose names do not resolve.
+
+    An unknown name stands for index n, out of range, so every arc is
+    checked in order and an arc with an unknown name still counts toward
+    ``DuplicateArcId``; its other checks are skipped. Its out-of-range line
+    gives way to one line per unknown name, after all the others.
+    """
+    known = defaultdict(lambda: len(vertices), index)
+    hg = DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
+        *_resolved(known, tails), *_resolved(known, heads), weight))
+    unknown = tuple(Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
+                    for arc_id, tail, head in zip(ids, tails, heads)
+                    for name in chain(tail, head) if name not in index)
+    raise ValidationError(ValidationReport(tuple(
+        v for v in validate(hg).violations if v.code != UNKNOWN_VERTEX) + unknown))
 
 
 def validate(hg: DirectedHypergraph) -> ValidationReport:
@@ -237,7 +244,7 @@ def _check(hg: DirectedHypergraph) -> ValidationReport:
     described, each with its violations in a fixed order. Then each vertex
     whose tail weights sum beyond the float range is described."""
     violations: list[Violation] = []
-    if len(hg.index_of) < hg.n_vertices:
+    if len(set(hg.vertices)) < hg.n_vertices:
         seen: set[str] = set()
         for v in hg.vertices:
             if v in seen:

@@ -29,10 +29,10 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .core import (UNKNOWN_VERTEX, ArcLayout, DirectedHypergraph,
-                   ValidationReport, Violation, _take, ensure_valid, validate)
+from .core import (ArcLayout, DirectedHypergraph, _positions, _reject_unknown,
+                   _resolved, _take, _weight_column, ensure_valid)
 from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
-                     TailHeadOverlapError, ValidationError)
+                     TailHeadOverlapError)
 
 SPLIT = "split"
 FORWARD_ONLY = "forward-only"
@@ -278,14 +278,6 @@ def _string_list(value, where: str) -> list[str]:
     return value
 
 
-def _float(weight: int | float) -> float:
-    """The weight as a float; an integer beyond the float range is inf."""
-    try:
-        return float(weight)
-    except OverflowError:
-        return math.inf
-
-
 def _check_arc(pos: int, raw) -> None:
     """Raise the arc's first schema error, if it has one, in the order of the checks."""
     where = f"arcs[{pos}]"
@@ -324,38 +316,15 @@ def _arc_columns(arcs: list) -> tuple[list, list, list, list] | None:
     return None
 
 
-def _resolved(index: dict[str, int], sides: list[list]) -> tuple[np.ndarray, np.ndarray]:
-    """Each side's length, and the vertex indices of all sides concatenated.
-    A name that is unknown, or no string, raises KeyError or TypeError."""
-    lengths = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
-    return lengths, np.fromiter(map(index.__getitem__, chain.from_iterable(sides)),
-                                dtype=np.int64, count=int(lengths.sum()))
-
-
-def _weight_column(weights: list) -> np.ndarray:
-    try:
-        return np.array(weights, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        return np.array(list(map(_float, weights)), dtype=np.float64)
-
-
 def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: list,
                   heads: list, weights: list) -> NoReturn:
     """Raise the error of arcs whose names do not all resolve. A name that is
-    no string breaks the schema, first arc first, tail before head. Unknown
-    names are violations, after those of the arcs whose names all resolve."""
+    no string breaks the schema, first arc first, tail before head; unknown
+    names are reported by ``core._reject_unknown``."""
     for pos, (tail, head) in enumerate(zip(tails, heads)):
         _string_list(tail, f'arcs[{pos}]."tail"')
         _string_list(head, f'arcs[{pos}]."head"')
-    known = [all(map(index.__contains__, chain(t, h))) for t, h in zip(tails, heads)]
-    unknown = tuple(Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
-                    for arc_id, t, h, ok in zip(ids, tails, heads, known) if not ok
-                    for name in t + h if name not in index)
-    ids, tails, heads, weights = (list(compress(column, known))
-                                  for column in (ids, tails, heads, weights))
-    hg = DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
-        *_resolved(index, tails), *_resolved(index, heads), _weight_column(weights)))
-    raise ValidationError(ValidationReport(validate(hg).violations + unknown))
+    _reject_unknown(vertices, index, ids, tails, heads, _weight_column(weights))
 
 
 def load_canonical(text: str) -> DirectedHypergraph:
@@ -399,9 +368,7 @@ def load_canonical(text: str) -> DirectedHypergraph:
             raise AssertionError("the bulk checks reject arcs that every arc's checks accept")
         ids, tails, heads, weights = columns
 
-        # a name stands for its first position in the vertex list: the
-        # positions are entered last to first, so the first one stays
-        index = dict(zip(reversed(vertices), range(len(vertices) - 1, -1, -1)))
+        index = _positions(vertices)
         try:
             # every key is a string, so a name that resolves is one
             tail_len, tail_idx = _resolved(index, tails)

@@ -306,9 +306,9 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
         raise ValueError("steps must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    if start not in hg.index_of:
+    if start not in hg.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    counts = _split_walk(_walk_tables(hg), hg.index_of[start], steps, seed)
+    counts = _split_walk(_walk_tables(hg), hg.vertices.index(start), steps, seed)
     freq = counts / float(steps)
     return {v: float(freq[i]) for i, v in enumerate(hg.vertices)}
 

@@ -20,7 +20,7 @@ from hyperrank import validate as validate_layout
 from hyperrank.core import (DUPLICATE_ARC_ID, DUPLICATE_VERTEX_ID, EMPTY_HEAD,
                             EMPTY_TAIL, NONPOSITIVE_WEIGHT, TAIL_HEAD_OVERLAP,
                             TAIL_WEIGHT_OVERFLOW, UNKNOWN_VERTEX, ArcLayout,
-                            FlatArcs, ensure_valid)
+                            ensure_valid)
 from hyperrank.errors import (BadWeightError, ReactionSyntaxError, SchemaError,
                               TailHeadOverlapError, ValidationError)
 from hyperrank.ingest import (REVERSIBLE_POLICIES, SPLIT, IngestReport,
@@ -57,6 +57,13 @@ def arc_layout(tails, heads, weights) -> ArcLayout:
         return ptr, np.array([i for s in sides for i in s], dtype=np.int64)
 
     return ArcLayout(*csr(tails), *csr(heads), np.array(weights, dtype=np.float64))
+
+
+def hypergraph(vertices, arcs) -> DirectedHypergraph:
+    """The hypergraph of (id, tail indices, head indices, weight) rows, laid
+    out by ``arc_layout``."""
+    return DirectedHypergraph(vertices, [a[0] for a in arcs], arc_layout(
+        [a[1] for a in arcs], [a[2] for a in arcs], [a[3] for a in arcs]))
 
 
 def csr_left_multiply(indptr, indices, data, x, out) -> None:
@@ -422,8 +429,8 @@ def _checked_arc(pos: int, raw) -> tuple[str, list[str], list[str], float]:
 
 
 def load_canonical(text: str) -> DirectedHypergraph:
-    """The canonical JSON format checked and appended to ``FlatArcs`` one arc
-    at a time, the loader the column-wise one replaced."""
+    """The canonical JSON format checked and laid out one arc at a time, the
+    loader the column-wise one replaced."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -448,22 +455,22 @@ def load_canonical(text: str) -> DirectedHypergraph:
     for pos, v in enumerate(vertices):
         index.setdefault(v, pos)
 
-    # names must resolve to build an arc at all; validate checks the rest
+    # an unknown name stands for index n, out of range, so that its arc is
+    # still checked for a repeated id; the out-of-range line of that arc
+    # gives way to one line per unknown name, after all the others
+    n = len(vertices)
     unknown: list[Violation] = []
-    arcs = FlatArcs()
+    rows = []
     for pos, raw in enumerate(doc["arcs"]):
         arc_id, tail_names, head_names, weight = _checked_arc(pos, raw)
-        tail = [index.get(name) for name in tail_names]
-        head = [index.get(name) for name in head_names]
-        if None in tail or None in head:
-            unknown += [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
-                        for name in tail_names + head_names if name not in index]
-            continue
-        arcs.add(arc_id, tail, head, weight)
-    hg = arcs.hypergraph(vertices)
+        rows.append((arc_id, [index.get(name, n) for name in tail_names],
+                     [index.get(name, n) for name in head_names], weight))
+        unknown += [Violation(UNKNOWN_VERTEX, arc_id, f"unknown vertex id {name!r}")
+                    for name in tail_names + head_names if name not in index]
+    hg = hypergraph(vertices, rows)
     if unknown:
-        raise ValidationError(ValidationReport(validate_layout(hg).violations
-                                               + tuple(unknown)))
+        found = [v for v in validate_layout(hg).violations if v.code != UNKNOWN_VERTEX]
+        raise ValidationError(ValidationReport(tuple(found + unknown)))
     return ensure_valid(hg)
 
 
@@ -598,14 +605,14 @@ def reaction_columns(records: list[ReactionRecord]) -> ReactionColumns:
 def reactions_to_hypergraph(records: list[ReactionRecord], reversible_policy: str = SPLIT
                             ) -> tuple[DirectedHypergraph, IngestReport]:
     """Reaction records turned into arcs one record at a time, each side
-    taken as a set and appended to ``FlatArcs``: the converter the
-    column-wise one replaced."""
+    taken as a set by ``arc_layout``: the converter the column-wise one
+    replaced."""
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
     report = IngestReport(records=len(records))
     index: dict[str, int] = {}
     intern = index.setdefault
-    arcs = FlatArcs()
+    arcs = []
     for rec in records:
         substrates, products = rec.substrates, rec.products
         tail_set, head_set = set(substrates), set(products)
@@ -624,12 +631,12 @@ def reactions_to_hypergraph(records: list[ReactionRecord], reversible_policy: st
         if rec.reversible:
             report.reversible_records += 1
             if reversible_policy == SPLIT:
-                arcs.add(f"{rec.id}_fwd", tail, head, rec.weight)
-                arcs.add(f"{rec.id}_rev", head, tail, rec.weight)
+                arcs.append((f"{rec.id}_fwd", tail, head, rec.weight))
+                arcs.append((f"{rec.id}_rev", head, tail, rec.weight))
                 report.split_arcs += 2
                 continue
-        arcs.add(rec.id, tail, head, rec.weight)
-    hg = arcs.hypergraph(tuple(index))
+        arcs.append((rec.id, tail, head, rec.weight))
+    hg = hypergraph(tuple(index), arcs)
     ensure_valid(hg)
     report.vertices = hg.n_vertices
     report.arcs = hg.n_arcs

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hyperrank import DirectedHypergraph, prune_to_core
-from hyperrank.core import FlatArcs
+
+from oracles import hypergraph
 
 
 def _weight(rng) -> float:
@@ -19,15 +20,15 @@ def random_hypergraph(rng, max_vertices: int = 30, max_arcs: int = 60,
     """Arbitrary valid hypergraph; may have isolated vertices or a prunable fringe."""
     n = int(rng.integers(2, max_vertices + 1))
     m = int(rng.integers(1, max_arcs + 1))
-    arcs = FlatArcs()
+    arcs = []
     for j in range(m):
         ts = int(rng.integers(1, min(max_side, n - 1) + 1))
         tail = rng.choice(n, size=ts, replace=False)
         rest = np.setdiff1d(np.arange(n), tail)
         hs = int(rng.integers(1, min(max_side, rest.size) + 1))
         head = rng.choice(rest, size=hs, replace=False)
-        arcs.add(f"e{j}", tail.tolist(), head.tolist(), _weight(rng))
-    return arcs.hypergraph(f"n{i}" for i in range(n))
+        arcs.append((f"e{j}", tail.tolist(), head.tolist(), _weight(rng)))
+    return hypergraph([f"n{i}" for i in range(n)], arcs)
 
 
 def latin1_lines(rng, count: int, max_length: int = 80) -> list[str]:
@@ -56,11 +57,9 @@ def random_ergodic_hypergraph(rng, min_vertices: int = 3, max_vertices: int = 12
     coprime cycle lengths.
     """
     n = int(rng.integers(min_vertices, max_vertices + 1))
-    arcs = FlatArcs()
-    for i in range(n):
-        arcs.add(f"c{i}", [i], [(i + 1) % n], _weight(rng))
-    arcs.add("b2", [1], [0], _weight(rng))
-    arcs.add("b3", [2], [0], _weight(rng))
+    arcs = [(f"c{i}", [i], [(i + 1) % n], _weight(rng)) for i in range(n)]
+    arcs.append(("b2", [1], [0], _weight(rng)))
+    arcs.append(("b3", [2], [0], _weight(rng)))
     extra = int(rng.integers(0, n + 1)) if extra_arcs is None else extra_arcs
     for j in range(extra):
         ts = int(rng.integers(1, min(3, n - 1) + 1))
@@ -68,8 +67,8 @@ def random_ergodic_hypergraph(rng, min_vertices: int = 3, max_vertices: int = 12
         rest = np.setdiff1d(np.arange(n), tail)
         hs = int(rng.integers(1, min(3, rest.size) + 1))
         head = rng.choice(rest, size=hs, replace=False)
-        arcs.add(f"x{j}", tail.tolist(), head.tolist(), _weight(rng))
-    return arcs.hypergraph(f"v{i}" for i in range(n))
+        arcs.append((f"x{j}", tail.tolist(), head.tolist(), _weight(rng)))
+    return hypergraph([f"v{i}" for i in range(n)], arcs)
 
 
 # mixed magnitudes, so that a sum taken in another order rounds differently
@@ -82,13 +81,13 @@ def hypergraphs(draw, max_vertices: int = 6, max_arcs: int = 12) -> DirectedHype
     """Valid hypergraphs over few vertices: pairs recur across arcs, and
     isolated vertices, dangling vertices and prunable fringes are common."""
     n = draw(st.integers(2, max_vertices))
-    arcs = FlatArcs()
+    arcs = []
     for j in range(draw(st.integers(0, max_arcs))):
         perm = draw(st.permutations(range(n)))
         ts = draw(st.integers(1, n - 1))
         hs = draw(st.integers(1, n - ts))
-        arcs.add(f"e{j}", perm[:ts], perm[ts:ts + hs], draw(_weights))
-    return arcs.hypergraph(f"v{i}" for i in range(n))
+        arcs.append((f"e{j}", perm[:ts], perm[ts:ts + hs], draw(_weights)))
+    return hypergraph([f"v{i}" for i in range(n)], arcs)
 
 
 # zero, negative, infinite and NaN weights next to legal ones
@@ -104,9 +103,8 @@ def invalid_hypergraphs(draw, max_vertices: int = 5, max_arcs: int = 6) -> Direc
     n = draw(st.integers(0, max_vertices))
     vertices = draw(st.lists(st.sampled_from("abcdefg"), min_size=n, max_size=n))
     index = st.integers(-2, n + 1)
-    arcs = FlatArcs()
-    for _ in range(draw(st.integers(0, max_arcs))):
-        arcs.add(draw(st.sampled_from(["e0", "e1", "e2", "e3"])),
-                 draw(st.lists(index, max_size=4)), draw(st.lists(index, max_size=4)),
-                 draw(_any_weights))
-    return arcs.hypergraph(vertices)
+    arcs = [(draw(st.sampled_from(["e0", "e1", "e2", "e3"])),
+             draw(st.lists(index, max_size=4)), draw(st.lists(index, max_size=4)),
+             draw(_any_weights))
+            for _ in range(draw(st.integers(0, max_arcs)))]
+    return hypergraph(vertices, arcs)

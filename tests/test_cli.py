@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,8 @@ from hyperrank import (SparseRealMatrix, TransitionMatrix, build_transition,
 from hyperrank.cli import main
 
 import oracles
+import randgen
+from test_ingest import mutated_docs
 
 HG3_JSON = json.dumps({
     "vertices": ["v1", "v2", "v3"],
@@ -359,6 +362,16 @@ def test_validate_reports_duplicate_arc_ids(tmp_path, capsys):
     assert "DuplicateArcId: R1_fwd" in captured.err
 
 
+def test_validate_reports_a_repeated_arc_id_beside_an_unknown_name(tmp_path, capsys):
+    src = tmp_path / "net.json"
+    src.write_text(json.dumps({"vertices": ["a", "b"], "arcs": [
+        {"id": "e", "tail": ["a"], "head": ["zz"], "weight": 1},
+        {"id": "e", "tail": ["a"], "head": ["b"], "weight": 1}]}))
+    assert main(["validate", str(src)]) == 1
+    assert capsys.readouterr().out == ("DuplicateArcId: e: arc id occurs more than once\n"
+                                       "UnknownVertex: e: unknown vertex id 'zz'\n")
+
+
 def test_missing_file_is_diagnosed(capsys):
     assert main(["rank", "/nonexistent/net.json"]) == 1
     assert "hyperrank:" in capsys.readouterr().err
@@ -581,3 +594,39 @@ def test_reaction_text_round_trips_through_the_cli(tmp_path, capsys, text):
     assert capsys.readouterr().out == first
     assert main(["validate", str(canonical)]) == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+# weights over the whole positive float range, subnormals and 1e308 included
+_wide_weights = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                          st.sampled_from([5e-324, 1e-300, 1e300, 1e308]))
+
+
+@st.composite
+def wide_weight_docs(draw):
+    hg = draw(randgen.hypergraphs())
+    weight = draw(st.lists(_wide_weights, min_size=hg.n_arcs, max_size=hg.n_arcs))
+    return oracles.save_canonical(dataclasses.replace(hg, layout=dataclasses.replace(
+        hg.layout, weight=np.array(weight, dtype=np.float64))))
+
+
+_COMMANDS = {"validate": [], "ingest": [], "rank": ["--prune", "--damping", "0.85"],
+             "laplacian": ["--prune"], "simulate": ["--prune", "--steps", "2000"]}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(wide_weight_docs().map(lambda text: (text, "json")),
+                 mutated_docs().map(lambda doc: (json.dumps(doc), "json")),
+                 reaction_texts().map(lambda text: (text, "reactions"))))
+def test_every_command_exits_0_or_1_and_what_validates_ranks(tmp_path, capsys, case):
+    text, fmt = case
+    src = tmp_path / "net"
+    src.write_text(text, encoding="utf-8")
+    status, err = {}, {}
+    for command, flags in _COMMANDS.items():
+        status[command] = main([command, str(src), "--format", fmt, *flags])
+        err[command] = capsys.readouterr().err
+    assert set(status.values()) <= {0, 1}, (status, err)
+    if status["validate"] == 0:
+        assert status["rank"] == 0 or err["rank"].splitlines()[-1] == (
+            "hyperrank: cannot build a transition matrix for an empty hypergraph"), err

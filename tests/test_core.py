@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hyperrank import (DirectedHypergraph, build_incidence, compute_degrees,
                        prune_to_core, validate)
 from hyperrank import core
-from hyperrank.core import ArcLayout, FlatArcs
+from hyperrank.core import ArcLayout
 from hyperrank.errors import ValidationError
 from hyperrank.walk import build_transition
 
@@ -42,10 +42,9 @@ def test_validate_weight_and_reference_rules():
     assert validate(hg).codes() == {"NonpositiveWeight"}
     hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], float("nan"))])
     assert validate(hg).codes() == {"NonpositiveWeight"}
-    arcs = FlatArcs()
-    arcs.add("e", [0], [7], 1.0)
-    assert validate(arcs.hypergraph(("a", "b"))).codes() == {"UnknownVertex"}
-    hg = FlatArcs().hypergraph(("a", "a"))
+    hg = oracles.hypergraph(("a", "b"), [("e", [0], [7], 1.0)])
+    assert validate(hg).codes() == {"UnknownVertex"}
+    hg = oracles.hypergraph(("a", "a"), [])
     assert validate(hg).codes() == {"DuplicateVertexId"}
     hg = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0),
                                              ("e", ["b"], ["a"], 1.0)])
@@ -62,13 +61,11 @@ def test_validate_flags_tail_weights_summing_beyond_float_range():
         "TailWeightOverflow: a: tail weights sum beyond the float range"]
     # an arc flagged on its own, for an index out of range or a weight that
     # is no positive real, is in no vertex's sum
-    arcs = FlatArcs()
-    arcs.add("e1", [0], [1], 1e308)
-    arcs.add("e2", [0, -1], [1], 1e308)
-    arcs.add("e3", [0], [1], float("nan"))
-    arcs.add("e4", [0], [1], float("inf"))
-    assert validate(arcs.hypergraph(("a", "b"))).codes() == {"UnknownVertex",
-                                                             "NonpositiveWeight"}
+    hg = oracles.hypergraph(("a", "b"), [("e1", [0], [1], 1e308),
+                                         ("e2", [0, -1], [1], 1e308),
+                                         ("e3", [0], [1], float("nan")),
+                                         ("e4", [0], [1], float("inf"))])
+    assert validate(hg).codes() == {"UnknownVertex", "NonpositiveWeight"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,9 +96,7 @@ def test_validate_collects_every_violation():
 
 
 def test_arc_sides_collapse_duplicates():
-    arcs = FlatArcs()
-    arcs.add("e", [1, 1, 0], [2, 2], 1.0)
-    lay = arcs.layout()
+    lay = ArcLayout.from_sides([3], [1, 1, 0], [2], [2, 2], [1.0])
     assert lay.tail_idx.tolist() == [0, 1]
     assert lay.head_idx.tolist() == [2]
 
@@ -271,7 +266,7 @@ def test_layout_flattens_the_arcs(hg3):
 
 
 def test_layout_of_an_empty_hypergraph():
-    lay = FlatArcs().hypergraph(()).layout
+    lay = DirectedHypergraph.from_named_arcs([]).layout
     assert lay.tail_ptr.tolist() == [0] and lay.head_ptr.tolist() == [0]
     assert lay.tail_idx.size == lay.head_idx.size == lay.weight.size == 0
 
@@ -308,7 +303,7 @@ def test_prune_to_empty_matches_loop_oracle(chain):
     # b survives round 1 and goes in round 2, once both of its arcs are gone
     pruned, events = prune_to_core(chain)
     assert (pruned, events) == oracles.prune_to_core(chain)
-    assert pruned == FlatArcs().hypergraph(())
+    assert pruned == DirectedHypergraph.from_named_arcs([])
     assert [(e.round, e.kind, e.identifier, e.reason) for e in events] == [
         (1, "vertex", "a", "zero head degree"),
         (1, "vertex", "c", "zero tail degree"),
@@ -345,7 +340,7 @@ def test_pruned_core_report_is_true_on_seeded_hypergraphs(chain):
     for _ in range(60):
         _assert_core_keeps_a_true_report(random_hypergraph(rng, max_vertices=12))
     _assert_core_keeps_a_true_report(chain)  # prunes to empty
-    _assert_core_keeps_a_true_report(FlatArcs().hypergraph(()))
+    _assert_core_keeps_a_true_report(DirectedHypergraph.from_named_arcs([]))
 
 
 # ------------------------------------------ array-backed model vs records
@@ -373,10 +368,6 @@ def test_array_constructor_normalises_sides_as_hyperarc_does(tails, heads):
                                [len(h) for h in heads], [i for h in heads for i in h],
                                weights)
     assert lay == oracles.arc_layout(tails, heads, weights)
-    arcs = FlatArcs()
-    for j, (tail, head) in enumerate(zip(tails, heads)):
-        arcs.add(f"e{j}", tail, head, weights[j])
-    assert arcs.hypergraph("abcdefg").layout == lay
 
 
 _far_apart_indices = st.sampled_from([-2**63, -2**62, -3, 0, 5, 2**62, 2**63 - 1])
@@ -393,6 +384,23 @@ def test_array_constructor_normalises_sides_of_any_int64_indices(tails, heads):
                                [len(h) for h in heads], [i for h in heads for i in h],
                                weights)
     assert lay == oracles.arc_layout(tails, heads, weights)
+
+
+def test_layout_of_indices_too_far_apart_to_pack(monkeypatch):
+    # the index span times the arc count exceeds int64, so neither side is
+    # packed into one integer per entry; each is sorted by np.lexsort
+    lexsort, unpacked = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: unpacked.append(1) or lexsort(keys))
+    big = 2**62
+    tails, heads, weights = [[big, 0, big], [1], [1]], [[1], [0], [big]], [1.0, 2.0, 3.0]
+    lay = ArcLayout.from_sides([3, 1, 1], [big, 0, big, 1, 1], [1, 1, 1], [1, 0, big],
+                               weights)
+    assert len(unpacked) == 2
+    assert lay == oracles.arc_layout(tails, heads, weights)
+    hg = DirectedHypergraph(["x", "y"], ["e0", "e1", "e2"], lay)
+    assert str(validate(hg)).splitlines() == [
+        "UnknownVertex: e0: vertex index 4611686018427387904 out of range",
+        "UnknownVertex: e2: vertex index 4611686018427387904 out of range"]
 
 
 def test_arcs_read_back_from_arc_ids_and_layout_slices(hg3):

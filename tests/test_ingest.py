@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperrank import (DirectedHypergraph, ReactionColumns, build_transition,
-                       ingest, load_canonical, parse_reactions_text,
+                       ensure_valid, ingest, load_canonical, parse_reactions_text,
                        prune_to_core, reactions_to_hypergraph, save_canonical)
-from hyperrank.core import ArcLayout, FlatArcs
+from hyperrank.core import ArcLayout
 from hyperrank.errors import (BadWeightError, IngestError, ReactionSyntaxError,
                               SchemaError, TailHeadOverlapError, ValidationError)
 from hyperrank.ingest import REVERSIBLE_POLICIES, _parse_reaction_line
@@ -440,15 +440,15 @@ def hypergraphs(draw):
                                   min_size=1, max_size=6),
                           min_size=n, max_size=n, unique=True))
     m = draw(st.integers(1, 8))
-    arcs = FlatArcs()
+    arcs = []
     for j in range(m):
         perm = draw(st.permutations(range(n)))
         ts = draw(st.integers(1, max(1, min(3, n - 1))))
         hs = draw(st.integers(1, max(1, min(3, n - ts))))
         weight = draw(st.floats(min_value=1e-6, max_value=10.0,
                                 allow_nan=False, allow_infinity=False))
-        arcs.add(f"arc{j}", perm[:ts], perm[ts:ts + hs], weight)
-    return arcs.hypergraph(names)
+        arcs.append((f"arc{j}", perm[:ts], perm[ts:ts + hs], weight))
+    return oracles.hypergraph(names, arcs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -466,12 +466,9 @@ def test_save_matches_the_json_encoder(hg):
 
 
 def test_save_matches_the_json_encoder_on_edge_cases():
-    escaped = FlatArcs()
-    escaped.add("\u2192", [0, 2], [1, 3], 1e-300)
-    escaped.add("x", [1], [0], 12345678.9)
-    for hg in (FlatArcs().hypergraph(()),
-               FlatArcs().hypergraph(("only",)),
-               escaped.hypergraph(("a\"b", "c\\d", "\u00e9\U0001f600", "\x00\n"))):
+    escaped = oracles.hypergraph(("a\"b", "c\\d", "\u00e9\U0001f600", "\x00\n"),
+                                 [("\u2192", [0, 2], [1, 3], 1e-300), ("x", [1], [0], 12345678.9)])
+    for hg in (oracles.hypergraph((), []), oracles.hypergraph(("only",), []), escaped):
         assert save_canonical(hg) == oracles.save_canonical(hg)
 
 
@@ -731,6 +728,50 @@ def test_load_matches_the_oracle_on_the_fixed_cases():
         '{"id": "g", "tail": ["c", "a"], "head": ["b", "c"], "weight": 1e999}]}')
 
 
+def _doc(vertices, *arcs):
+    return {"vertices": vertices, "arcs": [dict(zip(("id", "tail", "head", "weight"), arc))
+                                           for arc in arcs]}
+
+
+@pytest.mark.parametrize("doc, report", [
+    (_doc(["a", "b"], ("e", ["a"], ["zz"], -1.0), ("f", ["a"], ["a", "qq"], 1.0),
+          ("g", ["a"], ["a"], 1.0), ("g", ["b"], [], 0.0)),
+     ["TailHeadOverlap: g: tail and head share: a",
+      "DuplicateArcId: g: arc id occurs more than once",
+      "EmptyHead: g: head is empty",
+      "NonpositiveWeight: g: weight 0.0 is not a positive real",
+      "UnknownVertex: e: unknown vertex id 'zz'",
+      "UnknownVertex: f: unknown vertex id 'qq'"]),
+    # an arc with an unknown name still counts toward a repeated arc id
+    (_doc(["a", "b"], ("e", ["a"], ["zz"], 1.0), ("e", ["a"], ["b"], 1.0)),
+     ["DuplicateArcId: e: arc id occurs more than once",
+      "UnknownVertex: e: unknown vertex id 'zz'"]),
+], ids=["every-violation", "repeated-id"])
+def test_named_arcs_report_unknown_names_as_the_loader_does(doc, report):
+    rows = [tuple(arc.values()) for arc in doc["arcs"]]
+    for build in (lambda: load_canonical(json.dumps(doc)),
+                  lambda: DirectedHypergraph.from_named_arcs(rows, doc["vertices"]),
+                  lambda: oracles.load_canonical(json.dumps(doc))):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value).splitlines() == report
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_docs())
+def test_named_arcs_build_as_the_loader_on_mutated_documents(doc):
+    # on a schema-valid document, from_named_arcs over its vertex list and
+    # arcs, then ensure_valid, builds what the loader builds or raises its error
+    text = json.dumps(doc)
+    loaded = _load_outcome(load_canonical, text)
+    if isinstance(loaded, tuple) and loaded[0] is SchemaError:
+        return
+    rows = [tuple(arc[key] for key in ("id", "tail", "head", "weight")) for arc in doc["arcs"]]
+    named = DirectedHypergraph.from_named_arcs
+    assert (_load_outcome(lambda _: ensure_valid(named(rows, doc["vertices"])), text)
+            == loaded), text
+
+
 def test_valid_documents_never_enter_the_per_arc_scan(monkeypatch):
     def scan(pos, raw):
         raise AssertionError(f"arc {pos} left the bulk checks: {raw!r}")
@@ -740,7 +781,8 @@ def test_valid_documents_never_enter_the_per_arc_scan(monkeypatch):
     for _ in range(20):
         hg = random_hypergraph(rng, max_vertices=12, max_arcs=20)
         assert load_canonical(save_canonical(hg)) == hg
-    assert load_canonical('{"arcs": [], "vertices": []}') == FlatArcs().hypergraph(())
+    empty = DirectedHypergraph.from_named_arcs([])
+    assert load_canonical('{"arcs": [], "vertices": []}') == empty
     # unknown names and bad weights are no schema errors
     text = ('{"arcs": [{"weight": 1' + "0" * 400 + ', "head": ["b", "b"], "id": "e",'
             ' "tail": ["a"]}, {"tail": ["zz"], "id": "f", "head": ["a"], "weight": 2}],'

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import hyperrank
 from hyperrank import _kernels, prune_to_core, simulate_walk, walk
-from hyperrank.core import FlatArcs
 from hyperrank.walk import _WALK_CHUNK, _walk_tables
 
 import oracles
@@ -85,14 +84,12 @@ def _assert_steps_match_the_oracle(tables, start, r_arc, r_head):
 def test_walk_steps_handles_boundary_draws():
     # vertex 0 leaves through arcs of 1 to 5 heads; the weights make
     # cumulative totals such as 0.1 + 0.2 that are not what they print
-    arcs = FlatArcs()
-    for k, w in enumerate((0.1, 0.2, 0.3, 1 / 3, 0.7), start=1):
-        arcs.add(f"h{k}", [0], range(1, k + 1), w)
+    arcs = [(f"h{k}", [0], range(1, k + 1), w)
+            for k, w in enumerate((0.1, 0.2, 0.3, 1 / 3, 0.7), start=1)]
     for v in range(1, 6):
-        arcs.add(f"b{v}", [v], [0], 1.0)
-        arcs.add(f"s{v}", [v, (v % 5) + 1], [0, 6], 0.3)
-    arcs.add("w", [6], range(5), 1.0)
-    hg = arcs.hypergraph(f"v{i}" for i in range(7))
+        arcs += [(f"b{v}", [v], [0], 1.0), (f"s{v}", [v, (v % 5) + 1], [0, 6], 0.3)]
+    arcs.append(("w", [6], range(5), 1.0))
+    hg = oracles.hypergraph([f"v{i}" for i in range(7)], arcs)
     tables = _tables(hg)
     ptr, cum = tables[0].tolist(), tables[1].tolist()
     r_head = [0.0, _BELOW_ONE, 1.0] + [j / hn for hn in range(1, 6) for j in range(hn)]
@@ -246,12 +243,10 @@ def _one_process_counts(hg, start, steps, seed):
 def _cycle(n, skip=False):
     """The directed cycle 0 -> 1 -> ... -> n-1 -> 0; with ``skip``, vertex 0
     may also jump to 2."""
-    arcs = FlatArcs()
-    for i in range(n):
-        arcs.add(f"c{i}", [i], [(i + 1) % n], 1.0)
+    arcs = [(f"c{i}", [i], [(i + 1) % n], 1.0) for i in range(n)]
     if skip:
-        arcs.add("skip", [0], [2], 1.0)
-    return arcs.hypergraph(f"v{i}" for i in range(n))
+        arcs.append(("skip", [0], [2], 1.0))
+    return oracles.hypergraph([f"v{i}" for i in range(n)], arcs)
 
 
 def _assert_split_walk_matches(hg, start, steps, seed):

@@ -9,7 +9,6 @@ from hyperrank import (DirectedHypergraph, RankVector, build_incidence,
                        build_transition, compute_degrees, pagerank_power,
                        prune_to_core, simulate_walk, stationary_dense_oracle,
                        top_k, tv_distance)
-from hyperrank.core import FlatArcs
 from hyperrank.errors import (DanglingVertexError, DenseLimitExceededError,
                               MultipleSolutionsError, NoConvergenceError)
 from hyperrank.walk import _walk_tables
@@ -105,7 +104,7 @@ def test_transition_weight_scale_invariance():
 
 def test_transition_empty_hypergraph_rejected():
     with pytest.raises(ValueError):
-        build_transition(FlatArcs().hypergraph(()))
+        build_transition(DirectedHypergraph.from_named_arcs([]))
 
 
 def test_transition_type_enforces_stochasticity():
