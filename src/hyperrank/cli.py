@@ -79,8 +79,10 @@ def _read_input(path: str) -> str:
 def _load(ns) -> tuple[DirectedHypergraph, IngestReport | None]:
     """The input network and, for reaction text, its ingest report.
 
-    The input text is handed on as a temporary, which its parse is the last
-    to hold.
+    The input text is handed on as a temporary, so the loader holds its one
+    reference: a reaction text is dropped once parsed, and a JSON text is
+    held while its arcs are decoded, slice by slice, and dropped before the
+    layout is built.
     """
     if ns.format == "json":
         return load_canonical(_read_input(ns.input)), None

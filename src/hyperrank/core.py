@@ -184,11 +184,12 @@ class DirectedHypergraph:
 
 
 def _float(weight: int | float) -> float:
-    """The weight as a float; an integer beyond the float range is inf."""
+    """The weight as a float; an integer beyond the float range is inf of
+    its sign."""
     try:
         return float(weight)
     except OverflowError:
-        return np.inf
+        return np.inf if weight > 0 else -np.inf
 
 
 def _weight_column(weights: list) -> np.ndarray:

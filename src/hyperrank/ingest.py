@@ -327,62 +327,150 @@ def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: 
     _reject_unknown(vertices, index, ids, tails, heads, _weight_column(weights))
 
 
+class _Surprise(Exception):
+    """The text is not what the sliced decode reads; the whole-document
+    decode takes it over."""
+
+
+# A slice of the arcs array ends at the first '}, {' this many characters
+# or more past its start.
+_SLICE_CHARS = 1 << 17
+_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+_SPACE = json.decoder.WHITESPACE
+_DECODER = json.JSONDecoder()
+
+
+def _expect(text: str, pos: int, token: str) -> int:
+    """The position after ``token``, which must follow ``pos`` past JSON
+    whitespace."""
+    pos = _SPACE.match(text, pos).end()
+    if not text.startswith(token, pos):
+        raise _Surprise
+    return pos + len(token)
+
+
+def _key(text: str, pos: int, key: str) -> int:
+    """The position of the value after the object key ``key`` and its ':';
+    the key is decoded, so an escaped spelling of it is the key too."""
+    found, pos = json.decoder.scanstring(text, _expect(text, pos, '"'))
+    if found != key:
+        raise _Surprise
+    return _SPACE.match(text, _expect(text, pos, ":")).end()
+
+
+def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | None:
+    """The vertices, arc ids and resolved sides and weights of a document
+    laid out as ``{"vertices": [...], "arcs": [...]}``, or None.
+
+    The vertices are decoded first. The arcs array is cut after a '}' that
+    a ',' and a '{' follow, each slice decoded inside '[' ']', its columns
+    extracted, its names resolved and its ids copied (see ``_fresh``), and
+    the slice dropped before the next one is decoded; the last slice runs
+    to the end of the array. A cut inside a string leaves the string
+    unterminated, and one inside an arc leaves it unclosed, so a wrong cut
+    never decodes. Anything else than a valid slice, a resolved name and
+    the two keys in this order with nothing after them gives None: the
+    whole document is then decoded again, which alone raises errors.
+    """
+    try:
+        vertices, pos = _DECODER.raw_decode(text, _key(text, _expect(text, 0, "{"), "vertices"))
+        if type(vertices) is not list or not set(map(type, vertices)) <= {str}:
+            raise _Surprise
+        pos = _expect(text, _key(text, _expect(text, pos, ","), "arcs"), "[")
+        index = _positions(vertices)
+        ids, parts, end = [], [], None
+        while end is None:
+            cut = _CUT.search(text, pos + _SLICE_CHARS)
+            if cut is None:  # decoding finds where the array ends
+                arcs, end = _DECODER.raw_decode("[" + text[pos:])
+                end += pos - 1
+            else:
+                arcs = json.loads("[" + text[pos:cut.start() + 1] + "]")
+                pos = cut.end() - 1
+            columns = _arc_columns(arcs)
+            if columns is None:
+                raise _Surprise
+            del arcs
+            parts.append((*_resolved(index, columns[1]), *_resolved(index, columns[2]),
+                          _weight_column(columns[3])))
+            ids += _fresh(columns[0])
+            del columns
+        if _SPACE.match(text, _expect(text, end, "}")).end() != len(text):
+            raise _Surprise
+    except (_Surprise, ValueError, KeyError, TypeError, RecursionError):
+        return None
+    return vertices, ids, tuple(map(np.concatenate, zip(*parts)))
+
+
 def load_canonical(text: str) -> DirectedHypergraph:
     """Parse the canonical JSON format; reports every semantic violation.
 
-    The arcs are read a field at a time across all of them, their names
-    resolved in one pass per side, and handed to ``ArcLayout.from_sides``
-    as columns. Only a document that a bulk check rejects, or with a name
-    that does not resolve, is scanned arc by arc, to raise its error.
+    The arcs are decoded in slices (see ``_sliced``), read a field at a time
+    across each slice, their names resolved in one pass per side, and
+    handed to ``ArcLayout.from_sides`` as columns. The text is held until
+    the last slice is decoded and dropped before the layout is built, so
+    the load peaks at the text plus one slice's objects, not at a whole
+    document.
 
-    The text is dropped once parsed, and the document before the layout is
-    built and validated; what the hypergraph keeps of it holds none of its
-    memory (see ``_fresh``), so the load peaks while the document is alive,
-    not after it on top of the layout's temporaries.
+    A text that the sliced decode does not take is decoded whole, and that
+    decode alone raises errors: only a document that a bulk check rejects,
+    or with a name that does not resolve, is scanned arc by arc, to raise
+    its error. The text is dropped once parsed there, and the document
+    before the layout is built and validated; what the hypergraph keeps of
+    either holds none of their memory (see ``_fresh``).
     """
     with _collector_paused():
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}",
-                              line=exc.lineno, column=exc.colno) from None
-        except RecursionError:
-            raise SchemaError("invalid JSON: nesting is too deep") from None
+        held = [text]
         del text
-        if not isinstance(doc, dict):
-            raise SchemaError("top level must be an object")
-        for key in doc:
-            if key not in _TOP_KEYS:
-                raise SchemaError(f"unknown key {key!r}")
-        for key in _TOP_KEYS:
-            if key not in doc:
-                raise SchemaError(f"missing key {key!r}")
-        vertices = _string_list(doc["vertices"], '"vertices"')
-        arcs = doc["arcs"]
-        if not isinstance(arcs, list):
-            raise SchemaError('"arcs" must be an array')
-        columns = _arc_columns(arcs)
-        if columns is None:
-            for pos, raw in enumerate(arcs):
-                _check_arc(pos, raw)
-            raise AssertionError("the bulk checks reject arcs that every arc's checks accept")
-        ids, tails, heads, weights = columns
+        vertices, ids, sides = _sliced(held[0]) or _whole(held)
+        del held
+        return ensure_valid(DirectedHypergraph(vertices, ids, ArcLayout.from_sides(*sides)))
 
-        index = _positions(vertices)
-        try:
-            # every key is a string, so a name that resolves is one
-            tail_len, tail_idx = _resolved(index, tails)
-            head_len, head_idx = _resolved(index, heads)
-        except (KeyError, TypeError):
-            _reject_names(vertices, index, ids, tails, heads, weights)
-        weight = _weight_column(weights)
-        del columns, tails, heads, weights, index
-        # each arc id lies among its arc's objects and would keep their
-        # arena; the vertex names lie together, so they are kept as they are
-        ids = _fresh(ids)
-        del doc, arcs
-        return ensure_valid(DirectedHypergraph(vertices, ids, ArcLayout.from_sides(
-            tail_len, tail_idx, head_len, head_idx, weight)))
+
+def _whole(held: list[str]) -> tuple[list[str], list[str], tuple[np.ndarray, ...]]:
+    """``_sliced``'s result from one decode of the whole text, or the
+    document's first schema error, or the report of its unknown names.
+
+    The text is taken out of ``held``, so that it is freed once decoded.
+    """
+    text = held.pop()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}",
+                          line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nesting is too deep") from None
+    del text
+    if not isinstance(doc, dict):
+        raise SchemaError("top level must be an object")
+    for key in doc:
+        if key not in _TOP_KEYS:
+            raise SchemaError(f"unknown key {key!r}")
+    for key in _TOP_KEYS:
+        if key not in doc:
+            raise SchemaError(f"missing key {key!r}")
+    vertices = _string_list(doc["vertices"], '"vertices"')
+    arcs = doc["arcs"]
+    if not isinstance(arcs, list):
+        raise SchemaError('"arcs" must be an array')
+    columns = _arc_columns(arcs)
+    if columns is None:
+        for pos, raw in enumerate(arcs):
+            _check_arc(pos, raw)
+        raise AssertionError("the bulk checks reject arcs that every arc's checks accept")
+    ids, tails, heads, weights = columns
+
+    index = _positions(vertices)
+    try:
+        # every key is a string, so a name that resolves is one
+        sides = *_resolved(index, tails), *_resolved(index, heads), _weight_column(weights)
+    except (KeyError, TypeError):
+        _reject_names(vertices, index, ids, tails, heads, weights)
+    del columns, tails, heads, weights, index
+    # each arc id lies among its arc's objects and would keep their
+    # arena; the vertex names lie together, so they are kept as they are
+    return vertices, _fresh(ids), sides
 
 
 @_collector_paused()

@@ -13,7 +13,9 @@ from . import _kernels
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True, order="C")
+    """The values as a read-only C-ordered array of ``dtype``; an array that
+    already is one is frozen in place, not copied."""
+    arr = np.asarray(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -43,13 +45,19 @@ def packed_unique(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, n
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    slot = np.cumsum(first)
+    distinct = key[first]
+    slot = np.cumsum(first, out=key)
     slot -= 1
-    return key[first], slot, pos
+    return distinct, slot, pos
 
 
 class SparseRealMatrix:
-    """CSR matrix with sorted, duplicate-free columns and no stored zeros."""
+    """CSR matrix with sorted, duplicate-free columns and no stored zeros.
+
+    The arrays handed to the constructor are kept and made read-only, not
+    copied, when they already have the dtype and layout; the caller must not
+    keep writing to them.
+    """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data")
 
@@ -105,17 +113,33 @@ class SparseRealMatrix:
             raise ValueError(f"a {rows}x{cols} matrix has more positions than int64 keys")
         key = row * cols
         key += col
+        return cls._from_keys(rows, cols, [key, value])
+
+    @classmethod
+    def _from_keys(cls, rows: int, cols: int, entries: list) -> "SparseRealMatrix":
+        """``from_coo`` of checked entries given as ``[key, value]``: the int64
+        keys row·cols + col and the float64 values.
+
+        The list is emptied and the key overwritten, so that each array is
+        freed once it is consumed if the caller keeps no other reference.
+        """
+        key, value = entries
+        entries.clear()
         keys, slot, pos = packed_unique(key, rows * cols)
         del key
+        value = value[pos]
+        del pos
         # bincount adds each key's values in sorted order, which within a
         # key is input order, like a running sum
-        sums = np.bincount(slot, weights=value[pos], minlength=keys.size)
-        del slot, pos
+        sums = np.bincount(slot, weights=value, minlength=keys.size)
+        del slot, value
         kept = sums != 0.0
         keys, sums = keys[kept], sums[kept]
+        row, col = np.divmod(keys, cols)
+        del keys
         indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // cols, minlength=rows), out=indptr[1:])
-        return cls(rows, cols, indptr, keys % cols, sums)
+        np.cumsum(np.bincount(row, minlength=rows), out=indptr[1:])
+        return cls(rows, cols, indptr, col, sums)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))

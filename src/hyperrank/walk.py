@@ -151,23 +151,25 @@ def build_transition(hg: DirectedHypergraph,
         raise DanglingVertexError([hg.vertices[i] for i in jumpers.tolist()])
     lay = hg.layout
     # one (u, v, step) entry per arc, tail vertex and head vertex, in that
-    # nesting order, so that from_coo sums each pair's steps in arc order
+    # nesting order, so that each pair's steps are summed in arc order
     tail_arc = lay.tail_arc
     per_head = lay.weight / deg.arc_head
     if per_head.min(initial=1.0) >= np.finfo(np.float64).tiny:
         step = per_head[tail_arc] / deg.vertex_tail[lay.tail_idx]
     else:  # a subnormal w/|head| has lost its precision: divide by the tail sum first
         step = lay.weight[tail_arc] / deg.vertex_tail[lay.tail_idx] / deg.arc_head[tail_arc]
-    taken, cols = _take(lay.head_ptr, lay.head_idx, tail_arc)
+    taken, key = _take(lay.head_ptr, lay.head_idx, tail_arc)
+    del tail_arc
     fan = np.diff(taken)
-    rows = np.repeat(lay.tail_idx, fan)
-    vals = np.repeat(step, fan)
-    del step, fan, taken
+    del taken
+    # each entry's key u·n + v, over its column v
+    key += np.repeat(lay.tail_idx * n, fan)
+    entries = [key, np.repeat(step, fan)]
+    del key, step, fan
     if jumpers.size:  # each dangling vertex's uniform row, which has no arc entries
-        rows = np.concatenate([rows, np.repeat(jumpers, n)])
-        cols = np.concatenate([cols, np.tile(np.arange(n), jumpers.size)])
-        vals = np.concatenate([vals, np.full(jumpers.size * n, 1.0 / n)])
-    matrix = SparseRealMatrix.from_coo(n, n, rows, cols, vals)
+        entries = [np.concatenate([entries[0], (jumpers[:, None] * n + np.arange(n)).ravel()]),
+                   np.concatenate([entries[1], np.full(jumpers.size * n, 1.0 / n)])]
+    matrix = SparseRealMatrix._from_keys(n, n, entries)
     return TransitionMatrix(matrix, hg.vertices)
 
 

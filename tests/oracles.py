@@ -142,6 +142,60 @@ def from_coo(rows, cols, row, col, value) -> SparseRealMatrix:
                             [j for (_, j), _ in kept], [v for _, v in kept])
 
 
+def from_coo_packed(rows, cols, row, col, value) -> SparseRealMatrix:
+    """COO to CSR as the library built it before its build freed each array
+    once consumed: the key row·cols + col formed from a separate row array,
+    a stable argsort grouping the keys, the values gathered in that order
+    and summed per key by ``np.bincount``; duplicates sum in input order,
+    zeros drop."""
+    row = np.asarray(row, dtype=np.int64)
+    col = np.asarray(col, dtype=np.int64)
+    value = np.asarray(value, dtype=np.float64)
+    key = row * cols + col
+    pos = np.argsort(key, kind="stable")
+    key = key[pos]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    slot = np.cumsum(first) - 1
+    keys = key[first]
+    sums = np.bincount(slot, weights=value[pos], minlength=keys.size)
+    kept = sums != 0.0
+    keys, sums = keys[kept], sums[kept]
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // cols, minlength=rows), out=indptr[1:])
+    return SparseRealMatrix(rows, cols, indptr, keys % cols, sums)
+
+
+def transition_coo(hg: DirectedHypergraph, uniform_jump: bool = False):
+    """P's (row, col, value) entries before they are summed, in the order
+    the library sums them: arc by arc, tail by tail, head by head, then
+    under ``uniform_jump`` each dangling vertex's uniform row. A step is
+    w/|head|/d_tail(u), or w/d_tail(u)/|head| on every arc once some
+    w/|head| is subnormal."""
+    vertex_tail, _, _, arc_head = compute_degrees(hg)
+    n = hg.n_vertices
+    arcs = arc_rows(hg)
+    tiny = np.finfo(np.float64).tiny
+    subnormal = any(arc.weight / arc_head[j] < tiny for j, arc in enumerate(arcs))
+    row, col, value = [], [], []
+    for j, arc in enumerate(arcs):
+        for u in arc.tail:
+            if subnormal:
+                step = arc.weight / vertex_tail[u] / arc_head[j]
+            else:
+                step = arc.weight / arc_head[j] / vertex_tail[u]
+            for v in arc.head:
+                row.append(u)
+                col.append(v)
+                value.append(step)
+    if uniform_jump:
+        for u in np.flatnonzero(vertex_tail == 0.0).tolist():
+            row += [u] * n
+            col += range(n)
+            value += [1.0 / n] * n
+    return row, col, value
+
+
 def compute_degrees(hg: DirectedHypergraph):
     """(vertex tail, vertex head, arc tail, arc head) degrees, arc by arc."""
     nv, na = hg.n_vertices, hg.n_arcs
@@ -424,7 +478,7 @@ def _checked_arc(pos: int, raw) -> tuple[str, list[str], list[str], float]:
     try:
         weight = float(weight)
     except OverflowError:  # an integer beyond the float range
-        weight = math.inf
+        weight = math.inf if weight > 0 else -math.inf
     return raw["id"], tail_names, head_names, weight
 
 

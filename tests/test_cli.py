@@ -440,6 +440,16 @@ def test_integer_weight_beyond_float_range_is_a_violation(tmp_path, capsys):
                             "is not a positive real\n")
 
 
+def test_negative_integer_weight_beyond_float_range_keeps_its_sign(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], '
+                    '"head": ["b"], "weight": -1' + "0" * 400 + "}]}")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "NonpositiveWeight: e: weight -inf is not a positive real\n"
+    assert captured.err == ""
+
+
 OVERFLOW_JSON = json.dumps({
     "vertices": ["a", "b"],
     "arcs": [

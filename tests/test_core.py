@@ -82,7 +82,10 @@ def test_weights_over_the_whole_float_range_rank_or_are_a_violation(hg, data):
     if report.ok:
         core_hg, _ = prune_to_core(hg)
         if core_hg.n_vertices:  # the row sums are checked as P is built
-            build_transition(core_hg)
+            n = core_hg.n_vertices
+            packed = oracles.from_coo_packed(n, n, *oracles.transition_coo(core_hg))
+            assert (oracles.csr_bytes(build_transition(core_hg).matrix)
+                    == oracles.csr_bytes(packed))
 
 
 def test_validate_collects_every_violation():
@@ -277,8 +280,11 @@ def _assert_passes_match_oracles(hg):
     for mine, ref in zip(got, oracles.compute_degrees(hg)):
         assert mine.dtype == ref.dtype
         assert mine.tobytes() == ref.tobytes()
-    for mine, ref in zip(build_incidence(hg), oracles.build_incidence(hg)):
-        assert oracles.csr_bytes(mine) == oracles.csr_bytes(ref)
+    lay = hg.layout
+    packed = [oracles.from_coo_packed(hg.n_vertices, hg.n_arcs, idx, arc, np.ones(idx.size))
+              for idx, arc in ((lay.tail_idx, lay.tail_arc), (lay.head_idx, lay.head_arc))]
+    for mine, ref, old in zip(build_incidence(hg), oracles.build_incidence(hg), packed):
+        assert oracles.csr_bytes(mine) == oracles.csr_bytes(ref) == oracles.csr_bytes(old)
     pruned, events = prune_to_core(hg)
     ref_pruned, ref_events = oracles.prune_to_core(hg)
     assert pruned == ref_pruned

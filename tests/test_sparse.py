@@ -161,6 +161,46 @@ def test_from_coo_rejects_misaligned_arrays():
         SparseRealMatrix.from_coo(2, 2, [[0]], [[0]], [[1.0]])
 
 
+@settings(max_examples=300, deadline=None)
+@given(coo_entries())
+def test_from_coo_matches_the_packed_build_bitwise(case):
+    got = SparseRealMatrix.from_coo(*case)
+    assert oracles.csr_bytes(got) == oracles.csr_bytes(oracles.from_coo_packed(*case))
+
+
+def test_from_coo_matches_the_packed_build_on_seeded_entries():
+    # many duplicates per key, some summing to exactly zero
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        rows, cols = rng.integers(1, 50, 2).tolist()
+        size = int(rng.integers(0, 4000))
+        case = (rows, cols, rng.integers(0, rows, size), rng.integers(0, cols, size),
+                rng.choice([1.0, -1.0, 0.5, -0.5, 0.1, 0.0, 1e-300], size))
+        got = SparseRealMatrix.from_coo(*case)
+        assert oracles.csr_bytes(got) == oracles.csr_bytes(oracles.from_coo_packed(*case))
+    m = SparseRealMatrix.from_coo(1, 2, [0, 0, 0], [1, 0, 1], [0.25, 2.0, -0.25])
+    assert (m.indices.tolist(), m.data.tolist()) == ([0], [2.0])
+
+
+def test_keys_build_consumes_its_entries():
+    key, value = np.array([5, 1, 5, 0]), np.array([1.0, 2.0, 3.0, 4.0])
+    entries = [key, value]
+    m = SparseRealMatrix._from_keys(2, 3, entries)
+    assert entries == []
+    assert m == SparseRealMatrix.from_coo(2, 3, [1, 0, 1, 0], [2, 1, 2, 0], [1.0, 2.0, 3.0, 4.0])
+
+
+def test_constructor_freezes_the_arrays_it_is_handed():
+    indptr, indices, data = np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 3.0])
+    m = SparseRealMatrix(2, 2, indptr, indices, data)
+    assert m.indptr is indptr and m.indices is indices and m.data is data
+    assert not any(a.flags.writeable for a in (indptr, indices, data))
+    # other dtypes and lists are converted
+    m = SparseRealMatrix(2, 2, [0, 1, 2], np.array([1, 0], dtype=np.int32), [2, 3])
+    assert (m.indices.dtype, m.data.dtype) == (np.int64, np.float64)
+    assert not m.indices.flags.writeable
+
+
 @pytest.mark.parametrize("rows, cols, row, col, value", [
     (5, 2**62, [4], [0], [1.0]),  # 5·2**62 positions: the key row·cols + col would wrap
     (5, 2**62, [4, 0], [3, 3], [1.0, 2.0]),

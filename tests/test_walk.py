@@ -121,6 +121,10 @@ def _assert_transition_matches_oracle(hg):
     ref = oracles.build_transition(hg, uniform_jump=True)
     got = build_transition(hg, dangling="uniform-jump").matrix
     assert oracles.csr_bytes(got) == oracles.csr_bytes(ref)
+    # the packed build of the same entries, as the library built P before
+    packed = oracles.from_coo_packed(hg.n_vertices, hg.n_vertices,
+                                     *oracles.transition_coo(hg, uniform_jump=True))
+    assert oracles.csr_bytes(got) == oracles.csr_bytes(packed)
     if compute_degrees(hg).vertex_tail.min() > 0:
         assert oracles.csr_bytes(build_transition(hg).matrix) == oracles.csr_bytes(ref)
 
