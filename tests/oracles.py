@@ -172,7 +172,8 @@ def transition_coo(hg: DirectedHypergraph, uniform_jump: bool = False):
     under ``uniform_jump`` each dangling vertex's uniform row. A step is
     w/|head|/d_tail(u), or w/d_tail(u)/|head| on every arc once some
     w/|head| is subnormal."""
-    vertex_tail, _, _, arc_head = compute_degrees(hg)
+    with np.errstate(over="ignore"):  # a head-weight sum may overflow; none is used
+        vertex_tail, _, _, arc_head = compute_degrees(hg)
     n = hg.n_vertices
     arcs = arc_rows(hg)
     tiny = np.finfo(np.float64).tiny

@@ -121,7 +121,7 @@ def _assert_transition_matches_oracle(hg):
     ref = oracles.build_transition(hg, uniform_jump=True)
     got = build_transition(hg, dangling="uniform-jump").matrix
     assert oracles.csr_bytes(got) == oracles.csr_bytes(ref)
-    # the packed build of the same entries, as the library built P before
+    # and the replaced packed COO build of the same entries
     packed = oracles.from_coo_packed(hg.n_vertices, hg.n_vertices,
                                      *oracles.transition_coo(hg, uniform_jump=True))
     assert oracles.csr_bytes(got) == oracles.csr_bytes(packed)
