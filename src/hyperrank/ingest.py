@@ -29,6 +29,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
+from . import _fork
 from .core import (ArcLayout, DirectedHypergraph, _positions, _reject_unknown,
                    _resolved, _take, _weight_column, ensure_valid)
 from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
@@ -335,9 +336,15 @@ class _Surprise(Exception):
 # A slice of the arcs array ends at the first '}, {' this many characters
 # or more past its start.
 _SLICE_CHARS = 1 << 17
+# The arcs array is split over processes only into parts of this many
+# characters or more, several slices each: below that, a fork costs more
+# than it saves.
+_PART_CHARS = 1 << 19
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 _SPACE = json.decoder.WHITESPACE
 _DECODER = json.JSONDecoder()
+# what the sliced decode of a text it does not take may raise
+_DECLINED = (_Surprise, ValueError, KeyError, TypeError, RecursionError)
 
 
 def _expect(text: str, pos: int, token: str) -> int:
@@ -362,14 +369,12 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
     """The vertices, arc ids and resolved sides and weights of a document
     laid out as ``{"vertices": [...], "arcs": [...]}``, or None.
 
-    The vertices are decoded first. The arcs array is cut after a '}' that
-    a ',' and a '{' follow, each slice decoded inside '[' ']', its columns
-    extracted, its names resolved and its ids copied (see ``_fresh``), and
-    the slice dropped before the next one is decoded; the last slice runs
-    to the end of the array. A cut inside a string leaves the string
-    unterminated, and one inside an arc leaves it unclosed, so a wrong cut
-    never decodes. Anything else than a valid slice, a resolved name and
-    the two keys in this order with nothing after them gives None: the
+    The vertices are decoded first. The arcs array is cut into parts (see
+    ``_parts``); a forked child decodes each later part (see ``_send_part``)
+    while this process decodes the first, and a part whose child failed is
+    decoded here. Each part is decoded in slices (see ``_part``). Anything
+    else than a valid slice, a resolved name and the two keys in this order
+    with nothing after them gives None, also where a child meets it: the
     whole document is then decoded again, which alone raises errors.
     """
     try:
@@ -378,39 +383,123 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
             raise _Surprise
         pos = _expect(text, _key(text, _expect(text, pos, ","), "arcs"), "[")
         index = _positions(vertices)
-        ids, parts, end = [], [], None
-        while end is None:
-            cut = _CUT.search(text, pos + _SLICE_CHARS)
-            if cut is None:  # decoding finds where the array ends
-                arcs, end = _DECODER.raw_decode("[" + text[pos:])
-                end += pos - 1
-            else:
-                arcs = json.loads("[" + text[pos:cut.start() + 1] + "]")
-                pos = cut.end() - 1
-            columns = _arc_columns(arcs)
-            if columns is None:
-                raise _Surprise
-            del arcs
-            parts.append((*_resolved(index, columns[1]), *_resolved(index, columns[2]),
-                          _weight_column(columns[3])))
-            ids += _fresh(columns[0])
-            del columns
-        if _SPACE.match(text, _expect(text, end, "}")).end() != len(text):
-            raise _Surprise
-    except (_Surprise, ValueError, KeyError, TypeError, RecursionError):
+        parts = _parts(text, pos)
+        with _fork.Children() as children:
+            for k in range(1, len(parts)):
+                if not children.fork(k, lambda write: _send_part(write, text, index, *parts[k])):
+                    break  # no process to spare: the rest is decoded here
+            ids, slices = _part(text, index, *parts[0])
+            for k in range(1, len(parts)):
+                part_ids, part_slices = (_received(children.collect(k))
+                                         or _part(text, index, *parts[k]))
+                ids += part_ids
+                slices += part_slices
+    except _DECLINED:
         return None
-    return vertices, ids, tuple(map(np.concatenate, zip(*parts)))
+    return vertices, ids, tuple(map(np.concatenate, zip(*slices)))
+
+
+def _parts(text: str, pos: int) -> list[tuple[int, int | None]]:
+    """The arcs array from ``pos`` cut into one part per worker process (see
+    ``_fork.worker_count``), each of ``_PART_CHARS`` or more: per part its
+    start and the end of its last '}', None for the last part, which runs
+    to the end of the array. A part ends at the first '}' that a ',' and a
+    '{' follow past an equal share of the text."""
+    span = len(text) - pos
+    workers = _fork.worker_count(span // _PART_CHARS)
+    parts, first = [], pos
+    for k in range(1, workers):
+        cut = _CUT.search(text, max(first, pos + k * span // workers))
+        if cut is None:
+            break
+        parts.append((first, cut.start() + 1))
+        first = cut.end() - 1
+    return parts + [(first, None)]
+
+
+def _part(text: str, index: dict[str, int], pos: int, end: int | None
+          ) -> tuple[list[str], list[tuple[np.ndarray, ...]]]:
+    """The arc ids, and per slice the resolved sides and weights, of the
+    arcs from ``pos`` to ``end``; with ``end`` None, to the end of the arcs
+    array, and then nothing but the document's closing '}' may follow.
+
+    A slice ends at the first '}' that a ',' and a '{' follow
+    ``_SLICE_CHARS`` or more past its start. Each slice is decoded inside
+    '[' ']', its columns extracted, its names resolved and its ids copied
+    (see ``_fresh``), and dropped before the next one is decoded. A cut
+    inside a string leaves the string unterminated, and one inside an arc
+    leaves it unclosed, so a wrong cut never decodes.
+    """
+    ids, slices = [], []
+    while True:
+        cut = _CUT.search(text, pos + _SLICE_CHARS, len(text) if end is None else end)
+        if cut is not None:
+            arcs = json.loads("[" + text[pos:cut.start() + 1] + "]")
+        elif end is not None:
+            arcs = json.loads("[" + text[pos:end] + "]")
+        else:  # decoding finds where the array ends
+            arcs, stop = _DECODER.raw_decode("[" + text[pos:])
+            if _SPACE.match(text, _expect(text, pos + stop - 1, "}")).end() != len(text):
+                raise _Surprise
+        columns = _arc_columns(arcs)
+        if columns is None:
+            raise _Surprise
+        del arcs
+        slices.append((*_resolved(index, columns[1]), *_resolved(index, columns[2]),
+                       _weight_column(columns[3])))
+        ids += _fresh(columns[0])
+        del columns
+        if cut is None:
+            return ids, slices
+        pos = cut.end() - 1
+
+
+def _send_part(write: int, text: str, index: dict[str, int], pos: int, end: int | None):
+    """In a forked child: decode a part as ``_part`` does and write to the
+    pipe ``write`` one buffer. That is the int64 words 0, the number of arcs
+    and the numbers of tail and head names; the five columns, as int64 and
+    float64; and the ids joined by NULs, in UTF-8 with surrogates passed.
+    Where the sliced decode does not take the part, it is the word 1 alone.
+    """
+    try:
+        ids, slices = _part(text, index, pos, end)
+        columns = list(map(np.concatenate, zip(*slices)))
+        del slices
+        buffers = [np.array([0, len(ids), columns[1].size, columns[3].size], dtype=np.int64),
+                   *columns, "\x00".join(ids).encode("utf-8", "surrogatepass")]
+    except _DECLINED:
+        buffers = [np.array([1], dtype=np.int64)]
+    with open(write, "wb") as pipe:
+        pipe.writelines(buffers)
+
+
+def _received(data: bytes | None) -> tuple[list[str], list[tuple[np.ndarray, ...]]] | None:
+    """A part's ids and columns from the buffer a child sent (see
+    ``_send_part``), as ``_part`` gives them; None where the child failed,
+    or where an id holds a NUL, so that the ids cannot be told apart."""
+    if data is None:
+        return None
+    if np.frombuffer(data, dtype=np.int64, count=1)[0]:
+        raise _Surprise
+    arcs, tails, heads = np.frombuffer(data, dtype=np.int64, count=3, offset=8).tolist()
+    columns, at = [], 32
+    for size, dtype in zip((arcs, tails, arcs, heads, arcs), (np.int64,) * 4 + (np.float64,)):
+        columns.append(np.frombuffer(data, dtype=dtype, count=size, offset=at))
+        at += 8 * size
+    ids = data[at:].decode("utf-8", "surrogatepass").split("\x00")
+    return (ids, [tuple(columns)]) if len(ids) == arcs else None
 
 
 def load_canonical(text: str) -> DirectedHypergraph:
     """Parse the canonical JSON format; reports every semantic violation.
 
-    The arcs are decoded in slices (see ``_sliced``), read a field at a time
-    across each slice, their names resolved in one pass per side, and
-    handed to ``ArcLayout.from_sides`` as columns. The text is held until
-    the last slice is decoded and dropped before the layout is built, so
-    the load peaks at the text plus one slice's objects, not at a whole
-    document.
+    The arcs are decoded in slices, a part of the array per available CPU
+    (see ``_sliced``), read a field at a time across each slice, their
+    names resolved in one pass per side, and handed to
+    ``ArcLayout.from_sides`` as columns. The text is held until the last
+    slice is decoded and dropped before the layout is built, so each
+    process peaks at the text plus one slice's objects and its part's
+    columns, not at a whole document.
 
     A text that the sliced decode does not take is decoded whole, and that
     decode alone raises errors: only a document that a bulk check rejects,

@@ -9,17 +9,13 @@ the row-stochastic transition matrix.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import signal
-import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import BinaryIO, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from . import _kernels
+from . import _fork, _kernels
 from .core import DirectedHypergraph, _take, compute_degrees, ensure_valid
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      MultipleSolutionsError, NoConvergenceError)
@@ -333,19 +329,6 @@ def _pieces(seed: int, first: int, last: int, stride: int, buffer: np.ndarray):
             yield draws[0, b:b + stride], draws[1, b:b + stride]
 
 
-def _worker_count(chunks: int) -> int:
-    """One process per available CPU, at most one per chunk. One alone where
-    there is no fork; where a second thread is alive, since a child would
-    hold a copy of any lock that thread held and no thread to release it;
-    and where SIGCHLD is ignored, since no child's exit status is kept."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if chunks < 2 or affinity is None or not hasattr(os, "fork") \
-            or threading.active_count() > 1 \
-            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
-        return 1
-    return min(len(affinity(0)), chunks)
-
-
 def _split_walk(tables: _WalkTables, start: int, steps: int,
                 seed: int) -> np.ndarray:
     """Visit counts of the seeded walk of `steps` steps from `start`, split
@@ -365,78 +348,43 @@ def _split_walk(tables: _WalkTables, start: int, steps: int,
     """
     n = tables.arc_ptr.size - 1
     chunks = -(-steps // _WALK_CHUNK)
-    workers = _worker_count(chunks)
+    workers = _fork.worker_count(chunks)
     bounds = [min(k * chunks // workers * _WALK_CHUNK, steps) for k in range(workers + 1)]
     # the stepper converts the counts to a list and back on every call
     stride = max(_WALK_STRIDE, 4 * n)
-    parent = os.getpid()
-    children: dict[int, tuple[int, BinaryIO]] = {}  # segment -> (pid, pipe)
-    try:
+    with _fork.Children() as children:
         # fork before any draw buffer exists, so no process holds two
         for k in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the rest is walked here
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:
-                os.close(read)
-                _walk_segment(write, tables, start, seed, bounds[k], bounds[k + 1], stride)
-            os.close(write)
-            children[k] = (pid, open(read, "rb"))
+            if not children.fork(k, lambda write: _walk_segment(
+                    write, tables, start, seed, bounds[k], bounds[k + 1], stride)):
+                break  # no process to spare: the rest is walked here
         buffer = np.empty(2 * min(_WALK_CHUNK, steps))
         counts = np.zeros(n, dtype=np.int64)
         u = start
         for r_arc, r_head in _pieces(seed, 0, bounds[1], _WALK_CHUNK, buffer):
             u = tables.steps(u, r_arc, r_head, counts)
         for k in range(1, workers):
-            payload = None
-            if k in children:
-                pid, pipe = children[k]
-                data = pipe.read()
-                pipe.close()
-                try:
-                    ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-                except ChildProcessError:  # reaped elsewhere: its exit status is lost
-                    ok = False
-                del children[k]
-                if ok:
-                    payload = np.frombuffer(data, dtype=np.int64)
+            data = children.collect(k)
+            payload = None if data is None else np.frombuffer(data, dtype=np.int64)
             u = _stitch(tables, u, seed, bounds[k], bounds[k + 1], stride, buffer,
                         counts, payload)
         return counts
-    finally:
-        if os.getpid() != parent:  # a child that escaped _walk_segment
-            os._exit(1)
-        for pid, pipe in children.values():
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def _walk_segment(write: int, tables: _WalkTables, start: int, seed: int,
                   first: int, last: int, stride: int):
     """In a forked child: walk [first, last) from `start` and write to the
     pipe ``write`` one int64 buffer, the end vertex, the state at the start
-    of every piece and the counts. Leaves only through ``os._exit``, and
-    writes nothing to stdout or stderr."""
-    code = 1
-    try:
-        counts = np.zeros(tables.arc_ptr.size - 1, dtype=np.int64)
-        states = []
-        u = start
-        buffer = np.empty(2 * min(_WALK_CHUNK, last - first))
-        for r_arc, r_head in _pieces(seed, first, last, stride, buffer):
-            states.append(u)
-            u = tables.steps(u, r_arc, r_head, counts)
-        with open(write, "wb") as pipe:
-            pipe.write(np.concatenate([[u], states, counts]).astype(np.int64).tobytes())
-        code = 0
-    finally:
-        os._exit(code)
+    of every piece and the counts."""
+    counts = np.zeros(tables.arc_ptr.size - 1, dtype=np.int64)
+    states = []
+    u = start
+    buffer = np.empty(2 * min(_WALK_CHUNK, last - first))
+    for r_arc, r_head in _pieces(seed, first, last, stride, buffer):
+        states.append(u)
+        u = tables.steps(u, r_arc, r_head, counts)
+    with open(write, "wb") as pipe:
+        pipe.write(np.concatenate([[u], states, counts]).astype(np.int64).tobytes())
 
 
 def _stitch(tables: _WalkTables, u: int, seed: int, first: int, last: int,

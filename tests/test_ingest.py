@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -721,7 +722,9 @@ def test_load_matches_the_oracle_on_mutated_documents(doc):
 
 def test_load_matches_the_oracle_on_the_fixed_cases():
     for text, _ in SCHEMA_CASES:
-        assert_loads_as_oracle(text)
+        for cpus in (1, 3):
+            with _split_into(cpus):
+                assert_loads_as_oracle(text)
     assert_loads_as_oracle(
         '{"vertices": ["a", "b", "a", "c"], "arcs": ['
         '{"id": "e", "tail": ["yy", "c"], "head": ["c", "zz"], "weight": 2},'
@@ -740,6 +743,35 @@ def _slices_of(chars):
         ingest._SLICE_CHARS = saved
 
 
+@contextmanager
+def _split_into(cpus, part_chars=1, fork=os.fork):
+    """While the block runs, cut the arcs array into parts of ``part_chars``
+    characters or more, one per each of ``cpus`` CPUs, and fork with
+    ``fork``; yields the pids of the children forked, as the parent sees
+    them. A block that ends without raising has reaped every child, left
+    no file descriptor open and this process free to run on its CPUs."""
+    pids = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+    affinity = os.sched_getaffinity(0)
+    saved = ingest._PART_CHARS, os.sched_getaffinity, os.fork
+    ingest._PART_CHARS, os.sched_getaffinity, os.fork = (
+        part_chars, lambda pid: set(range(cpus)), counted)
+    try:
+        yield pids
+    finally:
+        ingest._PART_CHARS, os.sched_getaffinity, os.fork = saved
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (sorted(os.listdir("/proc/self/fd")) if fds else []) == fds
+    assert os.sched_getaffinity(0) == affinity
+
+
 # json.dumps layouts: the default, indented, and whitespace around every ','
 # and ':', so that the cuts meet '}\n ,\t{'
 _LAYOUTS = [{}, {"indent": 2}, {"separators": ("\n ,\t", " :\r\n")},
@@ -749,9 +781,9 @@ _LAYOUTS = [{}, {"indent": 2}, {"separators": ("\n ,\t", " :\r\n")},
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(mutated_docs(), relaid_docs(),
                  _any_hypergraphs.map(save_canonical).map(json.loads)),
-       st.sampled_from(_LAYOUTS), st.sampled_from([1, 40, 1 << 17]))
-def test_sliced_load_matches_the_whole_document_oracle(doc, layout, chars):
-    with _slices_of(chars):
+       st.sampled_from(_LAYOUTS), st.sampled_from([1, 40, 1 << 17]), st.integers(1, 4))
+def test_sliced_load_matches_the_whole_document_oracle(doc, layout, chars, cpus):
+    with _slices_of(chars), _split_into(cpus):
         assert_loads_as_oracle(json.dumps(doc, **layout))
 
 
@@ -833,10 +865,143 @@ SLICE_CASES = [
 @pytest.mark.parametrize("text, sliced", SLICE_CASES, ids=range(len(SLICE_CASES)))
 def test_sliced_load_matches_the_oracle_on_the_fixed_cases(text, sliced):
     for chars in (1, 1 << 17):
-        with _slices_of(chars):
+        for cpus in (1, 3):
+            with _slices_of(chars), _split_into(cpus):
+                assert_loads_as_oracle(text)
+    for cpus in (1, 3):
+        with _slices_of(1), _split_into(cpus):
+            assert (ingest._sliced(text) is not None) is sliced
+
+
+# ------------------------------------------------- the arcs split over processes
+
+def test_documents_in_key_order_are_split_over_processes():
+    rng = np.random.default_rng(53)
+    forked = 0
+    for _ in range(10):
+        hg = random_hypergraph(rng, max_vertices=12, max_arcs=20)
+        for layout in _LAYOUTS:
+            text = json.dumps(json.loads(save_canonical(hg)), **layout)
+            with _slices_of(40), _split_into(3) as forks:
+                assert ingest._sliced(text) is not None
+                assert load_canonical(text) == hg
+            assert len(forks) <= 2 * min(2, hg.n_arcs - 1)
+            forked += len(forks)
+    assert forked > 0
+    # an arc longer than a share of the text: every part still holds arcs
+    hg = DirectedHypergraph.from_named_arcs(
+        [("x" * 5000, ["a"], ["b"], 1.0)] + [(f"e{k}", ["b"], ["a"], 1.0) for k in range(20)])
+    text = save_canonical(hg)
+    with _split_into(4) as forks:
+        parts = ingest._parts(text, text.index('"arcs": [') + 9)
+        assert load_canonical(text) == hg
+    assert len(forks) == len(parts) - 1 == 3
+    assert all(first < end for first, end in parts[:-1])
+
+
+def _later_part(last):
+    """2000 arcs whose last one is ``last``, the text of an arc's fields."""
+    arcs = [_ARC % (f"e{k}", 1) for k in range(1999)] + ["{" + last + "}"]
+    return '{"vertices": ["a", "b"], "arcs": [%s]}' % ", ".join(arcs)
+
+
+# documents whose one error lies in the last part of the arcs array
+_LATER_PART_ERRORS = [
+    _later_part('"id": "z", "tail": ["a"], "head": ["zz"], "weight": 1'),
+    _later_part('"id": "z", "tail": ["a", 1], "head": ["b"], "weight": 1'),
+    _later_part('"id": "z", "tail": ["a"], "head": ["b"], "weight": "1"'),
+    _later_part('"id": "z')[:-4],
+    _later_part('"id": "z", "tail": ["a"], "head": ["b"], "weight": 1') + " x",
+    _later_part('"id": "z", "tail": ["a"], "head": ' + "[" * 5_000 + "]" * 5_000
+                + ', "weight": 1'),
+]
+
+
+@pytest.mark.parametrize("text", _LATER_PART_ERRORS,
+                         ids=["unknown-name", "name-no-string", "weight-type",
+                              "unterminated-string", "trailing-text", "deep-nesting"])
+def test_an_error_in_a_later_part_is_reported_as_in_one_process(text):
+    for cpus in (1, 2, 4):
+        with _split_into(cpus) as forks:
             assert_loads_as_oracle(text)
-    with _slices_of(1):
-        assert (ingest._sliced(text) is not None) is sliced
+            assert ingest._sliced(text) is None
+        assert len(forks) == 2 * (cpus - 1)
+
+
+def test_ids_with_a_nul_or_a_lone_surrogate_cross_the_pipe():
+    arcs = [(f"e{k}", ["a"], ["b"], 1.0) for k in range(30)]
+    arcs += [("n\x00ul", ["b"], ["a"], 2.0), ("\x00", ["a"], ["b"], 1.0),
+             ("\ud800", ["b"], ["a"], 1.0), ("x\udfff\U0001f600", ["a"], ["b"], 1.0)]
+    hg = DirectedHypergraph.from_named_arcs(arcs)
+    for ids in ([a[0] for a in arcs], [a[0].replace("\x00", "0") for a in arcs]):
+        text = save_canonical(DirectedHypergraph(hg.vertices, ids, hg.layout))
+        for cpus in (1, 3):
+            with _split_into(cpus) as forks:
+                assert_loads_as_oracle(text)
+                assert ingest._sliced(text)[1] == ids
+            assert len(forks) == 2 * (cpus - 1)
+
+
+def _arcs_text(arcs):
+    return save_canonical(DirectedHypergraph.from_named_arcs(
+        [(f"e{k}", [f"v{k % 97}"], [f"v{(k + 1) % 97}"], 1.0) for k in range(arcs)]))
+
+
+def test_a_failed_fork_leaves_the_load_in_one_process():
+    def failing():
+        raise OSError("no process to spare")
+    text = _arcs_text(200)
+    with _split_into(4, fork=failing) as forks:
+        assert load_canonical(text) == oracles.load_canonical(text)
+    assert forks == []
+
+
+def test_a_failed_child_is_decoded_again_here(monkeypatch):
+    monkeypatch.setattr(ingest, "_send_part", lambda write, *part: os._exit(1))
+    text = _arcs_text(200)
+    with _split_into(3) as forks:
+        assert load_canonical(text) == oracles.load_canonical(text)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_the_load_reaps_its_children_when_it_raises(monkeypatch, error):
+    parent, part = os.getpid(), ingest._part
+
+    def failing(*args):
+        if os.getpid() == parent:
+            raise error("part failed")
+        return part(*args)
+    monkeypatch.setattr(ingest, "_part", failing)
+    with _split_into(4) as forks:
+        with pytest.raises(error, match="part failed"):
+            load_canonical(_arcs_text(200))
+    assert len(forks) == 3
+
+
+def test_a_second_thread_keeps_the_load_in_one_process():
+    text = _arcs_text(200)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with _split_into(4) as forks:
+            assert load_canonical(text) == oracles.load_canonical(text)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_only_documents_of_several_slices_a_part_are_split():
+    # a 141 KB document, the size of a 1500-arc ring, stays in one process;
+    # one of 2.6 MB is split in two on two CPUs, in four parts on four
+    for arcs, cpus, parts in ((1075, 4, 1), (20000, 2, 2), (20000, 4, 4)):
+        text = _arcs_text(arcs)
+        with _split_into(cpus, part_chars=ingest._PART_CHARS) as forks:
+            assert load_canonical(text).n_arcs == arcs
+        assert len(forks) == parts - 1, (len(text), parts)
 
 
 def _doc(vertices, *arcs):

@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperrank
-from hyperrank import _kernels, prune_to_core, simulate_walk, walk
+from hyperrank import _fork, _kernels, prune_to_core, simulate_walk, walk
+from hyperrank.sparse import SparseRealMatrix
 from hyperrank.walk import _WALK_CHUNK, _walk_tables
 
 import oracles
@@ -43,9 +44,14 @@ def test_csr_left_multiply_matches_loop_oracle_bitwise():
         x = rng.random(rows)
         out = np.full(cols, np.nan)
         expected = np.zeros(cols)
-        _kernels.csr_left_multiply(indptr, indices, data, x, out)
+        matrix = SparseRealMatrix(rows, cols, indptr, indices, data)
+        entry_rows = [i for i in range(rows) for _ in range(indptr[i], indptr[i + 1])]
+        assert matrix._entry_rows().tolist() == entry_rows
+        assert matrix._entry_rows() is matrix._entry_rows()  # built once
+        _kernels.csr_left_multiply(indptr, indices, data, x, out, matrix._entry_rows())
         oracles.csr_left_multiply(indptr, indices, data, x, expected)
         assert out.tobytes() == expected.tobytes()
+        assert matrix.left_multiply(x).tobytes() == expected.tobytes()
         np.testing.assert_allclose(out, x @ dense, rtol=0, atol=1e-13)
 
 
@@ -436,6 +442,18 @@ def test_children_reaped_by_a_sigchld_handler_are_walked_again_here(small_walk, 
     assert len(forks) == 5 * 2 * 3 + 3
     assert set(forks[-3:]) <= set(reaped)
     _assert_no_child_left()
+
+
+def test_each_part_keeps_to_its_own_cpu_while_it_runs():
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("one CPU")
+    with _fork.Children() as children:
+        assert children.fork(1, lambda write: os.write(
+            write, bytes(sorted(os.sched_getaffinity(0)))))
+        assert sorted(os.sched_getaffinity(0)) == cpus[:1]
+        assert list(children.collect(1)) == cpus[1:2]
+    assert sorted(os.sched_getaffinity(0)) == cpus
 
 
 def test_a_second_thread_keeps_the_walk_in_one_process(small_walk, forks):
