@@ -3,11 +3,12 @@
 The multiply is one NumPy gather and one scatter. The walk stepper reads
 a per-vertex view of the sampling tables: for vertex u, the tuple of its
 cumulative arc-choice totals, and one ``(head count, heads)`` pair per
-tail slot. Padding stands in for the two clamps. The slot tuple ends in a second copy
-of its last entry, for a draw at or past the last total, and each heads
-tuple ends in a second copy of its last head, for a head draw of exactly
-1.0. So a step is one bisection and two tuple lookups, with the same
-bisection bounds and float truncation as the loop in ``tests/oracles.py``.
+tail slot. Padding stands in for the two clamps. The slot tuple ends in
+a second copy of its last entry, for a draw at or past the last total,
+and each heads tuple ends in a second copy of its last head, for a head
+draw of exactly 1.0. So a step is one bisection and two tuple lookups,
+with the same bisection bounds and float truncation as the loop in
+``tests/oracles.py``.
 
 The view is built once per table set, not once per call. The last one is
 kept next to weak references to its five arrays, matched by identity, so
