@@ -22,36 +22,54 @@ def worker_count(parts: int) -> int:
     there is no fork; where a second thread is alive, since a child would
     hold a copy of any lock that thread held and no thread to release it;
     and where SIGCHLD is ignored, since no child's exit status is kept."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if parts < 2 or affinity is None or not hasattr(os, "fork") \
+    if parts < 2 or not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork") \
             or threading.active_count() > 1 \
             or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
         return 1
-    return min(len(affinity(0)), parts)
+    return min(_cpu_count(), parts)
 
 
-def _keep_to(cpus) -> None:
-    """Let the calling thread run only on ``cpus``, where the system has
-    them."""
-    with contextlib.suppress(OSError):  # none of them online
-        os.sched_setaffinity(0, cpus)
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _cpu_now() -> int | None:
+    """The CPU this process ran on last, where the system's /proc says."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _leave(cpu: int | None) -> None:
+    """Let the calling thread run on any CPU it may use but ``cpu``, where
+    that leaves one."""
+    if cpu is None:
+        return
+    cpus = os.sched_getaffinity(0) - {cpu}
+    if cpus:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 class Children:
     """Forked children, one per part, each writing one buffer to its pipe.
 
-    From the first fork on, this process keeps to the first CPU it may use
-    and the child of part k to the k-th: a scheduler may otherwise leave a
-    new child beside its parent for longer than a part takes. Used as a
-    context: on exit every child not yet collected is killed and reaped,
-    also when the block raises, this process may use all its CPUs again,
-    and a child that reaches the exit leaves through ``os._exit``.
+    With ``apart``, each child starts by leaving the CPU this process ran
+    on at the first fork: a scheduler may otherwise keep a new child beside
+    its parent for longer than a short part takes. This process's own CPU
+    set is never changed. Used as a context: on exit every child not yet
+    collected is killed and reaped, also when the block raises, and a child
+    that reaches the exit leaves through ``os._exit``.
     """
 
-    def __init__(self):
+    def __init__(self, apart: bool = False):
         self._parent = os.getpid()
         self._open: dict[int, tuple[int, BinaryIO]] = {}  # part -> (pid, pipe)
-        self._cpus: list[int] = []  # the CPUs this process may use, once it forks
+        self._apart = apart
+        self._cpu = None  # the CPU to leave, read at the first fork
 
     def __enter__(self) -> "Children":
         return self
@@ -61,9 +79,8 @@ class Children:
         write end; the child exits 0 once the job returns and 1 if it
         raises, writing nothing to stdout or stderr. False, with no child,
         where the fork fails."""
-        if not self._cpus:
-            self._cpus = sorted(os.sched_getaffinity(0))
-            _keep_to(self._cpus[:1])
+        if self._apart and self._cpu is None:
+            self._cpu = _cpu_now()
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -75,7 +92,8 @@ class Children:
             code = 1
             try:
                 os.close(read)
-                _keep_to([self._cpus[part % len(self._cpus)]])
+                if self._apart:
+                    _leave(self._cpu)
                 job(write)
                 code = 0
             finally:
@@ -109,5 +127,3 @@ class Children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         self._open.clear()
-        if self._cpus:
-            _keep_to(self._cpus)

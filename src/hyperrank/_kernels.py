@@ -1,14 +1,13 @@
 """The numeric kernels: the CSR transposed multiply and the walk stepper.
 
-The multiply is one NumPy gather and one scatter. The walk stepper reads
-a per-vertex view of the sampling tables: for vertex u, the tuple of its
-cumulative arc-choice totals, and one ``(head count, heads)`` pair per
-tail slot. Padding stands in for the two clamps. The slot tuple ends in
-a second copy of its last entry, for a draw at or past the last total,
-and each heads tuple ends in a second copy of its last head, for a head
-draw of exactly 1.0. So a step is one bisection and two tuple lookups,
-with the same bisection bounds and float truncation as the loop in
-``tests/oracles.py``.
+The multiply is one NumPy scatter. The walk stepper reads a per-vertex
+view of the sampling tables: for vertex u, the tuple of its cumulative
+arc-choice totals, and one ``(head count, heads)`` pair per tail slot.
+Padding stands in for the two clamps. The slot tuple ends in a second copy
+of its last entry, for a draw at or past the last total, and each heads
+tuple ends in a second copy of its last head, for a head draw of exactly
+1.0. So a step is one bisection and two tuple lookups, with the same
+bisection bounds and float truncation as the loop in ``tests/oracles.py``.
 
 The view is built once per table set, not once per call. The last one is
 kept next to weak references to its five arrays, matched by identity, so
@@ -30,17 +29,12 @@ _last: tuple = ()
 _trunc = float.__trunc__
 
 
-def csr_left_multiply(indptr, indices, data, x, out, rows):
-    """Write y = xᵀA into ``out`` for a CSR matrix A, i.e. a row-major scatter.
-
-    ``rows`` holds each stored entry's row, as ``indptr`` gives it; the
-    matrix builds it once (``SparseRealMatrix._entry_rows``), not each call.
-    """
-    products = x[rows]
-    products *= data  # in place: one entry-sized temporary, beside the kept map
+def csr_left_multiply(indptr, indices, data, x, out):
+    """Write y = xᵀA into ``out`` for a CSR matrix A, i.e. a row-major scatter."""
     # bincount adds its weights in input order, so each column sums its
     # products in the same row-major order as a plain loop would.
-    out[:] = np.bincount(indices, weights=products, minlength=out.size)
+    out[:] = np.bincount(indices, weights=data * np.repeat(x, np.diff(indptr)),
+                         minlength=out.size)
 
 
 def _vertex_view(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts) -> list:

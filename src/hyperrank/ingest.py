@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import json
+import marshal
 import math
 import re
 from contextlib import contextmanager
@@ -384,7 +385,7 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
         pos = _expect(text, _key(text, _expect(text, pos, ","), "arcs"), "[")
         index = _positions(vertices)
         parts = _parts(text, pos)
-        with _fork.Children() as children:
+        with _fork.Children(apart=True) as children:
             for k in range(1, len(parts)):
                 if not children.fork(k, lambda write: _send_part(write, text, index, *parts[k])):
                     break  # no process to spare: the rest is decoded here
@@ -458,15 +459,15 @@ def _send_part(write: int, text: str, index: dict[str, int], pos: int, end: int 
     """In a forked child: decode a part as ``_part`` does and write to the
     pipe ``write`` one buffer. That is the int64 words 0, the number of arcs
     and the numbers of tail and head names; the five columns, as int64 and
-    float64; and the ids joined by NULs, in UTF-8 with surrogates passed.
-    Where the sliced decode does not take the part, it is the word 1 alone.
+    float64; and the ids, marshalled. Where the sliced decode does not take
+    the part, it is the word 1 alone.
     """
     try:
         ids, slices = _part(text, index, pos, end)
         columns = list(map(np.concatenate, zip(*slices)))
         del slices
         buffers = [np.array([0, len(ids), columns[1].size, columns[3].size], dtype=np.int64),
-                   *columns, "\x00".join(ids).encode("utf-8", "surrogatepass")]
+                   *columns, marshal.dumps(ids)]
     except _DECLINED:
         buffers = [np.array([1], dtype=np.int64)]
     with open(write, "wb") as pipe:
@@ -475,8 +476,7 @@ def _send_part(write: int, text: str, index: dict[str, int], pos: int, end: int 
 
 def _received(data: bytes | None) -> tuple[list[str], list[tuple[np.ndarray, ...]]] | None:
     """A part's ids and columns from the buffer a child sent (see
-    ``_send_part``), as ``_part`` gives them; None where the child failed,
-    or where an id holds a NUL, so that the ids cannot be told apart."""
+    ``_send_part``), as ``_part`` gives them; None where the child failed."""
     if data is None:
         return None
     if np.frombuffer(data, dtype=np.int64, count=1)[0]:
@@ -486,8 +486,7 @@ def _received(data: bytes | None) -> tuple[list[str], list[tuple[np.ndarray, ...
     for size, dtype in zip((arcs, tails, arcs, heads, arcs), (np.int64,) * 4 + (np.float64,)):
         columns.append(np.frombuffer(data, dtype=dtype, count=size, offset=at))
         at += 8 * size
-    ids = data[at:].decode("utf-8", "surrogatepass").split("\x00")
-    return (ids, [tuple(columns)]) if len(ids) == arcs else None
+    return marshal.loads(memoryview(data)[at:]), [tuple(columns)]
 
 
 def load_canonical(text: str) -> DirectedHypergraph:

@@ -59,7 +59,7 @@ class SparseRealMatrix:
     keep writing to them.
     """
 
-    __slots__ = ("rows", "cols", "indptr", "indices", "data", "_rows_of")
+    __slots__ = ("rows", "cols", "indptr", "indices", "data")
 
     def __init__(self, rows: int, cols: int, indptr, indices, data):
         self.rows = int(rows)
@@ -67,7 +67,6 @@ class SparseRealMatrix:
         self.indptr = _frozen(indptr, np.int64)
         self.indices = _frozen(indices, np.int64)
         self.data = _frozen(data, np.float64)
-        self._rows_of = None
         self._check()
 
     def _check(self) -> None:
@@ -142,21 +141,16 @@ class SparseRealMatrix:
         np.cumsum(np.bincount(row, minlength=rows), out=indptr[1:])
         return cls(rows, cols, indptr, col, sums)
 
-    def _entry_rows(self) -> np.ndarray:
-        """Each stored entry's row, built on the first call and kept."""
-        if self._rows_of is None:
-            self._rows_of = _frozen(np.repeat(np.arange(self.rows), np.diff(self.indptr)),
-                                    np.int64)
-        return self._rows_of
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))
-        out[self._entry_rows(), self.indices] = self.data
+        rows = np.repeat(np.arange(self.rows), np.diff(self.indptr))
+        out[rows, self.indices] = self.data
         return out
 
     def row_sums(self) -> np.ndarray:
+        rows = np.repeat(np.arange(self.rows), np.diff(self.indptr))
         # bincount returns integer zeros when there are no entries at all
-        return np.bincount(self._entry_rows(), weights=self.data,
+        return np.bincount(rows, weights=self.data,
                            minlength=self.rows).astype(np.float64, copy=False)
 
     def left_multiply(self, x, out: np.ndarray | None = None) -> np.ndarray:
@@ -168,8 +162,7 @@ class SparseRealMatrix:
             out = np.zeros(self.cols)
         elif out.shape != (self.cols,) or out.dtype != np.float64:
             raise ValueError(f"out must be a float64 vector of length {self.cols}")
-        _kernels.csr_left_multiply(self.indptr, self.indices, self.data, x, out,
-                                   self._entry_rows())
+        _kernels.csr_left_multiply(self.indptr, self.indices, self.data, x, out)
         return out
 
     @property

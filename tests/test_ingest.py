@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import (DirectedHypergraph, ReactionColumns, build_transition,
+from hyperrank import (DirectedHypergraph, ReactionColumns, _fork, build_transition,
                        ensure_valid, ingest, load_canonical, parse_reactions_text,
                        prune_to_core, reactions_to_hypergraph, save_canonical)
 from hyperrank.core import ArcLayout
@@ -749,7 +749,7 @@ def _split_into(cpus, part_chars=1, fork=os.fork):
     characters or more, one per each of ``cpus`` CPUs, and fork with
     ``fork``; yields the pids of the children forked, as the parent sees
     them. A block that ends without raising has reaped every child, left
-    no file descriptor open and this process free to run on its CPUs."""
+    no file descriptor open and this process's CPU set as it was."""
     pids = []
 
     def counted():
@@ -759,13 +759,12 @@ def _split_into(cpus, part_chars=1, fork=os.fork):
         return pid
     fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
     affinity = os.sched_getaffinity(0)
-    saved = ingest._PART_CHARS, os.sched_getaffinity, os.fork
-    ingest._PART_CHARS, os.sched_getaffinity, os.fork = (
-        part_chars, lambda pid: set(range(cpus)), counted)
+    saved = ingest._PART_CHARS, _fork._cpu_count, os.fork
+    ingest._PART_CHARS, _fork._cpu_count, os.fork = part_chars, lambda: cpus, counted
     try:
         yield pids
     finally:
-        ingest._PART_CHARS, os.sched_getaffinity, os.fork = saved
+        ingest._PART_CHARS, _fork._cpu_count, os.fork = saved
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert (sorted(os.listdir("/proc/self/fd")) if fds else []) == fds
@@ -928,18 +927,27 @@ def test_an_error_in_a_later_part_is_reported_as_in_one_process(text):
         assert len(forks) == 2 * (cpus - 1)
 
 
-def test_ids_with_a_nul_or_a_lone_surrogate_cross_the_pipe():
+def test_ids_with_a_nul_or_a_lone_surrogate_cross_the_pipe(monkeypatch):
+    parent, part, here = os.getpid(), ingest._part, []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            here.append(args[2])
+        return part(*args)
+    monkeypatch.setattr(ingest, "_part", counted)
     arcs = [(f"e{k}", ["a"], ["b"], 1.0) for k in range(30)]
     arcs += [("n\x00ul", ["b"], ["a"], 2.0), ("\x00", ["a"], ["b"], 1.0),
              ("\ud800", ["b"], ["a"], 1.0), ("x\udfff\U0001f600", ["a"], ["b"], 1.0)]
     hg = DirectedHypergraph.from_named_arcs(arcs)
-    for ids in ([a[0] for a in arcs], [a[0].replace("\x00", "0") for a in arcs]):
-        text = save_canonical(DirectedHypergraph(hg.vertices, ids, hg.layout))
-        for cpus in (1, 3):
-            with _split_into(cpus) as forks:
-                assert_loads_as_oracle(text)
-                assert ingest._sliced(text)[1] == ids
-            assert len(forks) == 2 * (cpus - 1)
+    text = save_canonical(hg)
+    for cpus in (1, 3):
+        here.clear()
+        with _split_into(cpus) as forks:
+            assert ingest._sliced(text)[1] == [a[0] for a in arcs]
+        assert len(forks) == cpus - 1
+        assert len(here) == 1  # every later part came through a pipe
+        with _split_into(cpus):
+            assert_loads_as_oracle(text)
 
 
 def _arcs_text(arcs):

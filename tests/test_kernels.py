@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import hyperrank
 from hyperrank import _fork, _kernels, prune_to_core, simulate_walk, walk
-from hyperrank.sparse import SparseRealMatrix
 from hyperrank.walk import _WALK_CHUNK, _walk_tables
 
 import oracles
@@ -44,14 +43,9 @@ def test_csr_left_multiply_matches_loop_oracle_bitwise():
         x = rng.random(rows)
         out = np.full(cols, np.nan)
         expected = np.zeros(cols)
-        matrix = SparseRealMatrix(rows, cols, indptr, indices, data)
-        entry_rows = [i for i in range(rows) for _ in range(indptr[i], indptr[i + 1])]
-        assert matrix._entry_rows().tolist() == entry_rows
-        assert matrix._entry_rows() is matrix._entry_rows()  # built once
-        _kernels.csr_left_multiply(indptr, indices, data, x, out, matrix._entry_rows())
+        _kernels.csr_left_multiply(indptr, indices, data, x, out)
         oracles.csr_left_multiply(indptr, indices, data, x, expected)
         assert out.tobytes() == expected.tobytes()
-        assert matrix.left_multiply(x).tobytes() == expected.tobytes()
         np.testing.assert_allclose(out, x @ dense, rtol=0, atol=1e-13)
 
 
@@ -444,16 +438,22 @@ def test_children_reaped_by_a_sigchld_handler_are_walked_again_here(small_walk, 
     _assert_no_child_left()
 
 
-def test_each_part_keeps_to_its_own_cpu_while_it_runs():
-    cpus = sorted(os.sched_getaffinity(0))
+def test_only_a_child_apart_leaves_its_parents_cpu():
+    cpus = os.sched_getaffinity(0)
     if len(cpus) < 2:
         pytest.skip("one CPU")
-    with _fork.Children() as children:
-        assert children.fork(1, lambda write: os.write(
-            write, bytes(sorted(os.sched_getaffinity(0)))))
-        assert sorted(os.sched_getaffinity(0)) == cpus[:1]
-        assert list(children.collect(1)) == cpus[1:2]
-    assert sorted(os.sched_getaffinity(0)) == cpus
+
+    def mask(write):
+        os.write(write, ",".join(map(str, sorted(os.sched_getaffinity(0)))).encode())
+    for apart in (False, True):
+        with _fork.Children(apart) as children:
+            assert children.fork(1, mask)
+            assert os.sched_getaffinity(0) == cpus
+            left = children._cpu
+            child = set(map(int, children.collect(1).split(b",")))
+        assert child == (cpus - {left} if apart else cpus)
+        assert os.sched_getaffinity(0) == cpus
+    assert left in cpus or left is None
 
 
 def test_a_second_thread_keeps_the_walk_in_one_process(small_walk, forks):
