@@ -1,9 +1,10 @@
 """Work split over forked child processes, each sending one buffer back.
 
-Used by the seeded walk (``walk._split_walk``) and the canonical JSON
-loader (``ingest._sliced``): both cut their work into contiguous parts,
-do the first part in the calling process and hand every later part to a
-child, then read the children's buffers in part order. A part whose child
+Used by the seeded walk (``walk._split_walk``), the canonical JSON loader
+(``ingest._sliced``) and the reaction text parser
+(``ingest.parse_reactions_text``): each cuts its work into contiguous
+parts, does the first part in the calling process and hands every later
+part to a child, then reads the children's buffers in part order. A part whose child
 failed, or was never forked, is done again in the calling process, so the
 result never depends on how many children ran.
 """

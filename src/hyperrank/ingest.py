@@ -8,9 +8,9 @@ side is an optional '+'-separated list of identifiers, each one or more of
 [A-Za-z0-9_] and '-', where a '-' directly before '>' opens the arrow
 instead; ARROW is '->' (irreversible) or '<->' (reversible), WEIGHT a
 positive number. Lines end where ``str.splitlines`` ends them. One regular
-expression, matched over the whole text at once, is the grammar; a text it
-rejects is read again line by line only to raise the first error. An empty
-side (a boundary exchange reaction) parses, and conversion drops the
+expression, matched over whole parts of the text at once, is the grammar; a
+text it rejects is read again line by line only to raise the first error. An
+empty side (a boundary exchange reaction) parses, and conversion drops the
 record, as core pruning would.
 """
 
@@ -23,10 +23,11 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice
+from functools import partial
+from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -103,16 +104,81 @@ def _fresh(strings: list[str]) -> list[str]:
     return [(s + "\x00")[:-1] for s in strings]
 
 
+class _Surprise(Exception):
+    """A part is not what the fast path reads: the text is read again the
+    slow way, which alone raises errors."""
+
+
+# A text is split over processes only into parts of this many characters
+# or more: below that, a fork costs more than it saves.
+_PART_CHARS = 1 << 19
+# what the fast path over a part that it does not take may raise
+_DECLINED = (_Surprise, ValueError, KeyError, TypeError, RecursionError)
+
+
+def _parts(text: str, pos: int, cut: re.Pattern) -> list[tuple[int, int | None]]:
+    """The text from ``pos`` cut into one part per worker process (see
+    ``_fork.worker_count``), each of ``_PART_CHARS`` or more: per part its
+    start and end, None for the last part, which runs to the end. A part
+    ends where the first match of ``cut`` past an equal share of the text
+    starts, and the next part starts where that match ends."""
+    span = len(text) - pos
+    workers = _fork.worker_count(span // _PART_CHARS)
+    parts, first = [], pos
+    for k in range(1, workers):
+        found = cut.search(text, max(first, pos + k * span // workers))
+        if found is None:
+            break
+        parts.append((first, found.start()))
+        first = found.end()
+    return parts + [(first, None)]
+
+
+def _send(write: int, job: Callable[[], tuple[object, Sequence[np.ndarray]]]) -> None:
+    """In a forked child: write to the pipe ``write`` one buffer of what
+    ``job()`` gives, some strings and some columns. That is the int64 word
+    0 and each column's length; the columns' bytes; and the strings,
+    marshalled. Where the job does not take its part, it is the word 1
+    alone."""
+    try:
+        strings, columns = job()
+        buffers = [np.array([0, *map(len, columns)], dtype=np.int64), *columns,
+                   marshal.dumps(strings)]
+    except _DECLINED:
+        buffers = [np.array([1], dtype=np.int64)]
+    with open(write, "wb") as pipe:
+        pipe.writelines(buffers)
+
+
+def _received(data: bytes | None, dtypes: tuple) -> tuple[object, list[np.ndarray]] | None:
+    """The strings and the columns, of the ``dtypes`` in order, of the
+    buffer a child sent (see ``_send``); None where the child failed.
+    Raises ``_Surprise`` where the child did not take its part."""
+    if data is None:
+        return None
+    if np.frombuffer(data, dtype=np.int64, count=1)[0]:
+        raise _Surprise
+    sizes = np.frombuffer(data, dtype=np.int64, count=len(dtypes), offset=8).tolist()
+    columns, at = [], 8 * (len(dtypes) + 1)
+    for size, dtype in zip(sizes, dtypes):
+        columns.append(np.frombuffer(data, dtype=dtype, count=size, offset=at))
+        at += size * np.dtype(dtype).itemsize
+    return marshal.loads(memoryview(data)[at:]), columns
+
+
 class ReactionColumns(NamedTuple):
     """The records of a reaction text as columns, in file order.
 
-    ``names`` holds every record's substrates and then its products, as
-    written (repeats kept); ``tail_len`` and ``head_len`` count how many of
-    a record's names are substrates and how many products.
+    ``species`` holds the distinct species names in the order of their
+    first mention in the text. ``code`` holds one position in ``species``
+    per mention: every record's substrates and then its products, as
+    written (repeats kept). ``tail_len`` and ``head_len`` count how many of
+    a record's mentions are substrates and how many products.
     """
 
     ids: list[str]
-    names: list[str]
+    species: list[str]
+    code: np.ndarray
     tail_len: np.ndarray
     head_len: np.ndarray
     reversible: np.ndarray
@@ -155,34 +221,87 @@ def _parse_reaction_line(line: str, *, line_no: int | None = None) -> None:
         state = accepts[kind]
 
 
+_LINE_BREAK = re.compile("\n")
+# the dtypes of the columns that ``_scan`` gives, in order
+_SCAN_DTYPES = (np.int64, np.int64, np.int64, np.float64, bool)
+
+
 @_collector_paused()
 def parse_reactions_text(text: str) -> ReactionColumns:
-    """Parse a whole reaction file; raises on the first malformed line."""
+    """Parse a whole reaction file; raises on the first malformed line.
+
+    The text is cut at line breaks into parts (see ``_parts``); a forked
+    child scans each later part (see ``_scan``) while this process scans
+    the first, and a part whose child failed is scanned here. The parts'
+    species are then numbered in text order. A part that the scan does not
+    take sends the whole text to the line-by-line error locator, which
+    alone raises errors, so a diagnostic never depends on the cuts.
+    """
     if any(map(text.__contains__, _BREAKS)):
         text = "\n".join(text.splitlines())
-    lines = _LINE_RE.findall(text)
+    parts = _parts(text, 0, _LINE_BREAK)
+    try:
+        with _fork.Children(apart=True) as children:
+            for k in range(1, len(parts)):
+                scan = partial(_scan, text, *parts[k], fresh=False)
+                if not children.fork(k, lambda write: _send(write, scan)):
+                    break  # no process to spare: the rest is scanned here
+            scans = [_scan(text, *parts[0])]
+            for k in range(1, len(parts)):
+                scans.append(_received(children.collect(k), _SCAN_DTYPES)
+                             or _scan(text, *parts[k]))
+    except _Surprise:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            _parse_reaction_line(line, line_no=line_no)
+        raise AssertionError(
+            "the whole-text scan rejects a text whose every line parses") from None
+    strings, columns = zip(*scans)
+    index = dict(zip(dict.fromkeys(chain.from_iterable(species for _, species in strings)),
+                     count()))
+    # each part's codes, from the part's species to the text's
+    code = np.concatenate([
+        np.fromiter(map(index.__getitem__, species), dtype=np.int64, count=len(species))[part[0]]
+        for (_, species), part in scans])
+    tail_len, head_len, weight, reversible = map(np.concatenate, list(zip(*columns))[1:])
+    return ReactionColumns(list(chain.from_iterable(ids for ids, _ in strings)), list(index),
+                           code, tail_len, head_len, reversible, weight)
+
+
+def _scan(text: str, pos: int, end: int | None, fresh: bool = True
+          ) -> tuple[tuple[list[str], list[str]], tuple[np.ndarray, ...]]:
+    """The records of the lines from ``pos`` to ``end`` (None: to the end
+    of the text), matched at once: their ids and the part's distinct
+    species in the order of first mention; and as columns the position
+    among those species of each mention, the records' side lengths,
+    weights and arrows. With ``fresh`` the ids and species are copied (see
+    ``_fresh``). Raises ``_Surprise`` where a line does not match or a
+    weight is no positive real.
+    """
+    end = len(text) if end is None else end
+    lines = _LINE_RE.findall(text, pos, end)
     columns = list(zip(*lines)) or [()] * 5
     kept = list(map(bool, columns[0]))  # blank and comment-only lines have no ID
     ids, substrates, reversible, products, weights = (
         list(compress(column, kept)) for column in columns)
     try:
         weight = np.array([float(w or 1) for w in weights], dtype=np.float64)
-        # a text has one line more than '\n's, the last one empty after a
-        # final '\n', and each line that the grammar takes matches once
-        if (len(lines) != text.count("\n") + 1
-                or not ((weight > 0.0) & (weight < math.inf)).all()):
-            raise ValueError
     except ValueError:
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            _parse_reaction_line(line, line_no=line_no)
-        raise AssertionError(
-            "the whole-text scan rejects a text whose every line parses") from None
+        raise _Surprise from None
+    # a part has one line more than '\n's, the last one empty after a
+    # final '\n', and each line that the grammar takes matches once
+    if (len(lines) != text.count("\n", pos, end) + 1
+            or not ((weight > 0.0) & (weight < math.inf)).all()):
+        raise _Surprise
+    del lines, columns
     # a side is its names with '+' and whitespace between them
     names = " ".join(chain.from_iterable(zip(substrates, products))).replace("+", " ").split()
+    index = dict(zip(dict.fromkeys(names), count()))
+    code = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
     tail_len, head_len = (np.array([s.count("+") + 1 if s else 0 for s in sides], dtype=np.int64)
                           for sides in (substrates, products))
-    return ReactionColumns(_fresh(ids), names, tail_len, head_len,
-                           np.array(list(map(bool, reversible)), dtype=bool), weight)
+    species = list(index)
+    return ((_fresh(ids), _fresh(species)) if fresh else (ids, species),
+            (code, tail_len, head_len, weight, np.array(list(map(bool, reversible)), dtype=bool)))
 
 
 @dataclass
@@ -212,27 +331,31 @@ def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SP
     outright; a record with an empty side is dropped (noted in
     ``report.dropped``).
 
-    The parse, its names and their index are dropped once the names are
-    numbered, before the records are laid out and the result validated.
+    The parse is dropped once its species are numbered as vertices, before
+    the records are laid out and the result validated.
     """
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
     with _collector_paused():
-        ids, names, (tail_len, head_len, reversible, weight) = (
-            parsed.ids, parsed.names, map(np.asarray, parsed[2:]))
+        ids, species, (code, tail_len, head_len, reversible, weight) = (
+            parsed.ids, parsed.species, map(np.asarray, parsed[2:]))
         del parsed
         sizes = tail_len + head_len
         kept = (tail_len > 0) & (head_len > 0)
-        # the kept records' names are the vertices, in first-mention order; the
-        # names that only dropped records mention are numbered after them
+        # the kept records' species are the vertices, in the order of their
+        # first kept mention; the species that only dropped records mention
+        # are numbered after them, in the order of their first mention
         kept_name = np.repeat(kept, sizes)
-        index = dict(zip(dict.fromkeys(chain(compress(names, kept_name.tolist()),
-                                             compress(names, (~kept_name).tolist()))),
-                         count()))
-        code = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
-        vertices = _fresh(list(islice(index, int(code[kept_name].max(initial=-1)) + 1)))
-        span = len(index) + 1
-        del names, index
+        first = np.full(len(species), code.size)
+        np.minimum.at(first, code[kept_name], np.flatnonzero(kept_name))
+        order = np.argsort(first, kind="stable")
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
+        code = number[code]
+        vertices = list(map(species.__getitem__,
+                            order[:np.count_nonzero(first < code.size)].tolist()))
+        span = len(species) + 1
+        del species, first, order, number
         in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
                    < np.repeat(tail_len, sizes))
         lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
@@ -329,23 +452,14 @@ def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: 
     _reject_unknown(vertices, index, ids, tails, heads, _weight_column(weights))
 
 
-class _Surprise(Exception):
-    """The text is not what the sliced decode reads; the whole-document
-    decode takes it over."""
-
-
 # A slice of the arcs array ends at the first '}, {' this many characters
-# or more past its start.
+# or more past its start; a cut lies between the '}' and the '{'.
 _SLICE_CHARS = 1 << 17
-# The arcs array is split over processes only into parts of this many
-# characters or more, several slices each: below that, a fork costs more
-# than it saves.
-_PART_CHARS = 1 << 19
-_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+_CUT = re.compile(r"(?<=\})[ \t\n\r]*,[ \t\n\r]*(?=\{)")
+# the dtypes of the columns that ``_send_part`` sends, in order
+_PART_DTYPES = (np.int64,) * 4 + (np.float64,)
 _SPACE = json.decoder.WHITESPACE
 _DECODER = json.JSONDecoder()
-# what the sliced decode of a text it does not take may raise
-_DECLINED = (_Surprise, ValueError, KeyError, TypeError, RecursionError)
 
 
 def _expect(text: str, pos: int, token: str) -> int:
@@ -370,13 +484,14 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
     """The vertices, arc ids and resolved sides and weights of a document
     laid out as ``{"vertices": [...], "arcs": [...]}``, or None.
 
-    The vertices are decoded first. The arcs array is cut into parts (see
-    ``_parts``); a forked child decodes each later part (see ``_send_part``)
-    while this process decodes the first, and a part whose child failed is
-    decoded here. Each part is decoded in slices (see ``_part``). Anything
-    else than a valid slice, a resolved name and the two keys in this order
-    with nothing after them gives None, also where a child meets it: the
-    whole document is then decoded again, which alone raises errors.
+    The vertices are decoded first. The arcs array is cut between arcs into
+    parts (see ``_parts``); a forked child decodes each later part (see
+    ``_send_part``) while this process decodes the first, and a part whose
+    child failed is decoded here. Each part is decoded in slices (see
+    ``_part``). Anything else than a valid slice, a resolved name and the
+    two keys in this order with nothing after them gives None, also where a
+    child meets it: the whole document is then decoded again, which alone
+    raises errors.
     """
     try:
         vertices, pos = _DECODER.raw_decode(text, _key(text, _expect(text, 0, "{"), "vertices"))
@@ -384,15 +499,16 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
             raise _Surprise
         pos = _expect(text, _key(text, _expect(text, pos, ","), "arcs"), "[")
         index = _positions(vertices)
-        parts = _parts(text, pos)
+        parts = _parts(text, pos, _CUT)
         with _fork.Children(apart=True) as children:
             for k in range(1, len(parts)):
                 if not children.fork(k, lambda write: _send_part(write, text, index, *parts[k])):
                     break  # no process to spare: the rest is decoded here
             ids, slices = _part(text, index, *parts[0])
             for k in range(1, len(parts)):
-                part_ids, part_slices = (_received(children.collect(k))
-                                         or _part(text, index, *parts[k]))
+                received = _received(children.collect(k), _PART_DTYPES)
+                part_ids, part_slices = (_part(text, index, *parts[k]) if received is None
+                                         else (received[0], [received[1]]))
                 ids += part_ids
                 slices += part_slices
     except _DECLINED:
@@ -400,25 +516,7 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
     return vertices, ids, tuple(map(np.concatenate, zip(*slices)))
 
 
-def _parts(text: str, pos: int) -> list[tuple[int, int | None]]:
-    """The arcs array from ``pos`` cut into one part per worker process (see
-    ``_fork.worker_count``), each of ``_PART_CHARS`` or more: per part its
-    start and the end of its last '}', None for the last part, which runs
-    to the end of the array. A part ends at the first '}' that a ',' and a
-    '{' follow past an equal share of the text."""
-    span = len(text) - pos
-    workers = _fork.worker_count(span // _PART_CHARS)
-    parts, first = [], pos
-    for k in range(1, workers):
-        cut = _CUT.search(text, max(first, pos + k * span // workers))
-        if cut is None:
-            break
-        parts.append((first, cut.start() + 1))
-        first = cut.end() - 1
-    return parts + [(first, None)]
-
-
-def _part(text: str, index: dict[str, int], pos: int, end: int | None
+def _part(text: str, index: dict[str, int], pos: int, end: int | None, fresh: bool = True
           ) -> tuple[list[str], list[tuple[np.ndarray, ...]]]:
     """The arc ids, and per slice the resolved sides and weights, of the
     arcs from ``pos`` to ``end``; with ``end`` None, to the end of the arcs
@@ -426,16 +524,16 @@ def _part(text: str, index: dict[str, int], pos: int, end: int | None
 
     A slice ends at the first '}' that a ',' and a '{' follow
     ``_SLICE_CHARS`` or more past its start. Each slice is decoded inside
-    '[' ']', its columns extracted, its names resolved and its ids copied
-    (see ``_fresh``), and dropped before the next one is decoded. A cut
-    inside a string leaves the string unterminated, and one inside an arc
-    leaves it unclosed, so a wrong cut never decodes.
+    '[' ']', its columns extracted, its names resolved and, with ``fresh``,
+    its ids copied (see ``_fresh``), and dropped before the next one is
+    decoded. A cut inside a string leaves the string unterminated, and one
+    inside an arc leaves it unclosed, so a wrong cut never decodes.
     """
     ids, slices = [], []
     while True:
         cut = _CUT.search(text, pos + _SLICE_CHARS, len(text) if end is None else end)
         if cut is not None:
-            arcs = json.loads("[" + text[pos:cut.start() + 1] + "]")
+            arcs = json.loads("[" + text[pos:cut.start()] + "]")
         elif end is not None:
             arcs = json.loads("[" + text[pos:end] + "]")
         else:  # decoding finds where the array ends
@@ -448,45 +546,21 @@ def _part(text: str, index: dict[str, int], pos: int, end: int | None
         del arcs
         slices.append((*_resolved(index, columns[1]), *_resolved(index, columns[2]),
                        _weight_column(columns[3])))
-        ids += _fresh(columns[0])
+        ids += _fresh(columns[0]) if fresh else columns[0]
         del columns
         if cut is None:
             return ids, slices
-        pos = cut.end() - 1
+        pos = cut.end()
 
 
 def _send_part(write: int, text: str, index: dict[str, int], pos: int, end: int | None):
-    """In a forked child: decode a part as ``_part`` does and write to the
-    pipe ``write`` one buffer. That is the int64 words 0, the number of arcs
-    and the numbers of tail and head names; the five columns, as int64 and
-    float64; and the ids, marshalled. Where the sliced decode does not take
-    the part, it is the word 1 alone.
-    """
-    try:
-        ids, slices = _part(text, index, pos, end)
-        columns = list(map(np.concatenate, zip(*slices)))
-        del slices
-        buffers = [np.array([0, len(ids), columns[1].size, columns[3].size], dtype=np.int64),
-                   *columns, marshal.dumps(ids)]
-    except _DECLINED:
-        buffers = [np.array([1], dtype=np.int64)]
-    with open(write, "wb") as pipe:
-        pipe.writelines(buffers)
-
-
-def _received(data: bytes | None) -> tuple[list[str], list[tuple[np.ndarray, ...]]] | None:
-    """A part's ids and columns from the buffer a child sent (see
-    ``_send_part``), as ``_part`` gives them; None where the child failed."""
-    if data is None:
-        return None
-    if np.frombuffer(data, dtype=np.int64, count=1)[0]:
-        raise _Surprise
-    arcs, tails, heads = np.frombuffer(data, dtype=np.int64, count=3, offset=8).tolist()
-    columns, at = [], 32
-    for size, dtype in zip((arcs, tails, arcs, heads, arcs), (np.int64,) * 4 + (np.float64,)):
-        columns.append(np.frombuffer(data, dtype=dtype, count=size, offset=at))
-        at += 8 * size
-    return marshal.loads(memoryview(data)[at:]), [tuple(columns)]
+    """In a forked child: send the ids and the five joined columns of a
+    part as ``_part`` decodes it (see ``_send``). The ids are not copied:
+    marshalling copies them anyway."""
+    def decoded():
+        ids, slices = _part(text, index, pos, end, fresh=False)
+        return ids, list(map(np.concatenate, zip(*slices)))
+    _send(write, decoded)
 
 
 def load_canonical(text: str) -> DirectedHypergraph:

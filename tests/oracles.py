@@ -648,9 +648,11 @@ def parse_reactions_text(text: str) -> list[ReactionRecord]:
 
 def reaction_columns(records: list[ReactionRecord]) -> ReactionColumns:
     """The records as the columns that the library parses a text into."""
+    names = [name for rec in records for name in rec.substrates + rec.products]
+    index = {name: k for k, name in enumerate(dict.fromkeys(names))}
     return ReactionColumns(
-        [rec.id for rec in records],
-        [name for rec in records for name in rec.substrates + rec.products],
+        [rec.id for rec in records], list(index),
+        np.array([index[name] for name in names], dtype=np.int64),
         np.array([len(rec.substrates) for rec in records], dtype=np.int64),
         np.array([len(rec.products) for rec in records], dtype=np.int64),
         np.array([rec.reversible for rec in records], dtype=bool),

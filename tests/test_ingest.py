@@ -31,16 +31,22 @@ from randgen import latin1_lines, random_hypergraph
 def _plain(parsed):
     """Parsed columns as lists, with the dtypes of the numeric ones, so two
     parses compare with ==."""
-    return (parsed.ids, parsed.names,
+    return (parsed.ids, parsed.species,
             *((column.dtype.str, column.tolist())
-              for column in (parsed.tail_len, parsed.head_len, parsed.reversible,
-                             parsed.weight)))
+              for column in (parsed.code, parsed.tail_len, parsed.head_len,
+                             parsed.reversible, parsed.weight)))
+
+
+def _names(parsed):
+    """Every mention's species name, in file order."""
+    return [parsed.species[c] for c in parsed.code.tolist()]
 
 
 def test_parse_basic_irreversible():
     parsed = parse_reactions_text("R1: ATP + H2O -> ADP + Pi + H")
     assert parsed.ids == ["R1"]
-    assert parsed.names == ["ATP", "H2O", "ADP", "Pi", "H"]
+    assert parsed.species == ["ATP", "H2O", "ADP", "Pi", "H"]
+    assert parsed.code.tolist() == [0, 1, 2, 3, 4] and parsed.code.dtype == np.int64
     assert parsed.tail_len.tolist() == [2] and parsed.head_len.tolist() == [3]
     assert parsed.reversible.tolist() == [False]
     assert parsed.weight.tolist() == [1.0]
@@ -54,7 +60,7 @@ def test_parse_reversible_with_weight():
 
 def test_parse_preserves_token_order_and_duplicates():
     parsed = parse_reactions_text("R: b + a + a -> c")
-    assert parsed.names == ["b", "a", "a", "c"]
+    assert parsed.species == ["b", "a", "c"] and parsed.code.tolist() == [0, 1, 1, 2]
     assert parsed.tail_len.tolist() == [3]
 
 
@@ -69,7 +75,7 @@ def test_parse_empty_side():
     parsed = parse_reactions_text("R3: A ->\nR4: -> A")
     assert parsed.tail_len.tolist() == [1, 0]
     assert parsed.head_len.tolist() == [0, 1]
-    assert parsed.names == ["A", "A"]
+    assert parsed.species == ["A"] and parsed.code.tolist() == [0, 0]
 
 
 def test_parse_comments_and_blanks():
@@ -77,19 +83,19 @@ def test_parse_comments_and_blanks():
         parsed = parse_reactions_text(text)
         assert _plain(parsed) == _plain(oracles.reaction_columns([])), repr(text)
     parsed = parse_reactions_text("R: A -> B  # bodies end at the comment")
-    assert parsed.names == ["A", "B"] and parsed.head_len.tolist() == [1]
+    assert _names(parsed) == ["A", "B"] and parsed.head_len.tolist() == [1]
 
 
 def test_parse_arrow_without_spaces():
     parsed = parse_reactions_text("R:A->B\nR:A<->B")
-    assert parsed.names == ["A", "B", "A", "B"]
+    assert parsed.species == ["A", "B"] and parsed.code.tolist() == [0, 1, 0, 1]
     assert parsed.reversible.tolist() == [False, True]
 
 
 def test_parse_hyphenated_identifiers():
     parsed = parse_reactions_text("R: Coenzyme-A -> Acetyl-CoA\nR-2: A-->B")
     assert parsed.ids == ["R", "R-2"]
-    assert parsed.names == ["Coenzyme-A", "Acetyl-CoA", "A-", "B"]
+    assert _names(parsed) == ["Coenzyme-A", "Acetyl-CoA", "A-", "B"]
 
 
 def test_parse_syntax_errors_carry_positions():
@@ -745,11 +751,12 @@ def _slices_of(chars):
 
 @contextmanager
 def _split_into(cpus, part_chars=1, fork=os.fork):
-    """While the block runs, cut the arcs array into parts of ``part_chars``
-    characters or more, one per each of ``cpus`` CPUs, and fork with
-    ``fork``; yields the pids of the children forked, as the parent sees
-    them. A block that ends without raising has reaped every child, left
-    no file descriptor open and this process's CPU set as it was."""
+    """While the block runs, cut the arcs array or the reaction text into
+    parts of ``part_chars`` characters or more, one per each of ``cpus``
+    CPUs, and fork with ``fork``; yields the pids of the children forked,
+    as the parent sees them. A block that ends without raising has reaped
+    every child, left no file descriptor open and this process's CPU set as
+    it was."""
     pids = []
 
     def counted():
@@ -892,7 +899,7 @@ def test_documents_in_key_order_are_split_over_processes():
         [("x" * 5000, ["a"], ["b"], 1.0)] + [(f"e{k}", ["b"], ["a"], 1.0) for k in range(20)])
     text = save_canonical(hg)
     with _split_into(4) as forks:
-        parts = ingest._parts(text, text.index('"arcs": [') + 9)
+        parts = ingest._parts(text, text.index('"arcs": [') + 9, ingest._CUT)
         assert load_canonical(text) == hg
     assert len(forks) == len(parts) - 1 == 3
     assert all(first < end for first, end in parts[:-1])
@@ -930,10 +937,10 @@ def test_an_error_in_a_later_part_is_reported_as_in_one_process(text):
 def test_ids_with_a_nul_or_a_lone_surrogate_cross_the_pipe(monkeypatch):
     parent, part, here = os.getpid(), ingest._part, []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         if os.getpid() == parent:
             here.append(args[2])
-        return part(*args)
+        return part(*args, **kwargs)
     monkeypatch.setattr(ingest, "_part", counted)
     arcs = [(f"e{k}", ["a"], ["b"], 1.0) for k in range(30)]
     arcs += [("n\x00ul", ["b"], ["a"], 2.0), ("\x00", ["a"], ["b"], 1.0),
@@ -1009,6 +1016,95 @@ def test_only_documents_of_several_slices_a_part_are_split():
         text = _arcs_text(arcs)
         with _split_into(cpus, part_chars=ingest._PART_CHARS) as forks:
             assert load_canonical(text).n_arcs == arcs
+        assert len(forks) == parts - 1, (len(text), parts)
+
+
+# ------------------------------------------- the reaction text split over processes
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(reaction_texts(), mutated_texts()), st.integers(1, 4))
+def test_split_parse_matches_the_oracle(text, cpus):
+    with _split_into(cpus):
+        assert_text_parses_as_oracle(text)
+        assert_converts_as_oracle(text)
+
+
+def _reactions(lines, last=""):
+    """``lines`` reactions over 97 species, then the line ``last``."""
+    return "".join(f"R{k}: a{k % 97} + b{k % 89} -> c{k % 83} @ 2\n"
+                   for k in range(lines)) + last
+
+
+@pytest.mark.parametrize("last", [
+    "R: A -> B extra ->", "R A -> B", "R: A -> B @ 0", "R: A -> B @ zero", "R: A -> B !",
+    "R: A -> B @ inf\n", "R: A -> B\r\nS: A + -> B", "R: A -> B\n\x85R: ->- B"],
+    ids=["trailing", "no-colon", "zero-weight", "weight-text", "character", "inf-weight",
+         "after-a-crlf", "after-a-nel"])
+def test_an_error_in_a_later_part_of_the_text_is_reported_as_in_one_process(last):
+    text = _reactions(300, last)
+    expected = _outcome(lambda: _plain(_oracle_parse(text)))
+    assert expected[0] in (ReactionSyntaxError, BadWeightError) and expected[2] > 300
+    for cpus in (1, 2, 4):
+        with _split_into(cpus) as forks:
+            assert _outcome(lambda: _plain(parse_reactions_text(text))) == expected
+        assert len(forks) == cpus - 1
+
+
+def test_a_failed_fork_leaves_the_parse_in_one_process():
+    def failing():
+        raise OSError("no process to spare")
+    text = _reactions(200)
+    with _split_into(4, fork=failing) as forks:
+        assert _plain(parse_reactions_text(text)) == _plain(_oracle_parse(text))
+    assert forks == []
+
+
+def test_a_failed_child_is_scanned_again_here(monkeypatch):
+    monkeypatch.setattr(ingest, "_send", lambda write, job: os._exit(1))
+    text = _reactions(200)
+    with _split_into(3) as forks:
+        assert _plain(parse_reactions_text(text)) == _plain(_oracle_parse(text))
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_the_parse_reaps_its_children_when_it_raises(monkeypatch, error):
+    parent, scan = os.getpid(), ingest._scan
+
+    def failing(*args, **kwargs):
+        if os.getpid() == parent:
+            raise error("part failed")
+        return scan(*args, **kwargs)
+    monkeypatch.setattr(ingest, "_scan", failing)
+    with _split_into(4) as forks:
+        with pytest.raises(error, match="part failed"):
+            parse_reactions_text(_reactions(200))
+    assert len(forks) == 3
+
+
+def test_a_second_thread_keeps_the_parse_in_one_process():
+    text = _reactions(200)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        with _split_into(4) as forks:
+            assert _plain(parse_reactions_text(text)) == _plain(_oracle_parse(text))
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_only_texts_of_two_parts_or_more_are_split():
+    # a text under twice the part size stays in one process; one of 1.1 MB
+    # is split in two on two CPUs and on four
+    for lines, cpus, parts in ((30000, 4, 1), (40000, 2, 2), (40000, 4, 2)):
+        text = _reactions(lines)
+        with _split_into(cpus, part_chars=ingest._PART_CHARS) as forks:
+            parsed = parse_reactions_text(text)
+        assert len(parsed.ids) == lines and len(parsed.species) == 97 + 89 + 83
         assert len(forks) == parts - 1, (len(text), parts)
 
 
