@@ -60,9 +60,10 @@ def _pin_mmap_threshold() -> None:
     threshold to that block's size, up to 32 MiB, and the heap's trim
     threshold with it. Ingest frees MB-sized NumPy temporaries, so without
     the pin the later ones come from the heap and stay resident: on the
-    seed-1 ``ingest_reactions_20k`` input the peak resident size is 88.6 MB
-    with the pin and 99.2 MB without it (8 runs each, no spread; 2-vCPU
-    x86-64 host, Python 3.11, NumPy 2.4, bytecode precompiled).
+    seed-1 ``ingest_reactions_20k`` input, its text parsed in two processes,
+    the peak resident size is 83.1 to 84.0 MB with the pin and 97.1 to
+    97.2 MB without it (8 runs each; 2-vCPU x86-64 host, Python 3.11, NumPy
+    2.4, bytecode compiled at import).
     """
     mallopt = _libc("mallopt")
     if mallopt is not None:

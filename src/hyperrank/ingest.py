@@ -331,8 +331,8 @@ def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SP
     outright; a record with an empty side is dropped (noted in
     ``report.dropped``).
 
-    The parse is dropped once its species are numbered as vertices, before
-    the records are laid out and the result validated.
+    The parse, and with it the species that no kept record mentions, is
+    dropped before the records are laid out and the result validated.
     """
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
@@ -355,7 +355,7 @@ def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SP
         vertices = list(map(species.__getitem__,
                             order[:np.count_nonzero(first < code.size)].tolist()))
         span = len(species) + 1
-        del species, first, order, number
+        del species
         in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
                    < np.repeat(tail_len, sizes))
         lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
