@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import _fork, _kernels
+from . import _kernels
 from .core import DirectedHypergraph, _take, compute_degrees, ensure_valid
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      MultipleSolutionsError, NoConvergenceError)
@@ -32,9 +32,15 @@ DANGLING_POLICIES = (ON_DANGLING_ERROR, ON_DANGLING_UNIFORM_JUMP)
 DENSE_LIMIT = 512
 
 _WALK_CHUNK = 1 << 18
-# steps between two recorded states of a forked walk segment; at least 4·|V|
-# (see _split_walk)
-_WALK_STRIDE = 1 << 14
+# walks of this many steps or more are walked as lanes (see _lane_walk), in
+# segments of about _SEGMENT steps (longer where that would take more than
+# _LANES lanes, which bounds the buffers), _BLOCK lockstep steps per block
+# of draws; the coupling probe starts walkers from _PROBE vertices
+_LANE_WALK = 1 << 20
+_SEGMENT = 1 << 13
+_LANES = 1 << 10
+_BLOCK = 128
+_PROBE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +303,9 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
 
     Counts the state landed on after each transition (the start state is
     not counted), L1-normalized. Deterministic for a fixed seed: the counts
-    are identical for any number of worker processes (see `_split_walk`).
+    are those of one path reading the draws of `_pieces`, whether that path
+    is walked step by step or, for a walk of `_LANE_WALK` steps or more, as
+    lanes (see `_lane_walk`).
     """
     ensure_valid(hg)
     if steps < 1:
@@ -306,108 +314,186 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
         raise ValueError("seed must be a non-negative integer")
     if start not in hg.vertices:
         raise ValueError(f"unknown start vertex {start!r}")
-    counts = _split_walk(_walk_tables(hg), hg.vertices.index(start), steps, seed)
+    tables = _walk_tables(hg)
+    u = hg.vertices.index(start)
+    counts = _lane_walk(tables, u, steps, seed) if steps >= _LANE_WALK else None
+    if counts is None:
+        counts = _one_walk(tables, u, steps, seed)
     freq = counts / float(steps)
     return {v: float(freq[i]) for i, v in enumerate(hg.vertices)}
 
 
-def _pieces(seed: int, first: int, last: int, stride: int, buffer: np.ndarray):
-    """The draws of steps [first, last) exactly as a walk of every step from
-    step 0 reads them, one chunk at a time in ``buffer``, cut into
-    ``(r_arc, r_head)`` pieces at every multiple of ``stride`` within each
-    chunk. ``first`` is a chunk boundary: each earlier chunk took 2·chunk
-    doubles, one 64-bit output each, so the stream there is PCG64(seed)
-    advanced by 2·first."""
-    bits = np.random.PCG64(seed)
-    bits.advance(2 * first)
-    rng = np.random.Generator(bits)
-    for a in range(first, last, _WALK_CHUNK):
-        chunk = min(_WALK_CHUNK, last - a)
-        draws = buffer[:2 * chunk].reshape(2, chunk)
+def _pieces(seed: int, steps: int, buffer: np.ndarray):
+    """The draws of a walk of `steps` steps from step 0, one chunk at a time
+    in ``buffer``: per chunk of ``size`` steps, ``(r_arc, r_head)``, the next
+    ``size`` outputs of PCG64(seed) as doubles and the ``size`` after them."""
+    rng = np.random.default_rng(seed)
+    for a in range(0, steps, _WALK_CHUNK):
+        size = min(_WALK_CHUNK, steps - a)
+        draws = buffer[:2 * size].reshape(2, size)
         rng.random(out=draws)
-        for b in range(0, chunk, stride):
-            yield draws[0, b:b + stride], draws[1, b:b + stride]
+        yield draws
 
 
-def _split_walk(tables: _WalkTables, start: int, steps: int,
-                seed: int) -> np.ndarray:
-    """Visit counts of the seeded walk of `steps` steps from `start`, split
-    at chunk boundaries into one segment per worker process.
-
-    Segment 0 is walked here. Every later segment is walked from `start` by
-    a forked child, which records its state every `stride` steps (a piece).
-    Once this process has the true state at a segment's first step, it
-    follows the true path piece by piece until it stands where the child
-    stood. From there on both read the same draws from the same vertex, so
-    they coincide (the coupling of Propp & Wilson, "Exact sampling with
-    coupled Markov chains", 1996): the child's counts and end vertex hold
-    from that piece on, and its counts of the pieces before it are walked
-    again and taken off. A segment whose paths never meet, or whose child
-    failed, is walked here in full. The counts are therefore those of one
-    process walking every step, whatever the number of workers.
-    """
-    n = tables.arc_ptr.size - 1
-    chunks = -(-steps // _WALK_CHUNK)
-    workers = _fork.worker_count(chunks)
-    bounds = [min(k * chunks // workers * _WALK_CHUNK, steps) for k in range(workers + 1)]
-    # the stepper converts the counts to a list and back on every call
-    stride = max(_WALK_STRIDE, 4 * n)
-    with _fork.Children() as children:
-        # fork before any draw buffer exists, so no process holds two
-        for k in range(1, workers):
-            if not children.fork(k, lambda write: _walk_segment(
-                    write, tables, start, seed, bounds[k], bounds[k + 1], stride)):
-                break  # no process to spare: the rest is walked here
-        buffer = np.empty(2 * min(_WALK_CHUNK, steps))
-        counts = np.zeros(n, dtype=np.int64)
-        u = start
-        for r_arc, r_head in _pieces(seed, 0, bounds[1], _WALK_CHUNK, buffer):
-            u = tables.steps(u, r_arc, r_head, counts)
-        for k in range(1, workers):
-            data = children.collect(k)
-            payload = None if data is None else np.frombuffer(data, dtype=np.int64)
-            u = _stitch(tables, u, seed, bounds[k], bounds[k + 1], stride, buffer,
-                        counts, payload)
-        return counts
-
-
-def _walk_segment(write: int, tables: _WalkTables, start: int, seed: int,
-                  first: int, last: int, stride: int):
-    """In a forked child: walk [first, last) from `start` and write to the
-    pipe ``write`` one int64 buffer, the end vertex, the state at the start
-    of every piece and the counts."""
+def _one_walk(tables: _WalkTables, start: int, steps: int, seed: int) -> np.ndarray:
+    """Visit counts of the seeded walk of `steps` steps from `start`, walked
+    one step after another."""
+    buffer = np.empty(2 * min(_WALK_CHUNK, steps))
     counts = np.zeros(tables.arc_ptr.size - 1, dtype=np.int64)
-    states = []
     u = start
-    buffer = np.empty(2 * min(_WALK_CHUNK, last - first))
-    for r_arc, r_head in _pieces(seed, first, last, stride, buffer):
-        states.append(u)
+    for r_arc, r_head in _pieces(seed, steps, buffer):
         u = tables.steps(u, r_arc, r_head, counts)
-    with open(write, "wb") as pipe:
-        pipe.write(np.concatenate([[u], states, counts]).astype(np.int64).tobytes())
+    return counts
 
 
-def _stitch(tables: _WalkTables, u: int, seed: int, first: int, last: int,
-            stride: int, buffer: np.ndarray, counts: np.ndarray, payload) -> int:
-    """Add the visits of segment [first, last), entered at vertex u, to
-    counts from the child's ``payload`` (None if the child failed); the
-    segment's true end vertex."""
-    n = counts.size
-    states = payload[1:-n].tolist() if payload is not None else []
-    met = None
-    for i, (r_arc, r_head) in enumerate(_pieces(seed, first, last, stride, buffer)):
-        if i < len(states) and u == states[i]:
-            met = i
-            break
-        u = tables.steps(u, r_arc, r_head, counts)
-    if met is None:
-        return u
-    before = np.zeros_like(counts)
-    for v, (r_arc, r_head) in zip(states[:met], _pieces(seed, first, last, stride, buffer)):
-        tables.steps(v, r_arc, r_head, before)
-    counts += payload[-n:]
-    counts -= before
-    return int(payload[0])
+class _LaneDraws:
+    """Block by block, the draws of lanes that walk on from steps
+    ``begins``, exactly as one walk of ``steps`` steps reads them.
+
+    Step t of the chunk that starts at step c·chunk and holds ``size`` steps
+    reads its arc draw at output c·chunk + t of PCG64(seed) and its head draw
+    ``size`` outputs later (see `_pieces`). Each lane keeps one stream for
+    each, advanced to its place, and moves both to the next chunk's places
+    whenever it reaches a chunk boundary.
+    """
+
+    def __init__(self, seed: np.random.SeedSequence, steps: int, begins):
+        self._seed, self._steps = seed, steps
+        self._begins = [int(t) for t in begins]
+        self._done = 0  # steps drawn by every lane so far
+        self._streams: list = [None] * len(self._begins)
+        self._room = [0] * len(self._begins)  # steps each pair of streams has left in its chunk
+        self._buffer = np.empty((2, len(self._begins), _BLOCK))
+
+    def keep(self, lanes: np.ndarray) -> None:
+        """Drop every lane not in ``lanes`` (ascending indices)."""
+        lanes = lanes.tolist()
+        self._begins = [self._begins[k] for k in lanes]
+        self._streams = [self._streams[k] for k in lanes]
+        self._room = [self._room[k] for k in lanes]
+
+    def block(self, m: int) -> np.ndarray:
+        """The next ``m`` (at most ``_BLOCK``) draws of every lane:
+        ``(r_arc, r_head)``, one row per lane."""
+        draws = self._buffer[:, :len(self._room), :m]
+        arc, head = draws
+        room, streams = self._room, self._streams
+        for k in range(len(room)):
+            if room[k] >= m:
+                on_arc, on_head = streams[k]
+                on_arc.random(out=arc[k])
+                on_head.random(out=head[k])
+                room[k] -= m
+            else:
+                self._cross(k, arc[k], head[k])
+        self._done += m
+        return draws
+
+    def _cross(self, k: int, arc: np.ndarray, head: np.ndarray) -> None:
+        """Fill lane k's rows, moving its streams at every chunk boundary."""
+        at = self._begins[k] + self._done
+        i = 0
+        while i < arc.size:
+            if not self._room[k]:
+                t = at + i
+                c = t // _WALK_CHUNK * _WALK_CHUNK
+                size = min(_WALK_CHUNK, self._steps - c)
+                self._streams[k] = (self._stream(c + t), self._stream(c + size + t))
+                self._room[k] = c + size - t
+            m = min(self._room[k], arc.size - i)
+            on_arc, on_head = self._streams[k]
+            on_arc.random(out=arc[i:i + m])
+            on_head.random(out=head[i:i + m])
+            self._room[k] -= m
+            i += m
+
+    def _stream(self, position: int) -> np.random.Generator:
+        bits = np.random.PCG64(self._seed)
+        bits.advance(position)
+        return np.random.Generator(bits)
+
+
+def _lane_walk(tables: _WalkTables, start: int, steps: int,
+               seed: int) -> np.ndarray | None:
+    """Visit counts of the seeded walk of `steps` steps from `start`, walked
+    as K = steps // `_SEGMENT` lanes (at most `_LANES`) in lockstep, one per
+    contiguous segment of equal length; None where the walk is better left
+    to `_one_walk`.
+
+    First a probe: walkers from up to `_PROBE` vertices spread over the
+    graph, all reading the walk's first draws. Unless they all stand on one
+    vertex within half a segment's steps, paths started apart may never
+    meet (on a directed cycle, say), and the walk is left to `_one_walk`.
+
+    The steps short of K whole segments are walked from `start` first. Then
+    every lane walks its segment from `start` too, and its visits are
+    counted. A lane whose true entry, the end of the walk before it, is
+    another vertex is walked again from that entry, beside a replay of its
+    first walk, until the two stand on one vertex. From there on both read
+    the same draws from the same vertex, so they coincide (the coupling of
+    Propp & Wilson, "Exact sampling with coupled Markov chains", 1996): the
+    replay's visits are taken off and the true walk's added. Once every
+    lane has met its replay, each lane's end is its true end, from the
+    first lane on, and the counts are those of one path walking every step.
+    A lane that has not met its replay by its segment's end leaves the walk
+    to `_one_walk`.
+    """
+    lanes = _kernels.lane_tables(tables.arc_ptr, tables.arc_cum, tables.arc_of_slot,
+                                 tables.head_ptr, tables.head_verts)
+    n = tables.arc_ptr.size - 1
+    seed = np.random.SeedSequence(seed)
+    k = min(max(steps // _SEGMENT, 1), _LANES)
+    size = steps // k
+    spread = np.unique(np.linspace(0, n - 1, min(n, _PROBE)).astype(np.intp))
+    if not _coalesces(lanes, _LaneDraws(seed, steps, [0]), spread[:, None], size // 2):
+        return None
+    counts = np.zeros(n, dtype=np.int64)
+    lead = steps - k * size
+    entry = _walk(lanes, _LaneDraws(seed, steps, [0]), np.array([start]), lead, counts)
+    begins = lead + size * np.arange(k)
+    ends = _walk(lanes, _LaneDraws(seed, steps, begins), np.full(k, start), size, counts)
+    entries = np.concatenate([entry, ends[:-1]])
+    again = np.flatnonzero(entries != start)
+    draws = _LaneDraws(seed, steps, begins[again])
+    pair = np.stack([entries[again], np.full(again.size, start)])  # true, replay
+    for done in range(0, size, _BLOCK):
+        if not pair.size:
+            return counts
+        m = min(_BLOCK, size - done)
+        path = np.empty((m,) + pair.shape, dtype=np.intp)
+        pair = _kernels.walk_lanes(lanes, pair, *draws.block(m), path)
+        counts += np.bincount(path[:, 0].ravel(), minlength=n)
+        counts -= np.bincount(path[:, 1].ravel(), minlength=n)
+        apart = np.flatnonzero(pair[0] != pair[1])
+        if apart.size < pair.shape[1]:
+            draws.keep(apart)
+            pair = pair[:, apart]
+    return None if pair.size else counts
+
+
+def _walk(lanes: _kernels.Lanes, draws: _LaneDraws, u: np.ndarray, length: int,
+          counts: np.ndarray) -> np.ndarray:
+    """Walk each lane of ``draws`` ``length`` steps from its vertex in
+    ``u``, adding every visit to ``counts``; the end vertices."""
+    path = np.empty((min(_BLOCK, length), u.size), dtype=np.intp)
+    for done in range(0, length, _BLOCK):
+        m = min(_BLOCK, length - done)
+        u = _kernels.walk_lanes(lanes, u, *draws.block(m), path[:m]).copy()
+        counts += np.bincount(path[:m].ravel(), minlength=counts.size)
+    return u
+
+
+def _coalesces(lanes: _kernels.Lanes, draws: _LaneDraws, u: np.ndarray,
+               length: int) -> bool:
+    """Whether the walkers in ``u`` (walkers × 1), all reading the one lane
+    of ``draws``, stand on one vertex within ``length`` steps."""
+    path = np.empty((min(_BLOCK, length),) + u.shape, dtype=np.intp)
+    for done in range(0, length, _BLOCK):
+        if (u == u[0]).all():
+            return True
+        m = min(_BLOCK, length - done)
+        u = _kernels.walk_lanes(lanes, u, *draws.block(m), path[:m]).copy()
+    return bool((u == u[0]).all())
 
 
 def top_k(rank: RankVector, k: int,

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -269,28 +268,24 @@ def test_simulate_periodic_falls_back_to_oracle(tmp_path, capsys):
     assert float(captured.out.splitlines()[-1].split("\t")[1]) <= 0.05
 
 
-def test_simulate_split_over_processes_prints_what_one_process_prints(tmp_path, capsys):
-    # a fresh CLI process splits a walk of two chunks over the CPUs; here,
-    # with a second thread alive, the same walk runs in one process
-    path = tmp_path / "periodic.json"
-    path.write_text(PERIODIC_JSON)
-    argv = ["simulate", str(path), "--steps", str(hyperrank.walk._WALK_CHUNK + 5000),
-            "--seed", "1", "--max-iters", "100"]
+def test_simulate_as_lanes_prints_what_one_path_prints(tmp_path, capsys, monkeypatch):
+    # a fresh CLI process walks a walk of lane length as lanes; here, with
+    # the threshold out of reach, the same walk goes step by step
+    path = tmp_path / "hg3.json"
+    path.write_text(HG3_JSON)
+    argv = ["simulate", str(path), "--steps", str(hyperrank.walk._LANE_WALK + 5000),
+            "--seed", "1"]
     src = str(Path(hyperrank.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "hyperrank.cli", *argv], env=env,
                           capture_output=True, timeout=120)
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert main(argv) == 0
-    finally:
-        done.set()
-        thread.join(timeout=10)
+    lanes = []
+    monkeypatch.setattr(hyperrank.walk, "_lane_walk", lambda *a: lanes.append(a))
+    monkeypatch.setattr(hyperrank.walk, "_LANE_WALK", hyperrank.walk._LANE_WALK + 5001)
+    assert main(argv) == 0
+    assert lanes == []
     captured = capsys.readouterr()
-    assert "dense solve" in captured.err
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
         0, captured.out, captured.err)
 
