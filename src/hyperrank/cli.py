@@ -15,9 +15,8 @@ from .core import DirectedHypergraph, prune_to_core
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      HyperrankError, NoConvergenceError, NotStationaryError,
                      ValidationError)
-from .ingest import (SPLIT, REVERSIBLE_POLICIES, IngestReport, load_canonical,
-                     parse_reactions_text, reactions_to_hypergraph,
-                     save_canonical)
+from .ingest import (SPLIT, REVERSIBLE_POLICIES, IngestReport, canonical_blocks,
+                     load_canonical, parse_reactions_text, reactions_to_hypergraph)
 from .laplacian import build_laplacians, spectral_report
 from .sparse import SparseRealMatrix
 from .walk import (DENSE_LIMIT, L1, NORMALIZATIONS, build_transition,
@@ -25,7 +24,6 @@ from .walk import (DENSE_LIMIT, L1, NORMALIZATIONS, build_transition,
                    top_k, tv_distance)
 
 
-_M_MMAP_THRESHOLD = -3  # mallopt's parameter number, from glibc's malloc.h
 _SLICE = 1 << 20  # the most characters _write_output writes at once
 
 
@@ -40,7 +38,8 @@ def _fmt(value: float, precision: str) -> str:
 def _write_output(chunks, path: str | None) -> None:
     """Write the strings of ``chunks``, in order, to standard output or PATH.
 
-    A string is written in slices of at most ``_SLICE`` characters, so its
+    ``chunks`` may be a generator: it is drawn as it is written, so only the
+    string at hand is held. A string is written in slices of at most ``_SLICE`` characters, so its
     encoding is never copied whole.
     """
     slices = (chunk[i:i + _SLICE] for chunk in chunks for i in range(0, len(chunk), _SLICE))
@@ -49,25 +48,6 @@ def _write_output(chunks, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as out:
             out.writelines(slices)
-
-
-def _pin_mmap_threshold() -> None:
-    """Fix glibc's mmap threshold at its initial 128 KiB.
-
-    glibc serves a block at least the threshold in size by its own mmap and
-    unmaps it when it is freed; a smaller one comes from the heap, whose
-    freed pages mostly stay resident. Freeing an mmapped block raises the
-    threshold to that block's size, up to 32 MiB, and the heap's trim
-    threshold with it. Ingest frees MB-sized NumPy temporaries, so without
-    the pin the later ones come from the heap and stay resident: on the
-    seed-1 ``ingest_reactions_20k`` input, its text parsed in two processes,
-    the peak resident size is 83.1 to 84.0 MB with the pin and 97.1 to
-    97.2 MB without it (8 runs each; 2-vCPU x86-64 host, Python 3.11, NumPy
-    2.4, bytecode compiled at import).
-    """
-    mallopt = _libc("mallopt")
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
 
 
 def _trim_heap() -> None:
@@ -152,13 +132,14 @@ def _network(ns) -> DirectedHypergraph:
 
 
 def cmd_ingest(ns) -> int:
-    _pin_mmap_threshold()
+    """Write the ingest notes, then the network as canonical JSON block by
+    block; an invalid network raises before the output is opened."""
     hg, report = _load(ns)
     if report is None:  # canonical JSON: one record per arc
         report = IngestReport(records=hg.n_arcs, vertices=hg.n_vertices,
                               arcs=hg.n_arcs)
     _log_ingest(report)
-    _write_output([save_canonical(hg)], ns.output)
+    _write_output(canonical_blocks(hg), ns.output)
     return 0
 
 

@@ -27,7 +27,7 @@ from functools import partial
 from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -332,64 +332,74 @@ def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SP
     ``report.dropped``).
 
     The parse, and with it the species that no kept record mentions, is
-    dropped before the records are laid out and the result validated.
+    dropped before the records are laid out, and the layout's scratch
+    before the result is validated.
     """
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
-    with _collector_paused():
-        ids, species, (code, tail_len, head_len, reversible, weight) = (
-            parsed.ids, parsed.species, map(np.asarray, parsed[2:]))
-        del parsed
-        sizes = tail_len + head_len
-        kept = (tail_len > 0) & (head_len > 0)
-        # the kept records' species are the vertices, in the order of their
-        # first kept mention; the species that only dropped records mention
-        # are numbered after them, in the order of their first mention
-        kept_name = np.repeat(kept, sizes)
-        first = np.full(len(species), code.size)
-        np.minimum.at(first, code[kept_name], np.flatnonzero(kept_name))
-        order = np.argsort(first, kind="stable")
-        number = np.empty_like(order)
-        number[order] = np.arange(order.size)
-        code = number[code]
-        vertices = list(map(species.__getitem__,
-                            order[:np.count_nonzero(first < code.size)].tolist()))
-        span = len(species) + 1
-        del species
-        in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-                   < np.repeat(tail_len, sizes))
-        lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
+    held = [parsed]
+    del parsed
+    hg, report = _converted(held, reversible_policy)
+    return ensure_valid(hg), report
 
-        # every record laid out as one arc holds a name once per side, so a
-        # (record, name) key met on both sides is shared
-        shared = np.isin(lay.head_arc * span + lay.head_idx,
-                         lay.tail_arc * span + lay.tail_idx, assume_unique=True)
-        if shared.any():
-            r = lay.head_arc[shared][0]
-            raise TailHeadOverlapError(ids[r], sorted(
-                vertices[v] for v in lay.head_idx[shared & (lay.head_arc == r)].tolist()))
-        collapsed = (sizes - np.diff(lay.tail_ptr) - np.diff(lay.head_ptr)).tolist()
 
-        rec = np.flatnonzero(kept)
-        twice = reversible[rec] & (reversible_policy == SPLIT)
-        arc_rec = np.repeat(rec, 1 + twice)
-        back = np.diff(arc_rec, prepend=-1) == 0  # a split record's second arc
-        arc_ids = np.array(ids, dtype=object)[arc_rec]
-        arc_ids[back] += "_rev"
-        arc_ids[np.flatnonzero(back) - 1] += "_fwd"
-        # rows 0..R-1 are the records' tails, rows R..2R-1 their heads
-        sides = (np.concatenate((lay.tail_ptr, lay.head_ptr[1:] + lay.tail_idx.size)),
-                 np.concatenate((lay.tail_idx, lay.head_idx)))
-        hg = ensure_valid(DirectedHypergraph(vertices, arc_ids.tolist(), ArcLayout(
-            *_take(*sides, arc_rec + len(ids) * back),
-            *_take(*sides, arc_rec + len(ids) * ~back), lay.weight[arc_rec])))
-        return hg, IngestReport(
-            records=len(ids), vertices=hg.n_vertices, arcs=hg.n_arcs,
-            reversible_records=int(reversible[rec].sum()), split_arcs=2 * int(twice.sum()),
-            collapsed_duplicates=sum(collapsed),
-            collapsed=[(ids[r], collapsed[r]) for r in np.flatnonzero(collapsed).tolist()],
-            dropped=[(ids[r], "empty head" if tail_len[r] else "empty tail")
-                     for r in np.flatnonzero(~kept).tolist()])
+@_collector_paused()
+def _converted(held: list, policy: str) -> tuple[DirectedHypergraph, IngestReport]:
+    """``reactions_to_hypergraph`` before validation; ``held``'s parse is freed once laid out."""
+    parsed = held.pop()
+    ids, species, (code, tail_len, head_len, reversible, weight) = (
+        parsed.ids, parsed.species, map(np.asarray, parsed[2:]))
+    del parsed
+    sizes = tail_len + head_len
+    kept = (tail_len > 0) & (head_len > 0)
+    # the kept records' species are the vertices, in the order of their
+    # first kept mention; the species that only dropped records mention
+    # are numbered after them, in the order of their first mention
+    kept_name = np.repeat(kept, sizes)
+    first = np.full(len(species), code.size)
+    np.minimum.at(first, code[kept_name], np.flatnonzero(kept_name))
+    order = np.argsort(first, kind="stable")
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    code = number[code]
+    vertices = list(map(species.__getitem__,
+                        order[:np.count_nonzero(first < code.size)].tolist()))
+    span = len(species) + 1
+    del species
+    in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+               < np.repeat(tail_len, sizes))
+    lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
+
+    # every record laid out as one arc holds a name once per side, so a
+    # (record, name) key met on both sides is shared
+    shared = np.isin(lay.head_arc * span + lay.head_idx,
+                     lay.tail_arc * span + lay.tail_idx, assume_unique=True)
+    if shared.any():
+        r = lay.head_arc[shared][0]
+        raise TailHeadOverlapError(ids[r], sorted(
+            vertices[v] for v in lay.head_idx[shared & (lay.head_arc == r)].tolist()))
+    collapsed = (sizes - np.diff(lay.tail_ptr) - np.diff(lay.head_ptr)).tolist()
+
+    rec = np.flatnonzero(kept)
+    twice = reversible[rec] & (policy == SPLIT)
+    arc_rec = np.repeat(rec, 1 + twice)
+    back = np.diff(arc_rec, prepend=-1) == 0  # a split record's second arc
+    arc_ids = np.array(ids, dtype=object)[arc_rec]
+    arc_ids[back] += "_rev"
+    arc_ids[np.flatnonzero(back) - 1] += "_fwd"
+    # rows 0..R-1 are the records' tails, rows R..2R-1 their heads
+    sides = (np.concatenate((lay.tail_ptr, lay.head_ptr[1:] + lay.tail_idx.size)),
+             np.concatenate((lay.tail_idx, lay.head_idx)))
+    hg = DirectedHypergraph(vertices, arc_ids.tolist(), ArcLayout(
+        *_take(*sides, arc_rec + len(ids) * back),
+        *_take(*sides, arc_rec + len(ids) * ~back), lay.weight[arc_rec]))
+    return hg, IngestReport(
+        records=len(ids), vertices=hg.n_vertices, arcs=hg.n_arcs,
+        reversible_records=int(reversible[rec].sum()), split_arcs=2 * int(twice.sum()),
+        collapsed_duplicates=sum(collapsed),
+        collapsed=[(ids[r], collapsed[r]) for r in np.flatnonzero(collapsed).tolist()],
+        dropped=[(ids[r], "empty head" if tail_len[r] else "empty tail")
+                 for r in np.flatnonzero(~kept).tolist()])
 
 
 _TOP_KEYS = ("vertices", "arcs")
@@ -635,42 +645,51 @@ def _whole(held: list[str]) -> tuple[list[str], list[str], tuple[np.ndarray, ...
     return vertices, _fresh(ids), sides
 
 
-@_collector_paused()
+# the most arcs one block of the canonical text holds
+_BLOCK_ARCS = 1 << 12
+
+
 def save_canonical(hg: DirectedHypergraph) -> str:
     """Serialize in canonical index order; load(save(hg)) == hg.
 
-    The text is json.dumps(doc, indent=2) plus a newline, joined once from
-    pieces placed into one array at positions worked out from the layout.
+    The text is json.dumps(doc, indent=2) plus a newline: the blocks of
+    ``canonical_blocks`` joined."""
+    return "".join(canonical_blocks(hg))
+
+
+def canonical_blocks(hg: DirectedHypergraph) -> Iterator[str]:
+    """The text of ``save_canonical`` in blocks: the vertex list first,
+    then ``_BLOCK_ARCS`` arcs a block, so no more than one block of it is
+    held at once. The hypergraph is validated before this returns.
     """
     ensure_valid(hg)
-    lay = hg.layout
+    return _blocks(hg)
+
+
+def _blocks(hg: DirectedHypergraph) -> Iterator[str]:
+    lay, m = hg.layout, hg.n_arcs
     names = np.array(list(map(encode_basestring_ascii, hg.vertices)), dtype=object)
-    n = names.size
-    t, h = np.diff(lay.tail_ptr), np.diff(lay.head_ptr)
-    # the opening, a separator and a name per vertex, the text up to the
-    # first arc; per arc its id, its tail's and head's names between texts
-    # and separators, its weight and the text after it
-    size = 2 * (t + h) + 4
-    start = 2 * n + 2 + np.cumsum(size) - size
-    pieces = np.empty(2 * n + 2 + int(size.sum()), dtype=object)
-    pieces[:] = ",\n        "  # np.full would build the array as text first
-    pieces[0] = '{\n  "vertices": ['
-    pieces[1:2 * n:2] = ",\n    "
-    pieces[1:2] = "\n    "
-    pieces[2:2 * n + 1:2] = names
-    pieces[2 * n + 1] = ("\n  ]" if n else "]") + ',\n  "arcs": [' + (
-        '\n    {\n      "id": ' if hg.n_arcs else "]\n}\n")
-    if hg.n_arcs:
-        pieces[start] = np.array(list(map(encode_basestring_ascii, hg.arc_ids)), dtype=object)
+    listed = "[\n    " + ",\n    ".join(names.tolist()) + "\n  ]" if names.size else "[]"
+    opened = '[\n    {\n      "id": ' if m else "[]\n}\n"
+    yield '{\n  "vertices": ' + listed + ',\n  "arcs": ' + opened
+    for a, b in zip(range(0, m, _BLOCK_ARCS), range(_BLOCK_ARCS, m + _BLOCK_ARCS, _BLOCK_ARCS)):
+        t, h = np.diff(lay.tail_ptr[a:b + 1]), np.diff(lay.head_ptr[a:b + 1])
+        # per arc its id, its tail's and head's names between texts and
+        # separators, its weight and the text after it
+        size = 2 * (t + h) + 4
+        start = np.cumsum(size) - size
+        pieces = np.empty(int(size.sum()), dtype=object)
+        pieces[:] = ",\n        "  # np.full would build the array as text first
+        pieces[start] = list(map(encode_basestring_ascii, hg.arc_ids[a:b]))
         pieces[start + 1] = ',\n      "tail": [\n        '
         pieces[start + 2 * t + 1] = '\n      ],\n      "head": [\n        '
-        for first, ptr, idx in ((start + 2, lay.tail_ptr, lay.tail_idx),
-                                (start + 2 * t + 2, lay.head_ptr, lay.head_idx)):
-            pieces[np.repeat(first - 2 * ptr[:-1], np.diff(ptr))
-                   + 2 * np.arange(idx.size)] = names[idx]
+        for first, ptr, idx in ((start + 2, lay.tail_ptr[a:b + 1], lay.tail_idx),
+                                (start + 2 * t + 2, lay.head_ptr[a:b + 1], lay.head_idx)):
+            pieces[np.repeat(first - 2 * (ptr[:-1] - ptr[0]), np.diff(ptr))
+                   + 2 * np.arange(ptr[-1] - ptr[0])] = names[idx[ptr[0]:ptr[-1]]]
         pieces[start + size - 3] = '\n      ],\n      "weight": '
-        pieces[start + size - 2] = np.array(list(map(repr, lay.weight.tolist())), dtype=object)
+        pieces[start + size - 2] = list(map(repr, lay.weight[a:b].tolist()))
         pieces[start + size - 1] = '\n    },\n    {\n      "id": '
-        pieces[-1] = "\n    }\n  ]\n}\n"
-    pieces = pieces.tolist()  # the array is dropped before the text is built
-    return "".join(pieces)
+        if b >= m:
+            pieces[-1] = "\n    }\n  ]\n}\n"
+        yield "".join(pieces.tolist())

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import hyperrank
 import hyperrank.cli
 from hyperrank import (SparseRealMatrix, TransitionMatrix, build_transition,
-                       load_canonical, pagerank_power)
+                       load_canonical, pagerank_power, parse_reactions_text,
+                       reactions_to_hypergraph, save_canonical)
 from hyperrank.cli import main
 
 import oracles
@@ -172,6 +173,42 @@ def test_output_is_written_in_slices(tmp_path, monkeypatch):
     hyperrank.cli._write_output(chunks, None)
     assert "".join(written) == "".join(chunks)
     assert max(map(len, written)) == 4
+
+
+# a collapsed mention, a dropped record and two reversible records
+_REACTIONS = ("R1: A + B -> C @ 2\nR2: C <-> A\nx1: A ->\nR3: B + B -> D\n"
+              "R4: D <-> B @ 0.5\nR5: C + D -> A\n")
+
+
+@pytest.mark.parametrize("args", [["--reversible", "split"], ["--reversible", "forward-only"],
+                                  ["--format", "json"]])
+def test_ingest_in_tiny_blocks_writes_what_save_canonical_returns(tmp_path, capsys,
+                                                                   monkeypatch, args):
+    path = tmp_path / "in"
+    if args[0] == "--format":
+        path.write_text(HG3_JSON)
+        hg = load_canonical(HG3_JSON)
+    else:
+        path.write_text(_REACTIONS)
+        hg, _ = reactions_to_hypergraph(parse_reactions_text(_REACTIONS), args[1])
+    expected = save_canonical(hg)
+    monkeypatch.setattr(hyperrank.ingest, "_BLOCK_ARCS", 2)
+    out = tmp_path / "out.json"
+    assert main(["ingest", str(path), "-o", str(out), *args]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+    assert main(["ingest", str(path), *args]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_ingest_of_an_invalid_network_leaves_the_output_file_as_it_was(tmp_path, capsys,
+                                                                       monkeypatch):
+    invalid = oracles.hypergraph(("a", "a"), [("e", [0], [1], 1.0)])
+    monkeypatch.setattr(hyperrank.cli, "_load", lambda ns: (invalid, None))
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    assert main(["ingest", str(tmp_path / "in"), "-o", str(out)]) == 1
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err.splitlines()[-1].startswith("hyperrank: ")
 
 
 def test_ingest_json_passthrough_normalizes(tmp_path, capsys):

@@ -480,6 +480,35 @@ def test_save_matches_the_json_encoder_on_edge_cases():
         assert save_canonical(hg) == oracles.save_canonical(hg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(randgen.hypergraphs(), hypergraphs()), st.sampled_from([1, 2, 3]))
+def test_blocks_join_to_the_json_encoders_text(hg, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_BLOCK_ARCS", block)
+        blocks = list(ingest.canonical_blocks(hg))
+    assert "".join(blocks) == oracles.save_canonical(hg)
+    # the vertex list, then one block per started run of `block` arcs
+    assert len(blocks) == 1 + -(-hg.n_arcs // block)
+
+
+def test_blocks_on_edge_cases(monkeypatch):
+    six = oracles.hypergraph(("a", "b", "c"), [(f"e{j}", [j % 3], [(j + 1) % 3, (j + 2) % 3],
+                                                 1.0 + j) for j in range(6)])
+    for block in (1, 2, 3, 6, 7):  # 2, 3 and 6 end a block exactly at the last arc
+        monkeypatch.setattr(ingest, "_BLOCK_ARCS", block)
+        blocks = list(ingest.canonical_blocks(six))
+        assert "".join(blocks) == oracles.save_canonical(six)
+        assert len(blocks) == 1 + -(-6 // block)
+    for hg in (oracles.hypergraph((), []), oracles.hypergraph(("only",), [])):
+        assert list(ingest.canonical_blocks(hg)) == [oracles.save_canonical(hg)]
+
+
+def test_blocks_validate_before_they_are_drawn():
+    invalid = oracles.hypergraph(("a", "a"), [("e", [0], [1], 1.0)])
+    with pytest.raises(ValidationError):
+        ingest.canonical_blocks(invalid)  # raises on the call, not at the first block
+
+
 def test_json_pipeline_builds_no_arc_records():
     rng = np.random.default_rng(31)
     text = save_canonical(random_hypergraph(rng, max_vertices=40, max_arcs=80))
@@ -1244,20 +1273,43 @@ def test_fresh_strings_are_equal_new_objects():
     assert not any(c is s for c, s in zip(ingest._fresh(kept), kept))
 
 
-_LOAD_RSS = """
+_KIB = """
 import re, sys
 from pathlib import Path
-from hyperrank import load_canonical
-from hyperrank.cli import _pin_mmap_threshold
 
 def kib(key):
     return int(re.search(key + r":\\s+(\\d+) kB", Path("/proc/self/status").read_text()).group(1))
+"""
+_LOAD_RSS = _KIB + """
+import ctypes
+from hyperrank import load_canonical
 
-_pin_mmap_threshold()  # else the layout's freed temporaries stay in the heap
+# glibc's M_MMAP_THRESHOLD fixed at its initial 128 KiB: else the layout's
+# freed temporaries stay in the heap
+mallopt = ctypes.CDLL(None).mallopt
+mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+mallopt(-3, 128 * 1024)
 before = kib("VmRSS")
 hg = load_canonical(Path(sys.argv[1]).read_text())
 print(before, kib("VmRSS"), kib("VmHWM"), hg.n_arcs)
 """
+_INGEST_RSS = _KIB + """
+from hyperrank import cli
+
+before = kib("VmRSS")
+status = cli.main(["ingest", sys.argv[1], "-o", sys.argv[2]])
+print(before, kib("VmHWM"), status)
+"""
+
+
+def _run_snippet(snippet: str, *args: str) -> list[int]:
+    """The integers a snippet prints, run in a fresh interpreter on this package."""
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", snippet, *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return list(map(int, proc.stdout.split()))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -1274,14 +1326,29 @@ def test_load_peaks_at_a_few_times_its_text(tmp_path):
         for a, (t, h) in enumerate(sizes)]})
     path = tmp_path / "doc.json"
     path.write_text(text)
-    src = str(Path(ingest.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _LOAD_RSS, str(path)],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    before, after, peak, arcs = map(int, proc.stdout.split())
+    before, after, peak, arcs = _run_snippet(_LOAD_RSS, str(path))
     assert arcs == m
     assert peak - before <= 7 * len(text) / 1024, (before, after, peak)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ingest_peaks_at_a_few_times_its_text(tmp_path):
+    # 40,000 reactions of up to 5 species a side among 10,000, every fifth
+    # reversible: ingesting the 2.5 MB text grows the process by about 11.4
+    # times the text on a 2-vCPU host; serializing the whole document at
+    # once, with glibc's mmap threshold pinned, grew it by 15.0 times
+    n, m = 10000, 40000
+    sizes = np.random.default_rng(47).integers(1, 6, (m, 2)).tolist()
+    text = "".join(
+        f"R{a}: {' + '.join(f's{(a + k) % n}' for k in range(t))} "
+        f"{'<->' if a % 5 == 0 else '->'} "
+        f"{' + '.join(f's{(a + 7 + k) % n}' for k in range(h))} @ {1 + a % 9 / 8!r}\n"
+        for a, (t, h) in enumerate(sizes))
+    path = tmp_path / "in.reactions"
+    path.write_text(text)
+    before, peak, status = _run_snippet(_INGEST_RSS, str(path), str(tmp_path / "out.json"))
+    assert status == 0
+    assert peak - before <= 13 * len(text) / 1024, (before, peak)
 
 
 def test_load_rejects_deep_nesting_as_schema_error():
