@@ -38,9 +38,9 @@ def _fmt(value: float, precision: str) -> str:
 def _write_output(chunks, path: str | None) -> None:
     """Write the strings of ``chunks``, in order, to standard output or PATH.
 
-    ``chunks`` may be a generator: it is drawn as it is written, so only the
-    string at hand is held. A string is written in slices of at most ``_SLICE`` characters, so its
-    encoding is never copied whole.
+    ``chunks`` may be a generator: it is drawn as it is written, so only
+    the string at hand is held. A string is written in slices of at most
+    ``_SLICE`` characters, so its encoding is never copied whole.
     """
     slices = (chunk[i:i + _SLICE] for chunk in chunks for i in range(0, len(chunk), _SLICE))
     if path is None or path == "-":
