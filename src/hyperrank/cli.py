@@ -15,7 +15,7 @@ from .core import DirectedHypergraph, prune_to_core
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      HyperrankError, NoConvergenceError, NotStationaryError,
                      ValidationError)
-from .ingest import (SPLIT, REVERSIBLE_POLICIES, IngestReport, canonical_blocks,
+from .ingest import (SPLIT, REVERSIBLE_POLICIES, IngestReport, _trim_heap, canonical_blocks,
                      load_canonical, parse_reactions_text, reactions_to_hypergraph)
 from .laplacian import build_laplacians, spectral_report
 from .sparse import SparseRealMatrix
@@ -48,32 +48,6 @@ def _write_output(chunks, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as out:
             out.writelines(slices)
-
-
-def _trim_heap() -> None:
-    """Hand the free pages inside glibc's heap back to the system.
-
-    A freed block below the mmap threshold stays in the heap, and its pages
-    stay resident until they are reused. ``_network`` calls this after the
-    load and after pruning, whose freed temporaries would otherwise lie
-    under the transition matrix's build, where how many of them it reuses
-    depends on the order of every earlier allocation, down to the length
-    of the input's path. Over 48 such paths (both ``rank_prune_20k``
-    seeds), ``rank --prune`` peaked at 60.2 to 66.2 MB, median 63.6,
-    without the trims and at 59.7 to 63.8 MB, median 62.1, with them
-    (2-vCPU x86-64 host, Python 3.11, NumPy 2.4).
-    """
-    trim = _libc("malloc_trim")
-    if trim is not None:
-        trim(0)
-
-
-def _libc(name: str):
-    """The C library's function ``name`` on Linux, where it has one."""
-    if not sys.platform.startswith("linux"):
-        return None
-    import ctypes  # here, so that a command that does not call it pays nothing
-    return getattr(ctypes.CDLL(None), name, None)
 
 
 def _read_input(path: str) -> str:
@@ -133,8 +107,10 @@ def _network(ns) -> DirectedHypergraph:
 
 def cmd_ingest(ns) -> int:
     """Write the ingest notes, then the network as canonical JSON block by
-    block; an invalid network raises before the output is opened."""
+    block, over a heap trimmed after the load; an invalid network raises
+    before the output is opened."""
     hg, report = _load(ns)
+    _trim_heap()
     if report is None:  # canonical JSON: one record per arc
         report = IngestReport(records=hg.n_arcs, vertices=hg.n_vertices,
                               arcs=hg.n_arcs)

@@ -109,21 +109,41 @@ def _side(lengths, idx) -> tuple[np.ndarray, np.ndarray]:
     """CSR (ptr, idx) of one side of every arc, each slice sorted and deduplicated."""
     lengths = np.asarray(lengths, dtype=np.int64)
     idx = np.asarray(idx, dtype=np.int64)
-    arc = np.repeat(np.arange(lengths.size), lengths)
     lo = int(idx.min(initial=0))
     span = int(idx.max(initial=0)) - lo + 1
     if span * lengths.size <= np.iinfo(np.int64).max:
-        # each (arc, vertex) pair packed into one integer, in the pairs' order
-        key = np.sort(arc * span + (idx - lo))
-        arc, idx = np.divmod(key, span)
-        idx += lo
-    else:  # indices too far apart to pack
-        idx = idx[np.lexsort((idx, arc))]  # arc is nondecreasing, so it stays aligned
-    first = np.ones(idx.size, dtype=bool)
-    first[1:] = (idx[1:] != idx[:-1]) | (arc[1:] != arc[:-1])
-    ptr = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(arc[first], minlength=lengths.size), out=ptr[1:])
-    return ptr, idx[first]
+        # each (arc, vertex) pair packed into one integer, arc j's from
+        # j * span to j * span + span - 1, sorted and deduplicated in place
+        key = np.repeat(np.arange(lengths.size) * span - lo, lengths)
+        key += idx
+        del idx
+        key.sort()
+        key = key[_firsts(key)]
+        arc = key // span
+        ptr = _ptr(arc, lengths.size)
+        arc *= span
+        key -= arc
+        key += lo
+        return ptr, key
+    arc = np.repeat(np.arange(lengths.size), lengths)
+    # indices too far apart to pack; arc is nondecreasing, so it stays aligned
+    idx = idx[np.lexsort((idx, arc))]
+    first = _firsts(idx) | _firsts(arc)
+    return _ptr(arc[first], lengths.size), idx[first]
+
+
+def _ptr(arc: np.ndarray, arcs: int) -> np.ndarray:
+    """CSR row pointers of entries whose rows, nondecreasing, are ``arc``."""
+    ptr = np.zeros(arcs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arc, minlength=arcs), out=ptr[1:])
+    return ptr
+
+
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts."""
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
 
 
 @dataclass(frozen=True)

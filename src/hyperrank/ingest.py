@@ -8,8 +8,8 @@ side is an optional '+'-separated list of identifiers, each one or more of
 [A-Za-z0-9_] and '-', where a '-' directly before '>' opens the arrow
 instead; ARROW is '->' (irreversible) or '<->' (reversible), WEIGHT a
 positive number. Lines end where ``str.splitlines`` ends them. One regular
-expression, matched over whole parts of the text at once, is the grammar; a
-text it rejects is read again line by line only to raise the first error. An
+expression, matched over a slice of lines at a time, is the grammar; a text
+it rejects is read again line by line only to raise the first error. An
 empty side (a boundary exchange reaction) parses, and conversion drops the
 record, as core pruning would.
 """
@@ -21,10 +21,11 @@ import json
 import marshal
 import math
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count
+from itertools import chain, compress, count, filterfalse
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
@@ -32,8 +33,8 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from . import _fork
-from .core import (ArcLayout, DirectedHypergraph, _positions, _reject_unknown,
-                   _resolved, _take, _weight_column, ensure_valid)
+from .core import (ArcLayout, DirectedHypergraph, _firsts, _positions, _reject_unknown,
+                   _resolved, _side, _take, _weight_column, ensure_valid)
 from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
                      TailHeadOverlapError)
 
@@ -90,6 +91,32 @@ def _collector_paused():
             gc.enable()
 
 
+def _trim_heap() -> None:
+    """Hand the free pages inside glibc's heap back to the system.
+
+    A freed block below the mmap threshold stays in the heap, and its pages
+    stay resident until they are reused. ``reactions_to_hypergraph`` calls
+    this before it validates, and the CLI after each load and after
+    pruning: the freed temporaries would otherwise lie under the next
+    stage, where how many of them it reuses depends on the order of every
+    earlier allocation, down to the length of the input's path. Over 48
+    such paths (both ``rank_prune_20k`` seeds), ``rank --prune`` peaked at
+    60.2 to 66.2 MB, median 63.6, without the trims and at 59.7 to 63.8 MB,
+    median 62.1, with them (2-vCPU x86-64 host, Python 3.11, NumPy 2.4).
+    """
+    trim = _libc("malloc_trim")
+    if trim is not None:
+        trim(0)
+
+
+def _libc(name: str):
+    """The C library's function ``name`` on Linux, where it has one."""
+    if not sys.platform.startswith("linux"):
+        return None
+    import ctypes  # here, so that a command that does not call it pays nothing
+    return getattr(ctypes.CDLL(None), name, None)
+
+
 def _fresh(strings: list[str]) -> list[str]:
     """Equal strings as new objects, allocated together.
 
@@ -112,6 +139,10 @@ class _Surprise(Exception):
 # A text is split over processes only into parts of this many characters
 # or more: below that, a fork costs more than it saves.
 _PART_CHARS = 1 << 19
+# A part is read in slices, each ending at the first cut (a '\n' of a
+# reaction text, a '}, {' of the arcs array) this many characters or more
+# past its start.
+_SLICE_CHARS = 1 << 17
 # what the fast path over a part that it does not take may raise
 _DECLINED = (_Surprise, ValueError, KeyError, TypeError, RecursionError)
 
@@ -231,11 +262,13 @@ def parse_reactions_text(text: str) -> ReactionColumns:
     """Parse a whole reaction file; raises on the first malformed line.
 
     The text is cut at line breaks into parts (see ``_parts``); a forked
-    child scans each later part (see ``_scan``) while this process scans
-    the first, and a part whose child failed is scanned here. The parts'
-    species are then numbered in text order. A part that the scan does not
-    take sends the whole text to the line-by-line error locator, which
-    alone raises errors, so a diagnostic never depends on the cuts.
+    child scans each later part while this process scans the first, and a
+    part whose child failed is scanned here. Each part is scanned in slices
+    (see ``_scan``), so a process holds the temporaries of one slice, not of
+    its part. The parts' species are then numbered in text order. A part
+    that the scan does not take sends the whole text to the line-by-line
+    error locator, which alone raises errors, so a diagnostic never depends
+    on the cuts or the slices.
     """
     if any(map(text.__contains__, _BREAKS)):
         text = "\n".join(text.splitlines())
@@ -270,38 +303,52 @@ def parse_reactions_text(text: str) -> ReactionColumns:
 def _scan(text: str, pos: int, end: int | None, fresh: bool = True
           ) -> tuple[tuple[list[str], list[str]], tuple[np.ndarray, ...]]:
     """The records of the lines from ``pos`` to ``end`` (None: to the end
-    of the text), matched at once: their ids and the part's distinct
-    species in the order of first mention; and as columns the position
-    among those species of each mention, the records' side lengths,
-    weights and arrows. With ``fresh`` the ids and species are copied (see
-    ``_fresh``). Raises ``_Surprise`` where a line does not match or a
-    weight is no positive real.
+    of the text): their ids and the part's distinct species in the order of
+    first mention; and as columns the position among those species of each
+    mention, the records' side lengths, weights and arrows. With ``fresh``
+    the ids and species are copied (see ``_fresh``). Raises ``_Surprise``
+    where a line does not match or a weight is no positive real.
+
+    The lines are matched a slice at a time, each slice ending at the first
+    line break ``_SLICE_CHARS`` or more past its start: a slice's matches
+    are checked, its ids and new species copied out, and its matches and
+    names dropped before the next slice is matched, so no more than one
+    slice of them is held.
     """
     end = len(text) if end is None else end
-    lines = _LINE_RE.findall(text, pos, end)
-    columns = list(zip(*lines)) or [()] * 5
-    kept = list(map(bool, columns[0]))  # blank and comment-only lines have no ID
-    ids, substrates, reversible, products, weights = (
-        list(compress(column, kept)) for column in columns)
-    try:
-        weight = np.array([float(w or 1) for w in weights], dtype=np.float64)
-    except ValueError:
-        raise _Surprise from None
-    # a part has one line more than '\n's, the last one empty after a
-    # final '\n', and each line that the grammar takes matches once
-    if (len(lines) != text.count("\n", pos, end) + 1
-            or not ((weight > 0.0) & (weight < math.inf)).all()):
-        raise _Surprise
-    del lines, columns
-    # a side is its names with '+' and whitespace between them
-    names = " ".join(chain.from_iterable(zip(substrates, products))).replace("+", " ").split()
-    index = dict(zip(dict.fromkeys(names), count()))
-    code = np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names))
-    tail_len, head_len = (np.array([s.count("+") + 1 if s else 0 for s in sides], dtype=np.int64)
-                          for sides in (substrates, products))
-    species = list(index)
-    return ((_fresh(ids), _fresh(species)) if fresh else (ids, species),
-            (code, tail_len, head_len, weight, np.array(list(map(bool, reversible)), dtype=bool)))
+    ids, index, slices = [], {}, []
+    while True:
+        stop = text.find("\n", pos + _SLICE_CHARS, end)
+        stop = end if stop < 0 else stop
+        lines = _LINE_RE.findall(text, pos, stop)
+        columns = list(zip(*lines)) or [()] * 5
+        kept = list(map(bool, columns[0]))  # blank and comment-only lines have no ID
+        named, substrates, reversible, products, weights = (
+            list(compress(column, kept)) for column in columns)
+        try:
+            weight = np.array([float(w or 1) for w in weights], dtype=np.float64)
+        except ValueError:
+            raise _Surprise from None
+        # a slice has one line more than '\n's, the last one empty after a
+        # final '\n', and each line that the grammar takes matches once
+        if (len(lines) != text.count("\n", pos, stop) + 1
+                or not ((weight > 0.0) & (weight < math.inf)).all()):
+            raise _Surprise
+        del lines, columns, kept, weights
+        ids += _fresh(named) if fresh else named
+        # a side is its names with '+' and whitespace between them
+        names = " ".join(chain.from_iterable(zip(substrates, products))).replace("+", " ").split()
+        new = list(filterfalse(index.__contains__, dict.fromkeys(names)))
+        index.update(zip(_fresh(new) if fresh else new, count(len(index))))
+        slices.append((
+            np.fromiter(map(index.__getitem__, names), dtype=np.int64, count=len(names)),
+            *(np.array([s.count("+") + 1 if s else 0 for s in sides], dtype=np.int64)
+              for sides in (substrates, products)),
+            weight, np.array(list(map(bool, reversible)), dtype=bool)))
+        del named, substrates, reversible, products, weight, names, new
+        if stop == end:
+            return (ids, list(index)), tuple(map(np.concatenate, zip(*slices)))
+        pos = stop + 1
 
 
 @dataclass
@@ -331,54 +378,68 @@ def reactions_to_hypergraph(parsed: ReactionColumns, reversible_policy: str = SP
     outright; a record with an empty side is dropped (noted in
     ``report.dropped``).
 
-    The parse, and with it the species that no kept record mentions, is
-    dropped before the records are laid out, and the layout's scratch
-    before the result is validated.
+    The parse's columns are dropped once read, and the layout's scratch is
+    dropped and trimmed from the heap (see ``_trim_heap``) before the result
+    is validated.
     """
     if reversible_policy not in REVERSIBLE_POLICIES:
         raise ValueError(f"unknown reversible policy {reversible_policy!r}")
     held = [parsed]
     del parsed
     hg, report = _converted(held, reversible_policy)
+    _trim_heap()
     return ensure_valid(hg), report
 
 
 @_collector_paused()
 def _converted(held: list, policy: str) -> tuple[DirectedHypergraph, IngestReport]:
-    """``reactions_to_hypergraph`` before validation; ``held``'s parse is freed once laid out."""
+    """``reactions_to_hypergraph`` before validation; ``held``'s parse is
+    freed once laid out.
+
+    The records' sides are laid out as one CSR block of rows 2r (record r's
+    substrates) and 2r + 1 (its products), each sorted and deduplicated;
+    the arcs' sides are rows of that block. Each temporary is dropped as
+    soon as it has been read, so no two mention-sized ones outlive a step.
+    """
     parsed = held.pop()
     ids, species, (code, tail_len, head_len, reversible, weight) = (
         parsed.ids, parsed.species, map(np.asarray, parsed[2:]))
     del parsed
-    sizes = tail_len + head_len
     kept = (tail_len > 0) & (head_len > 0)
     # the kept records' species are the vertices, in the order of their
     # first kept mention; the species that only dropped records mention
     # are numbered after them, in the order of their first mention
-    kept_name = np.repeat(kept, sizes)
+    at = np.arange(code.size)
+    at[np.repeat(~kept, tail_len + head_len)] = code.size
     first = np.full(len(species), code.size)
-    np.minimum.at(first, code[kept_name], np.flatnonzero(kept_name))
+    np.minimum.at(first, code, at)
+    del at
     order = np.argsort(first, kind="stable")
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    code = number[code]
     vertices = list(map(species.__getitem__,
                         order[:np.count_nonzero(first < code.size)].tolist()))
     span = len(species) + 1
-    del species
-    in_tail = (np.arange(code.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-               < np.repeat(tail_len, sizes))
-    lay = ArcLayout.from_sides(tail_len, code[in_tail], head_len, code[~in_tail], weight)
+    del first, species
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    del order
+    ptr, idx = _side(np.stack((tail_len, head_len), axis=1).ravel(), number[code])
+    del number, code
+    sides = np.diff(ptr)
+    distinct = sides[0::2] + sides[1::2]
+    collapsed = (tail_len + head_len - distinct).tolist()
 
-    # every record laid out as one arc holds a name once per side, so a
-    # (record, name) key met on both sides is shared
-    shared = np.isin(lay.head_arc * span + lay.head_idx,
-                     lay.tail_arc * span + lay.tail_idx, assume_unique=True)
-    if shared.any():
-        r = lay.head_arc[shared][0]
+    # a record holds a name once per side, so a (record, name) key met
+    # twice is on both sides
+    key = np.repeat(np.arange(len(ids)) * span, distinct)
+    del sides, distinct
+    key += idx
+    key.sort()
+    shared = key[~_firsts(key)]
+    del key
+    if shared.size:
+        r = int(shared[0] // span)
         raise TailHeadOverlapError(ids[r], sorted(
-            vertices[v] for v in lay.head_idx[shared & (lay.head_arc == r)].tolist()))
-    collapsed = (sizes - np.diff(lay.tail_ptr) - np.diff(lay.head_ptr)).tolist()
+            vertices[v] for v in (shared[shared // span == r] % span).tolist()))
 
     rec = np.flatnonzero(kept)
     twice = reversible[rec] & (policy == SPLIT)
@@ -387,12 +448,11 @@ def _converted(held: list, policy: str) -> tuple[DirectedHypergraph, IngestRepor
     arc_ids = np.array(ids, dtype=object)[arc_rec]
     arc_ids[back] += "_rev"
     arc_ids[np.flatnonzero(back) - 1] += "_fwd"
-    # rows 0..R-1 are the records' tails, rows R..2R-1 their heads
-    sides = (np.concatenate((lay.tail_ptr, lay.head_ptr[1:] + lay.tail_idx.size)),
-             np.concatenate((lay.tail_idx, lay.head_idx)))
-    hg = DirectedHypergraph(vertices, arc_ids.tolist(), ArcLayout(
-        *_take(*sides, arc_rec + len(ids) * back),
-        *_take(*sides, arc_rec + len(ids) * ~back), lay.weight[arc_rec]))
+    arc_ids = arc_ids.tolist()
+    tail = _take(ptr, idx, 2 * arc_rec + back)
+    head = _take(ptr, idx, 2 * arc_rec + ~back)
+    del ptr, idx
+    hg = DirectedHypergraph(vertices, arc_ids, ArcLayout(*tail, *head, weight[arc_rec]))
     return hg, IngestReport(
         records=len(ids), vertices=hg.n_vertices, arcs=hg.n_arcs,
         reversible_records=int(reversible[rec].sum()), split_arcs=2 * int(twice.sum()),
@@ -462,9 +522,7 @@ def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: 
     _reject_unknown(vertices, index, ids, tails, heads, _weight_column(weights))
 
 
-# A slice of the arcs array ends at the first '}, {' this many characters
-# or more past its start; a cut lies between the '}' and the '{'.
-_SLICE_CHARS = 1 << 17
+# a cut of the arcs array lies between a '}' and a '{'
 _CUT = re.compile(r"(?<=\})[ \t\n\r]*,[ \t\n\r]*(?=\{)")
 # the dtypes of the columns that ``_send_part`` sends, in order
 _PART_DTYPES = (np.int64,) * 4 + (np.float64,)

@@ -58,14 +58,17 @@ def test_rank_hg3_table(hg3_path, capsys):
     ]
 
 
-def test_the_heap_is_trimmed_after_the_load_and_after_pruning(hg3_path, monkeypatch, capsys):
+def test_the_heap_is_trimmed_after_the_load_and_after_pruning(hg3_path, monkeypatch, capsys,
+                                                               tmp_path):
     calls = []
     monkeypatch.setattr(hyperrank.cli, "_trim_heap", lambda: calls.append(1))
     for argv, trims in ((["validate", hg3_path], 0), (["rank", hg3_path], 1),
-                        (["rank", hg3_path, "--prune"], 3)):
+                        (["rank", hg3_path, "--prune"], 3),
+                        (["ingest", hg3_path, "--format", "json", "-o",
+                          str(tmp_path / "hg3.json")], 4)):
         assert main(argv) == 0
         assert len(calls) == trims, argv
-    assert hyperrank.cli._libc("no_such_function") is None
+    assert hyperrank.ingest._libc("no_such_function") is None
 
 
 def test_rank_full_precision(hg3_path, capsys):
