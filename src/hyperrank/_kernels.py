@@ -1,6 +1,6 @@
 """The numeric kernels: the CSR transposed multiply and two walk steppers.
 
-The multiply is one NumPy scatter.
+The multiply is one NumPy scatter, ``np.add.at``.
 
 ``walk_steps`` walks one path in Python. It reads a per-vertex view of the
 sampling tables: for vertex u, the tuple of its cumulative arc-choice
@@ -40,11 +40,17 @@ _trunc = float.__trunc__
 
 
 def csr_left_multiply(indptr, indices, data, x, out):
-    """Write y = xᵀA into ``out`` for a CSR matrix A, i.e. a row-major scatter."""
-    # bincount adds its weights in input order, so each column sums its
+    """Write y = xᵀA into ``out`` for a CSR matrix A, i.e. a row-major scatter.
+
+    Holds one entry-sized temporary, the products, and reads the frozen
+    ``indices`` where they are: ``np.bincount`` would copy a read-only one.
+    """
+    products = np.repeat(x, np.diff(indptr))
+    products *= data
+    # add.at adds in input order from the zeros, so each column sums its
     # products in the same row-major order as a plain loop would.
-    out[:] = np.bincount(indices, weights=data * np.repeat(x, np.diff(indptr)),
-                         minlength=out.size)
+    out.fill(0.0)
+    np.add.at(out, indices, products)
 
 
 def _vertex_view(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts) -> list:

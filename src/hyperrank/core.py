@@ -359,11 +359,13 @@ def compute_degrees(hg: DirectedHypergraph) -> DegreeTables:
     nv = hg.n_vertices
     arc_tail = np.diff(lay.tail_ptr)
     arc_head = np.diff(lay.head_ptr)
-    # bincount adds each vertex's weights in arc order, like a running sum
-    vertex_tail = np.bincount(lay.tail_idx, weights=np.repeat(lay.weight, arc_tail),
-                              minlength=nv).astype(np.float64, copy=False)
-    vertex_head = np.bincount(lay.head_idx, weights=np.repeat(lay.weight, arc_head),
-                              minlength=nv).astype(np.float64, copy=False)
+    # add.at adds each vertex's weights in arc order from zero, like a
+    # running sum, and reads the frozen index arrays without copying them;
+    # a head-weight sum may overflow, as it may in the paper's D_head
+    vertex_tail, vertex_head = np.zeros(nv), np.zeros(nv)
+    with np.errstate(over="ignore"):
+        np.add.at(vertex_tail, lay.tail_idx, np.repeat(lay.weight, arc_tail))
+        np.add.at(vertex_head, lay.head_idx, np.repeat(lay.weight, arc_head))
     for arr in (vertex_tail, vertex_head, arc_tail, arc_head):
         arr.setflags(write=False)
     return DegreeTables(vertex_tail, vertex_head, arc_tail, arc_head)
@@ -454,10 +456,21 @@ def _gather(seq: tuple[str, ...], idx: np.ndarray) -> tuple[str, ...]:
 
 def _take(ptr, idx, rows) -> tuple[np.ndarray, np.ndarray]:
     """CSR (ptr, idx) of the given rows of a CSR block, in the order of ``rows``."""
-    lengths = np.diff(ptr)[rows]
+    start, stop = ptr[rows], ptr[1:][rows]
     taken = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=taken[1:])
-    return taken, idx[np.repeat(ptr[rows] - taken[:-1], lengths) + np.arange(taken[-1])]
+    np.cumsum(stop - start, out=taken[1:])
+    # each entry's position in idx, as a running sum of steps: one within a
+    # row, and at a row's first entry the jump from the end of the row
+    # before it (an empty row's jump adds to the next row's), so that one
+    # entry-sized index array is held
+    start[1:] -= stop[:-1]
+    start[:1] -= 1
+    del stop
+    pos = np.ones(taken[-1] + 1, dtype=np.int64)
+    np.add.at(pos, taken[:-1], start)
+    del start
+    np.cumsum(pos, out=pos)
+    return taken, idx[pos[:-1]]
 
 
 def _surviving_side(idx, arc, alive_vertex, alive_arc, remap):

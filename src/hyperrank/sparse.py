@@ -11,6 +11,9 @@ import numpy as np
 
 from . import _kernels
 
+# the entries that a row-blocked pass (see row_blocks) holds temporaries for
+_BLOCK = 1 << 14
+
 
 def _frozen(values, dtype) -> np.ndarray:
     """The values as a read-only C-ordered array of ``dtype``; an array that
@@ -20,6 +23,36 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def packed_sort(key: np.ndarray, size: int, low=None) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the int64 keys in [0, size) stably, each with its entry of
+    ``low``: nondecreasing nonnegative integers, by default the input
+    positions.
+
+    Returns the sorted keys and their entries of ``low``; with the
+    positions, the permutation of ``np.argsort(kind="stable")``. ``key`` is
+    overwritten.
+    """
+    top = np.iinfo(np.int64).max
+    if size > top:
+        raise ValueError(f"a range of {size} keys is beyond int64")
+    if low is None:
+        low = np.arange(key.size)
+    shift = int(low[-1]).bit_length() if low.size else 0
+    if (max(size, 1) - 1) << shift <= top:
+        # each key with its low entry in the low bits: one plain sort
+        # orders the keys and, within a key, the entries, which ascend
+        # with the input position
+        key <<= shift
+        key |= low
+        key.sort()
+        low = key & ((1 << shift) - 1)
+        key >>= shift
+        return key, low
+    # the low entries do not fit beside the keys
+    pos = np.argsort(key, kind="stable")
+    return key[pos], low[pos]
+
+
 def packed_unique(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group the int64 keys in [0, size) by value, each group in input order.
 
@@ -27,21 +60,7 @@ def packed_unique(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, n
     sorted by (key, input position), each one's slot among the distinct keys
     and its input position. ``key`` is overwritten.
     """
-    top = np.iinfo(np.int64).max
-    if size > top:
-        raise ValueError(f"a range of {size} keys is beyond int64")
-    shift = max(key.size - 1, 0).bit_length()
-    if (max(size, 1) - 1) << shift <= top:
-        # each key with its input position in the low bits: one plain sort
-        # orders the keys and, within a key, the positions
-        key <<= shift
-        key |= np.arange(key.size)
-        key.sort()
-        pos = key & ((1 << shift) - 1)
-        key >>= shift
-    else:  # the positions do not fit beside the keys
-        pos = np.argsort(key, kind="stable")
-        key = key[pos]
+    key, pos = packed_sort(key, size)
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
@@ -51,12 +70,26 @@ def packed_unique(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, n
     return distinct, slot, pos
 
 
+def row_blocks(ptr: np.ndarray):
+    """Consecutive ranges ``(r0, r1)`` of whole rows that cover every row of
+    the row pointer ``ptr``, each holding at most ``_BLOCK`` entries unless
+    it is a single row."""
+    rows = ptr.size - 1
+    r0 = 0
+    while r0 < rows:
+        r1 = max(int(np.searchsorted(ptr, ptr[r0] + _BLOCK, side="right")) - 1, r0 + 1)
+        yield r0, r1
+        r0 = r1
+
+
 class SparseRealMatrix:
     """CSR matrix with sorted, duplicate-free columns and no stored zeros.
 
     The arrays handed to the constructor are kept and made read-only, not
     copied, when they already have the dtype and layout; the caller must not
-    keep writing to them.
+    keep writing to them. Neither the constructor's checks nor ``row_sums``
+    hold an entry-sized integer array: columns are compared with their
+    neighbours, and rows are summed a block at a time (see ``row_blocks``).
     """
 
     __slots__ = ("rows", "cols", "indptr", "indices", "data")
@@ -86,10 +119,11 @@ class SparseRealMatrix:
             if np.any(self.data == 0.0):
                 raise ValueError("explicit zeros are not stored")
         if self.indices.size > 1:
-            newrow = np.zeros(self.indices.size, dtype=bool)
+            # entry k + 1 must follow entry k in column, unless it starts a row
+            unordered = self.indices[1:] <= self.indices[:-1]
             starts = self.indptr[1:-1]
-            newrow[starts[starts < self.indices.size]] = True
-            if np.any(~newrow[1:] & (np.diff(self.indices) <= 0)):
+            unordered[starts[(starts > 0) & (starts < self.indices.size)] - 1] = False
+            if unordered.any():
                 raise ValueError("columns must be strictly increasing within a row")
 
     @classmethod
@@ -148,10 +182,15 @@ class SparseRealMatrix:
         return out
 
     def row_sums(self) -> np.ndarray:
-        rows = np.repeat(np.arange(self.rows), np.diff(self.indptr))
-        # bincount returns integer zeros when there are no entries at all
-        return np.bincount(rows, weights=self.data,
-                           minlength=self.rows).astype(np.float64, copy=False)
+        """Each row's values summed left to right from 0.0, a block of rows
+        at a time."""
+        out = np.zeros(self.rows)
+        ptr = self.indptr
+        for r0, r1 in row_blocks(ptr):
+            rows = np.repeat(np.arange(r1 - r0), np.diff(ptr[r0:r1 + 1]))
+            out[r0:r1] = np.bincount(rows, weights=self.data[ptr[r0]:ptr[r1]],
+                                     minlength=r1 - r0)
+        return out
 
     def left_multiply(self, x, out: np.ndarray | None = None) -> np.ndarray:
         """Return y = xᵀA as a 1-d array of length ``cols``."""

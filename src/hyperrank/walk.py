@@ -16,10 +16,10 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels
-from .core import DirectedHypergraph, _take, compute_degrees, ensure_valid
+from .core import DirectedHypergraph, _ptr, _take, compute_degrees, ensure_valid
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      MultipleSolutionsError, NoConvergenceError)
-from .sparse import SparseRealMatrix
+from .sparse import SparseRealMatrix, packed_sort, row_blocks
 
 L1 = "l1"
 L2 = "l2"
@@ -140,6 +140,12 @@ def build_transition(hg: DirectedHypergraph,
     Rows sum to one by construction. Under the default policy a vertex with
     tail degree zero is an error; under `uniform-jump` its row becomes the
     uniform distribution over all vertices.
+
+    P's arrays are sized for its entries before they are summed and filled
+    a block of whole rows at a time (see ``sparse.row_blocks``), then shrunk
+    in place, so that one block's unsummed entries are held at a time. Each
+    pair (u, v) sums its steps in arc order from 0.0, and a pair whose sum
+    is zero is not stored.
     """
     if dangling not in DANGLING_POLICIES:
         raise ValueError(f"unknown dangling policy {dangling!r}")
@@ -152,27 +158,86 @@ def build_transition(hg: DirectedHypergraph,
     if jumpers.size and dangling == ON_DANGLING_ERROR:
         raise DanglingVertexError([hg.vertices[i] for i in jumpers.tolist()])
     lay = hg.layout
-    # one (u, v, step) entry per arc, tail vertex and head vertex, in that
-    # nesting order, so that each pair's steps are summed in arc order
-    tail_arc = lay.tail_arc
-    per_head = lay.weight / deg.arc_head
-    if per_head.min(initial=1.0) >= np.finfo(np.float64).tiny:
-        step = per_head[tail_arc] / deg.vertex_tail[lay.tail_idx]
-    else:  # a subnormal w/|head| has lost its precision: divide by the tail sum first
-        step = lay.weight[tail_arc] / deg.vertex_tail[lay.tail_idx] / deg.arc_head[tail_arc]
-    taken, key = _take(lay.head_ptr, lay.head_idx, tail_arc)
-    del tail_arc
-    fan = np.diff(taken)
-    del taken
-    # each entry's key u·n + v, over its column v
-    key += np.repeat(lay.tail_idx * n, fan)
-    entries = [key, np.repeat(step, fan)]
-    del key, step, fan
-    if jumpers.size:  # each dangling vertex's uniform row, which has no arc entries
-        entries = [np.concatenate([entries[0], (jumpers[:, None] * n + np.arange(n)).ravel()]),
-                   np.concatenate([entries[1], np.full(jumpers.size * n, 1.0 / n)])]
-    matrix = SparseRealMatrix._from_keys(n, n, entries)
-    return TransitionMatrix(matrix, hg.vertices)
+    weight, vertex_tail = lay.weight, deg.vertex_tail
+    # a subnormal w/|head| has lost its precision: then every step divides
+    # by the tail sum first
+    subnormal = (weight / deg.arc_head).min(initial=1.0) < np.finfo(np.float64).tiny
+    # each row's entries before they are summed: one per head of each of
+    # its arcs, or n for a dangling row
+    raw = np.zeros(n, dtype=np.int64)
+    np.add.at(raw, lay.tail_idx, np.repeat(deg.arc_head, deg.arc_tail))
+    raw[jumpers] = n
+    del deg
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(raw, out=ptr[1:])
+    del raw
+    slot_ptr, arc_of_slot = _outgoing(hg)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(ptr[-1], dtype=np.int64)
+    data = np.empty(ptr[-1])
+    bits = (n - 1).bit_length()
+    end = 0
+    # every row has an entry, so a block of several rows has at most
+    # _BLOCK rows and slots: its keys below fit int64 while n < 2^34, and a
+    # block of one row's while n·|E| < 2^63
+    for r0, r1 in row_blocks(ptr):
+        s0, s1 = slot_ptr[r0], slot_ptr[r1]
+        arc = arc_of_slot[s0:s1]
+        u = np.repeat(np.arange(r0, r1), np.diff(slot_ptr[r0:r1 + 1]))
+        taken, key = _take(lay.head_ptr, lay.head_idx, arc)
+        fan = np.diff(taken)  # each slot's |head|
+        if subnormal:
+            step = weight[arc] / vertex_tail[u] / fan
+        else:
+            step = weight[arc] / fan / vertex_tail[u]
+        # one entry per slot and head vertex v, keyed (u - r0, v, slot)
+        # with the slot in the low bits: sorted, each pair's entries are in
+        # slot order, which within a row is arc order
+        sbits = int(s1 - s0).bit_length()
+        u -= r0
+        u <<= bits + sbits
+        u |= np.arange(s1 - s0)
+        key <<= sbits
+        key |= np.repeat(u, fan)
+        del taken, fan, u
+        a, b = np.searchsorted(jumpers, (r0, r1))
+        if b > a:  # the uniform rows, read as one more slot whose step is 1/n
+            rest = ((jumpers[a:b, None] - r0) << bits | np.arange(n)) << sbits | (s1 - s0)
+            key = np.concatenate([key, rest.ravel()])
+            step = np.append(step, 1.0 / n)
+        key.sort()
+        value = step[key & ((1 << sbits) - 1)]
+        key >>= sbits
+        del step
+        # entry k + 1 repeats the pair of entry k where two of the row's
+        # arcs share a head: each repeat is added, in slot order, to the
+        # first entry of its pair, as a running sum from 0.0 would add it
+        again = np.flatnonzero(key[1:] == key[:-1])
+        if again.size:
+            run = np.diff(again, prepend=-2) != 1
+            np.add.at(value, again[run][np.cumsum(run) - 1], value[again + 1])
+        kept = value != 0.0
+        kept[again + 1] = False
+        if not kept.all():
+            key, value = key[kept], value[kept]
+        # where each row of the block ends among its sorted keys
+        indptr[r0 + 1:r1 + 1] = np.searchsorted(key, np.arange(1, r1 - r0 + 1) << bits)
+        indptr[r0 + 1:r1 + 1] += end
+        np.bitwise_and(key, (1 << bits) - 1, out=indices[end:end + key.size])
+        data[end:end + key.size] = value
+        end += key.size
+    indices.resize(end, refcheck=False)
+    data.resize(end, refcheck=False)
+    return TransitionMatrix(SparseRealMatrix(n, n, indptr, indices, data), hg.vertices)
+
+
+def _outgoing(hg: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's outgoing arcs in arc order, as CSR (ptr, arcs): the
+    tail slots grouped by vertex with a packed-key sort, which orders them
+    as a stable argsort would."""
+    lay = hg.layout
+    tail, arc = packed_sort(np.array(lay.tail_idx), hg.n_vertices, lay.tail_arc)
+    return _ptr(tail, hg.n_vertices), arc
 
 
 def pagerank_power(P: TransitionMatrix, *, damping: float = 1.0,
@@ -280,12 +345,8 @@ def _walk_tables(hg: DirectedHypergraph) -> _WalkTables:
     if dangling:
         raise DanglingVertexError(dangling)
     lay = hg.layout
-    # each vertex's outgoing arcs in arc order: a stable sort of the tail slots
-    order = np.argsort(lay.tail_idx, kind="stable")
-    arc_of_slot = lay.tail_arc[order]
-    arc_ptr = np.zeros(hg.n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lay.tail_idx, minlength=hg.n_vertices), out=arc_ptr[1:])
-    prob = lay.weight[arc_of_slot] / deg.vertex_tail[lay.tail_idx[order]]
+    arc_ptr, arc_of_slot = _outgoing(hg)
+    prob = lay.weight[arc_of_slot] / np.repeat(deg.vertex_tail, np.diff(arc_ptr))
     # one sequential cumsum per vertex: each running total restarts at zero
     arc_cum = np.empty_like(prob)
     bounds = arc_ptr.tolist()

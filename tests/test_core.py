@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -441,3 +442,29 @@ def test_arc_ids_must_match_the_layout():
     lay = DirectedHypergraph.from_named_arcs([("e", ["a"], ["b"], 1.0)]).layout
     with pytest.raises(ValueError):
         DirectedHypergraph(("a", "b"), ("e", "f"), lay)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 50), max_size=4), max_size=8), st.data())
+def test_take_gathers_rows_in_the_given_order(rows, data):
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=ptr[1:])
+    idx = np.array([v for r in rows for v in r], dtype=np.int64)
+    # empty rows anywhere, a row taken twice, or none at all
+    pick = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10)) if rows else []
+    taken, got = core._take(ptr, idx, np.array(pick, dtype=np.int64))
+    assert taken.tolist() == np.cumsum([0] + [len(rows[r]) for r in pick]).tolist()
+    assert got.dtype == np.int64
+    assert got.tolist() == [v for r in pick for v in rows[r]]
+
+
+def test_head_weights_summing_past_the_float_range_warn_nothing():
+    # valid: only a tail sum beyond the float range is a violation
+    hg = DirectedHypergraph.from_named_arcs([
+        ("e1", ["a"], ["c"], 1e308), ("e2", ["b"], ["c"], 1e308), ("e3", ["c"], ["a", "b"], 1.0)],
+        vertices=["a", "b", "c"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deg = compute_degrees(hg)
+    assert deg.vertex_head.tolist() == [1.0, 1.0, np.inf]
+    assert deg.vertex_tail.tolist() == [1e308, 1e308, 1.0]

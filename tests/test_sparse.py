@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperrank import SparseRealMatrix
-from hyperrank.sparse import packed_unique
+from hyperrank import SparseRealMatrix, sparse
+from hyperrank.sparse import packed_sort, packed_unique, row_blocks
 
 import oracles
 
@@ -235,3 +235,52 @@ def test_packed_unique_groups_keys_in_input_order(keys, size):
 def test_packed_unique_refuses_keys_beyond_int64():
     with pytest.raises(ValueError, match="int64"):
         packed_unique(np.zeros(1, dtype=np.int64), 2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30), st.sampled_from([41, 2**40, 2**62, 2**63 - 1]),
+       st.booleans())
+def test_packed_sort_is_a_stable_argsort(keys, size, carried):
+    # the carried entries ascend with the input position, as arc indices do
+    # along a layout's tail slots
+    low = np.cumsum(np.arange(len(keys)) % 3) if carried else None
+    got_keys, got_low = packed_sort(np.array(keys, dtype=np.int64), size, low)
+    order = np.argsort(np.array(keys, dtype=np.int64), kind="stable")
+    assert got_keys.tolist() == sorted(keys)
+    assert got_low.tolist() == (order if low is None else low[order]).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=20), st.integers(1, 10))
+def test_row_blocks_cover_the_rows_in_whole_rows(lengths, size):
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_BLOCK", size)
+        blocks = list(row_blocks(ptr))
+    assert [r for block in blocks for r in range(*block)] == list(range(len(lengths)))
+    for r0, r1 in blocks:
+        # a block over its size is one row, and the next row did not fit
+        assert r1 == r0 + 1 or ptr[r1] - ptr[r0] <= size
+        assert r1 == len(lengths) or ptr[r1 + 1] - ptr[r0] > size
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_with_vector(), st.integers(1, 4))
+def test_row_sums_and_checks_in_small_blocks_match_the_loop_oracle(case, size):
+    m, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse, "_BLOCK", size)
+        sums = m.row_sums()
+        again = SparseRealMatrix(m.rows, m.cols, m.indptr, m.indices, m.data)
+    assert sums.tobytes() == oracles.row_sums(m.indptr, m.data).tobytes()
+    assert again == m
+
+
+def test_check_finds_unsorted_columns_at_every_place_but_a_row_start():
+    # columns 2, 0 across the row boundary are fine; within a row they are not
+    SparseRealMatrix(2, 3, [0, 1, 3], [2, 0, 1], [1.0, 1.0, 1.0])
+    SparseRealMatrix(3, 3, [0, 1, 1, 2], [2, 0], [1.0, 1.0])  # an empty row between
+    for indptr, indices in (([0, 3], [0, 2, 1]), ([0, 1, 3], [2, 1, 1]), ([0, 2, 2], [1, 0])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseRealMatrix(len(indptr) - 1, 3, indptr, indices, [1.0] * len(indices))

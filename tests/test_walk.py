@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hyperrank import (DirectedHypergraph, RankVector, build_incidence,
                        build_transition, compute_degrees, pagerank_power,
                        prune_to_core, simulate_walk, stationary_dense_oracle,
                        top_k, tv_distance)
+from hyperrank import sparse
+from hyperrank.core import ArcLayout
 from hyperrank.errors import (DanglingVertexError, DenseLimitExceededError,
                               MultipleSolutionsError, NoConvergenceError)
 from hyperrank.walk import _walk_tables
@@ -167,6 +170,112 @@ def test_transition_uniform_jump_rows_match_loop_oracle(chain):
     assert oracles.csr_bytes(P.matrix) == oracles.csr_bytes(ref)
     a, b = P.matrix.indptr[2:4]
     assert P.matrix.indices[a:b].tolist() == [0, 1, 2]
+
+
+def _assert_blocked_build_matches_oracles(hg):
+    """P built a block of 1 to 8 entries at a time, bitwise as the replaced
+    packed COO build of the same entries and, where no w/|head| is
+    subnormal, as the loop oracle; under both policies."""
+    if not hg.n_vertices:
+        return
+    n = hg.n_vertices
+    packed = oracles.csr_bytes(oracles.from_coo_packed(
+        n, n, *oracles.transition_coo(hg, uniform_jump=True)))
+    per_head = hg.layout.weight / compute_degrees(hg).arc_head
+    loop = per_head.min(initial=1.0) >= np.finfo(np.float64).tiny
+    if loop:
+        assert packed == oracles.csr_bytes(oracles.build_transition(hg, uniform_jump=True))
+    dangles = compute_degrees(hg).vertex_tail.min() == 0.0
+    for size in (1, 2, 3, 5, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse, "_BLOCK", size)
+            assert oracles.csr_bytes(build_transition(hg, dangling="uniform-jump").matrix) == packed
+            if not dangles:
+                assert oracles.csr_bytes(build_transition(hg).matrix) == packed
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs())
+def test_transition_built_in_small_blocks_matches_the_oracles_bitwise(hg):
+    _assert_blocked_build_matches_oracles(hg)
+    _assert_blocked_build_matches_oracles(prune_to_core(hg)[0])
+
+
+def test_transition_built_in_small_blocks_matches_the_oracles_on_seeded_hypergraphs():
+    rng = np.random.default_rng(83)
+    for _ in range(15):
+        _assert_blocked_build_matches_oracles(random_hypergraph(rng))  # has dangling rows
+        _assert_blocked_build_matches_oracles(random_pruned_hypergraph(rng))
+
+
+def test_transition_built_in_small_blocks_on_its_edge_cases():
+    # a's row has 9 entries, more than any block, and reaches b, c, d and e
+    # through two arcs each; g and h dangle, so their rows of 8 entries
+    # fill a block each; "tiny" makes a w/|head| subnormal, so that every
+    # step divides by the tail sum first, and its steps to x and y round
+    # to zero, so that those pairs are not stored
+    hg = DirectedHypergraph.from_named_arcs([
+        ("e1", ["a"], ["b", "c", "d"], 0.1),
+        ("e2", ["a"], ["c", "d", "e"], 0.2),
+        ("e3", ["a"], ["b", "e", "g"], 0.3),
+        ("back", ["b", "c", "d", "e"], ["a"], 1.0),
+        ("tiny", ["h"], ["x", "y"], 5e-324),
+        ("big", ["h"], ["a"], 1.0),
+        ("out", ["x", "y"], ["h"], 1.0),
+    ], vertices=["a", "b", "c", "d", "e", "g", "h", "x", "y"])
+    assert (hg.layout.weight / compute_degrees(hg).arc_head).min() == 0.0
+    _assert_blocked_build_matches_oracles(hg)
+    P = build_transition(hg, dangling="uniform-jump").matrix
+    h = hg.vertices.index("h")
+    a, b = P.indptr[h:h + 2]
+    assert (P.indices[a:b].tolist(), P.data[a:b].tolist()) == ([0], [1.0])
+    assert np.diff(P.indptr).tolist() == [5, 1, 1, 1, 1, 9, 1, 1, 1]
+
+
+def _seeded_core(n: int, m: int, seed: int) -> DirectedHypergraph:
+    """The core of n vertices and m arcs of 1 to 5 tail and head vertices,
+    each side a run of consecutive indices (mod n), disjoint from the other."""
+    rng = np.random.default_rng(seed)
+    tail_len, head_len = rng.integers(1, 6, (2, m))
+    first = rng.integers(0, n, m)
+    head_first = first + tail_len + rng.integers(0, n - 10, m)
+
+    def side(start, lengths):
+        offset = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return (np.repeat(start, lengths) + offset) % n
+
+    hg = DirectedHypergraph([f"v{i}" for i in range(n)], [f"e{j}" for j in range(m)],
+                            ArcLayout.from_sides(tail_len, side(first, tail_len), head_len,
+                                                 side(head_first, head_len),
+                                                 rng.uniform(0.5, 2.0, m)))
+    return prune_to_core(hg)[0]
+
+
+def test_transition_build_and_multiply_hold_little_beyond_P():
+    # 20,000 vertices and 60,000 arcs: P has 536,832 entries, 8.7 MB; the
+    # build traces 1.34 times that, and traced 2.72 times while it held all
+    # of P's unsummed entries and their sort keys; a multiply holds one
+    # product per entry, where a copy of the frozen column indices doubled it
+    core = _seeded_core(20000, 60000, 89)
+    tracemalloc.start()
+    try:
+        P = build_transition(core).matrix
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = P.indptr.nbytes + P.indices.nbytes + P.data.nbytes
+    assert build_peak <= 1.5 * size, build_peak / size
+    x, y = np.full(P.rows, 1.0 / P.rows), np.zeros(P.rows)
+    tracemalloc.start()
+    try:
+        P.left_multiply(x, out=y)
+        multiply_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert multiply_peak <= 8 * P.nnz + 32 * (P.rows + 1), multiply_peak / (8 * P.nnz)
+    # the same vector as the replaced scatter, which summed in the same order
+    assert y.tobytes() == np.bincount(
+        P.indices, weights=P.data * np.repeat(x, np.diff(P.indptr)), minlength=P.rows).tobytes()
 
 
 def _assert_walk_tables_match_oracle(hg):
