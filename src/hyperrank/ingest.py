@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import gc
 import json
-import marshal
 import math
 import re
 import sys
@@ -28,7 +27,7 @@ from functools import partial
 from itertools import chain, compress, count, filterfalse
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -131,11 +130,6 @@ def _fresh(strings: list[str]) -> list[str]:
     return [(s + "\x00")[:-1] for s in strings]
 
 
-class _Surprise(Exception):
-    """A part is not what the fast path reads: the text is read again the
-    slow way, which alone raises errors."""
-
-
 # A text is split over processes only into parts of this many characters
 # or more: below that, a fork costs more than it saves.
 _PART_CHARS = 1 << 19
@@ -143,8 +137,6 @@ _PART_CHARS = 1 << 19
 # reaction text, a '}, {' of the arcs array) this many characters or more
 # past its start.
 _SLICE_CHARS = 1 << 17
-# what the fast path over a part that it does not take may raise
-_DECLINED = (_Surprise, ValueError, KeyError, TypeError, RecursionError)
 
 
 def _parts(text: str, pos: int, cut: re.Pattern) -> list[tuple[int, int | None]]:
@@ -163,38 +155,6 @@ def _parts(text: str, pos: int, cut: re.Pattern) -> list[tuple[int, int | None]]
         parts.append((first, found.start()))
         first = found.end()
     return parts + [(first, None)]
-
-
-def _send(write: int, job: Callable[[], tuple[object, Sequence[np.ndarray]]]) -> None:
-    """In a forked child: write to the pipe ``write`` one buffer of what
-    ``job()`` gives, some strings and some columns. That is the int64 word
-    0 and each column's length; the columns' bytes; and the strings,
-    marshalled. Where the job does not take its part, it is the word 1
-    alone."""
-    try:
-        strings, columns = job()
-        buffers = [np.array([0, *map(len, columns)], dtype=np.int64), *columns,
-                   marshal.dumps(strings)]
-    except _DECLINED:
-        buffers = [np.array([1], dtype=np.int64)]
-    with open(write, "wb") as pipe:
-        pipe.writelines(buffers)
-
-
-def _received(data: bytes | None, dtypes: tuple) -> tuple[object, list[np.ndarray]] | None:
-    """The strings and the columns, of the ``dtypes`` in order, of the
-    buffer a child sent (see ``_send``); None where the child failed.
-    Raises ``_Surprise`` where the child did not take its part."""
-    if data is None:
-        return None
-    if np.frombuffer(data, dtype=np.int64, count=1)[0]:
-        raise _Surprise
-    sizes = np.frombuffer(data, dtype=np.int64, count=len(dtypes), offset=8).tolist()
-    columns, at = [], 8 * (len(dtypes) + 1)
-    for size, dtype in zip(sizes, dtypes):
-        columns.append(np.frombuffer(data, dtype=dtype, count=size, offset=at))
-        at += size * np.dtype(dtype).itemsize
-    return marshal.loads(memoryview(data)[at:]), columns
 
 
 class ReactionColumns(NamedTuple):
@@ -261,53 +221,46 @@ _SCAN_DTYPES = (np.int64, np.int64, np.int64, np.float64, bool)
 def parse_reactions_text(text: str) -> ReactionColumns:
     """Parse a whole reaction file; raises on the first malformed line.
 
-    The text is cut at line breaks into parts (see ``_parts``); a forked
-    child scans each later part while this process scans the first, and a
-    part whose child failed is scanned here. Each part is scanned in slices
-    (see ``_scan``), so a process holds the temporaries of one slice, not of
-    its part. The parts' species are then numbered in text order. A part
-    that the scan does not take sends the whole text to the line-by-line
-    error locator, which alone raises errors, so a diagnostic never depends
-    on the cuts or the slices.
+    The text is cut at line breaks into parts (see ``_parts``), which are
+    scanned over processes (see ``_fork.split``), each in slices (see
+    ``_scan``), so a process holds the temporaries of one slice, not of its
+    part. The parts' species are then numbered in text order. A part that
+    the scan does not take sends the whole text to the line-by-line error
+    locator, which alone raises errors, so a diagnostic never depends on
+    the cuts or the slices.
     """
     if any(map(text.__contains__, _BREAKS)):
         text = "\n".join(text.splitlines())
-    parts = _parts(text, 0, _LINE_BREAK)
     try:
-        with _fork.Children(apart=True) as children:
-            for k in range(1, len(parts)):
-                scan = partial(_scan, text, *parts[k], fresh=False)
-                if not children.fork(k, lambda write: _send(write, scan)):
-                    break  # no process to spare: the rest is scanned here
-            scans = [_scan(text, *parts[0])]
-            for k in range(1, len(parts)):
-                scans.append(_received(children.collect(k), _SCAN_DTYPES)
-                             or _scan(text, *parts[k]))
-    except _Surprise:
+        scans = _fork.split(_parts(text, 0, _LINE_BREAK), partial(_scan, text), _SCAN_DTYPES)
+    except _fork.Declined:
         for line_no, line in enumerate(text.splitlines(), start=1):
             _parse_reaction_line(line, line_no=line_no)
         raise AssertionError(
             "the whole-text scan rejects a text whose every line parses") from None
-    strings, columns = zip(*scans)
-    index = dict(zip(dict.fromkeys(chain.from_iterable(species for _, species in strings)),
+    index = dict(zip(dict.fromkeys(chain.from_iterable(species for (_, species), _ in scans)),
                      count()))
-    # each part's codes, from the part's species to the text's
+    # each slice's codes, from its part's species to the text's
     code = np.concatenate([
-        np.fromiter(map(index.__getitem__, species), dtype=np.int64, count=len(species))[part[0]]
-        for (_, species), part in scans])
-    tail_len, head_len, weight, reversible = map(np.concatenate, list(zip(*columns))[1:])
-    return ReactionColumns(list(chain.from_iterable(ids for ids, _ in strings)), list(index),
+        number[s[0]] for (_, species), part in scans
+        for number in [np.fromiter(map(index.__getitem__, species), dtype=np.int64,
+                                   count=len(species))]
+        for s in part])
+    slices = list(chain.from_iterable(part for _, part in scans))
+    tail_len, head_len, weight, reversible = map(np.concatenate, list(zip(*slices))[1:])
+    return ReactionColumns(list(chain.from_iterable(ids for (ids, _), _ in scans)), list(index),
                            code, tail_len, head_len, reversible, weight)
 
 
 def _scan(text: str, pos: int, end: int | None, fresh: bool = True
-          ) -> tuple[tuple[list[str], list[str]], tuple[np.ndarray, ...]]:
+          ) -> tuple[tuple[list[str], list[str]], list[tuple[np.ndarray, ...]]]:
     """The records of the lines from ``pos`` to ``end`` (None: to the end
     of the text): their ids and the part's distinct species in the order of
-    first mention; and as columns the position among those species of each
-    mention, the records' side lengths, weights and arrows. With ``fresh``
-    the ids and species are copied (see ``_fresh``). Raises ``_Surprise``
-    where a line does not match or a weight is no positive real.
+    first mention; and per slice, as columns, the position among those
+    species of each mention, the records' side lengths, weights and arrows.
+    With ``fresh`` the ids and species are copied (see ``_fresh``). Raises
+    ``_fork.Declined`` where a line does not match or a weight is no
+    positive real.
 
     The lines are matched a slice at a time, each slice ending at the first
     line break ``_SLICE_CHARS`` or more past its start: a slice's matches
@@ -328,12 +281,12 @@ def _scan(text: str, pos: int, end: int | None, fresh: bool = True
         try:
             weight = np.array([float(w or 1) for w in weights], dtype=np.float64)
         except ValueError:
-            raise _Surprise from None
+            raise _fork.Declined from None
         # a slice has one line more than '\n's, the last one empty after a
         # final '\n', and each line that the grammar takes matches once
         if (len(lines) != text.count("\n", pos, stop) + 1
                 or not ((weight > 0.0) & (weight < math.inf)).all()):
-            raise _Surprise
+            raise _fork.Declined
         del lines, columns, kept, weights
         ids += _fresh(named) if fresh else named
         # a side is its names with '+' and whitespace between them
@@ -347,7 +300,7 @@ def _scan(text: str, pos: int, end: int | None, fresh: bool = True
             weight, np.array(list(map(bool, reversible)), dtype=bool)))
         del named, substrates, reversible, products, weight, names, new
         if stop == end:
-            return (ids, list(index)), tuple(map(np.concatenate, zip(*slices)))
+            return (ids, list(index)), slices
         pos = stop + 1
 
 
@@ -524,7 +477,7 @@ def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: 
 
 # a cut of the arcs array lies between a '}' and a '{'
 _CUT = re.compile(r"(?<=\})[ \t\n\r]*,[ \t\n\r]*(?=\{)")
-# the dtypes of the columns that ``_send_part`` sends, in order
+# the dtypes of the columns of ``_part``'s slices, in order
 _PART_DTYPES = (np.int64,) * 4 + (np.float64,)
 _SPACE = json.decoder.WHITESPACE
 _DECODER = json.JSONDecoder()
@@ -535,7 +488,7 @@ def _expect(text: str, pos: int, token: str) -> int:
     whitespace."""
     pos = _SPACE.match(text, pos).end()
     if not text.startswith(token, pos):
-        raise _Surprise
+        raise _fork.Declined
     return pos + len(token)
 
 
@@ -544,7 +497,7 @@ def _key(text: str, pos: int, key: str) -> int:
     the key is decoded, so an escaped spelling of it is the key too."""
     found, pos = json.decoder.scanstring(text, _expect(text, pos, '"'))
     if found != key:
-        raise _Surprise
+        raise _fork.Declined
     return _SPACE.match(text, _expect(text, pos, ":")).end()
 
 
@@ -553,34 +506,25 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
     laid out as ``{"vertices": [...], "arcs": [...]}``, or None.
 
     The vertices are decoded first. The arcs array is cut between arcs into
-    parts (see ``_parts``); a forked child decodes each later part (see
-    ``_send_part``) while this process decodes the first, and a part whose
-    child failed is decoded here. Each part is decoded in slices (see
-    ``_part``). Anything else than a valid slice, a resolved name and the
-    two keys in this order with nothing after them gives None, also where a
-    child meets it: the whole document is then decoded again, which alone
-    raises errors.
+    parts (see ``_parts``), which are decoded over processes (see
+    ``_fork.split``), each in slices (see ``_part``). Anything else than a
+    valid slice, a resolved name and the two keys in this order with
+    nothing after them gives None, also where a child meets it: the whole
+    document is then decoded again, which alone raises errors.
     """
     try:
         vertices, pos = _DECODER.raw_decode(text, _key(text, _expect(text, 0, "{"), "vertices"))
         if type(vertices) is not list or not set(map(type, vertices)) <= {str}:
-            raise _Surprise
+            raise _fork.Declined
         pos = _expect(text, _key(text, _expect(text, pos, ","), "arcs"), "[")
         index = _positions(vertices)
-        parts = _parts(text, pos, _CUT)
-        with _fork.Children(apart=True) as children:
-            for k in range(1, len(parts)):
-                if not children.fork(k, lambda write: _send_part(write, text, index, *parts[k])):
-                    break  # no process to spare: the rest is decoded here
-            ids, slices = _part(text, index, *parts[0])
-            for k in range(1, len(parts)):
-                received = _received(children.collect(k), _PART_DTYPES)
-                part_ids, part_slices = (_part(text, index, *parts[k]) if received is None
-                                         else (received[0], [received[1]]))
-                ids += part_ids
-                slices += part_slices
-    except _DECLINED:
+        (ids, slices), *rest = _fork.split(_parts(text, pos, _CUT), partial(_part, text, index),
+                                           _PART_DTYPES)
+    except _fork.DECLINED:
         return None
+    for part_ids, part_slices in rest:
+        ids += part_ids
+        slices += part_slices
     return vertices, ids, tuple(map(np.concatenate, zip(*slices)))
 
 
@@ -607,10 +551,10 @@ def _part(text: str, index: dict[str, int], pos: int, end: int | None, fresh: bo
         else:  # decoding finds where the array ends
             arcs, stop = _DECODER.raw_decode("[" + text[pos:])
             if _SPACE.match(text, _expect(text, pos + stop - 1, "}")).end() != len(text):
-                raise _Surprise
+                raise _fork.Declined
         columns = _arc_columns(arcs)
         if columns is None:
-            raise _Surprise
+            raise _fork.Declined
         del arcs
         slices.append((*_resolved(index, columns[1]), *_resolved(index, columns[2]),
                        _weight_column(columns[3])))
@@ -619,16 +563,6 @@ def _part(text: str, index: dict[str, int], pos: int, end: int | None, fresh: bo
         if cut is None:
             return ids, slices
         pos = cut.end()
-
-
-def _send_part(write: int, text: str, index: dict[str, int], pos: int, end: int | None):
-    """In a forked child: send the ids and the five joined columns of a
-    part as ``_part`` decodes it (see ``_send``). The ids are not copied:
-    marshalling copies them anyway."""
-    def decoded():
-        ids, slices = _part(text, index, pos, end, fresh=False)
-        return ids, list(map(np.concatenate, zip(*slices)))
-    _send(write, decoded)
 
 
 def load_canonical(text: str) -> DirectedHypergraph:

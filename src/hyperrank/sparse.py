@@ -147,18 +147,6 @@ class SparseRealMatrix:
             raise ValueError(f"a {rows}x{cols} matrix has more positions than int64 keys")
         key = row * cols
         key += col
-        return cls._from_keys(rows, cols, [key, value])
-
-    @classmethod
-    def _from_keys(cls, rows: int, cols: int, entries: list) -> "SparseRealMatrix":
-        """``from_coo`` of checked entries given as ``[key, value]``: the int64
-        keys row·cols + col and the float64 values.
-
-        The list is emptied and the key overwritten, so that each array is
-        freed once it is consumed if the caller keeps no other reference.
-        """
-        key, value = entries
-        entries.clear()
         keys, slot, pos = packed_unique(key, rows * cols)
         del key
         value = value[pos]

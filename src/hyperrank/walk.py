@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -322,21 +322,14 @@ def _state_reduction(dense: np.ndarray, last: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _WalkTables:
-    """Flattened sampling tables consumed by the step kernels."""
+class _WalkTables(NamedTuple):
+    """Flattened sampling tables, in the order the step kernels take them."""
 
     arc_ptr: np.ndarray     # per-vertex slice bounds into the two arrays below
     arc_cum: np.ndarray     # cumulative arc-choice probabilities
     arc_of_slot: np.ndarray
     head_ptr: np.ndarray    # per-arc slice bounds into head_verts
     head_verts: np.ndarray
-
-    def steps(self, u: int, r_arc, r_head, counts: np.ndarray) -> int:
-        """Walk from u over the draws, adding each visit to counts; the end vertex."""
-        return _kernels.walk_steps(self.arc_ptr, self.arc_cum, self.arc_of_slot,
-                                   self.head_ptr, self.head_verts,
-                                   u, r_arc, r_head, counts)
 
 
 def _walk_tables(hg: DirectedHypergraph) -> _WalkTables:
@@ -403,7 +396,7 @@ def _one_walk(tables: _WalkTables, start: int, steps: int, seed: int) -> np.ndar
     counts = np.zeros(tables.arc_ptr.size - 1, dtype=np.int64)
     u = start
     for r_arc, r_head in _pieces(seed, steps, buffer):
-        u = tables.steps(u, r_arc, r_head, counts)
+        u = _kernels.walk_steps(*tables, u, r_arc, r_head, counts)
     return counts
 
 
@@ -499,8 +492,7 @@ def _lane_walk(tables: _WalkTables, start: int, steps: int,
     A lane that has not met its replay by its segment's end leaves the walk
     to `_one_walk`.
     """
-    lanes = _kernels.lane_tables(tables.arc_ptr, tables.arc_cum, tables.arc_of_slot,
-                                 tables.head_ptr, tables.head_verts)
+    lanes = _kernels.lane_tables(*tables)
     n = tables.arc_ptr.size - 1
     seed = np.random.SeedSequence(seed)
     k = min(max(steps // _SEGMENT, 1), _LANES)

@@ -25,6 +25,7 @@ from hyperrank.ingest import REVERSIBLE_POLICIES, _parse_reaction_line
 import oracles
 import randgen
 from randgen import latin1_lines, random_hypergraph
+from test_fork import forks_reaped
 
 
 # ---------------------------------------------------------------- parsing
@@ -810,28 +811,14 @@ def _split_into(cpus, part_chars=1, fork=os.fork):
     """While the block runs, cut the arcs array or the reaction text into
     parts of ``part_chars`` characters or more, one per each of ``cpus``
     CPUs, and fork with ``fork``; yields the pids of the children forked,
-    as the parent sees them. A block that ends without raising has reaped
-    every child, left no file descriptor open and this process's CPU set as
-    it was."""
-    pids = []
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
-    affinity = os.sched_getaffinity(0)
-    saved = ingest._PART_CHARS, _fork._cpu_count, os.fork
-    ingest._PART_CHARS, _fork._cpu_count, os.fork = part_chars, lambda: cpus, counted
+    as the parent sees them, with the checks of ``forks_reaped``."""
+    saved = ingest._PART_CHARS, _fork._cpu_count
+    ingest._PART_CHARS, _fork._cpu_count = part_chars, lambda: cpus
     try:
-        yield pids
+        with forks_reaped(fork) as pids:
+            yield pids
     finally:
-        ingest._PART_CHARS, _fork._cpu_count, os.fork = saved
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert (sorted(os.listdir("/proc/self/fd")) if fds else []) == fds
-    assert os.sched_getaffinity(0) == affinity
+        ingest._PART_CHARS, _fork._cpu_count = saved
 
 
 # json.dumps layouts: the default, indented, and whitespace around every ','
@@ -1028,7 +1015,7 @@ def test_a_failed_fork_leaves_the_load_in_one_process():
 
 
 def test_a_failed_child_is_decoded_again_here(monkeypatch):
-    monkeypatch.setattr(ingest, "_send_part", lambda write, *part: os._exit(1))
+    monkeypatch.setattr(_fork, "_send", lambda *args: os._exit(1))
     text = _arcs_text(200)
     with _split_into(3) as forks:
         assert load_canonical(text) == oracles.load_canonical(text)
@@ -1117,7 +1104,7 @@ def test_a_failed_fork_leaves_the_parse_in_one_process():
 
 
 def test_a_failed_child_is_scanned_again_here(monkeypatch):
-    monkeypatch.setattr(ingest, "_send", lambda write, job: os._exit(1))
+    monkeypatch.setattr(_fork, "_send", lambda *args: os._exit(1))
     text = _reactions(200)
     with _split_into(3) as forks:
         assert _plain(parse_reactions_text(text)) == _plain(_oracle_parse(text))

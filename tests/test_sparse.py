@@ -176,14 +176,6 @@ def test_from_coo_matches_the_packed_build_on_seeded_entries():
     assert (m.indices.tolist(), m.data.tolist()) == ([0], [2.0])
 
 
-def test_keys_build_consumes_its_entries():
-    key, value = np.array([5, 1, 5, 0]), np.array([1.0, 2.0, 3.0, 4.0])
-    entries = [key, value]
-    m = SparseRealMatrix._from_keys(2, 3, entries)
-    assert entries == []
-    assert m == SparseRealMatrix.from_coo(2, 3, [1, 0, 1, 0], [2, 1, 2, 0], [1.0, 2.0, 3.0, 4.0])
-
-
 def test_constructor_freezes_the_arrays_it_is_handed():
     indptr, indices, data = np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 3.0])
     m = SparseRealMatrix(2, 2, indptr, indices, data)
