@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .sparse import SparseRealMatrix
+from .sparse import SparseRealMatrix, _firsts, _ptr
 
 EMPTY_TAIL = "EmptyTail"
 EMPTY_HEAD = "EmptyHead"
@@ -130,20 +130,6 @@ def _side(lengths, idx) -> tuple[np.ndarray, np.ndarray]:
     idx = idx[np.lexsort((idx, arc))]
     first = _firsts(idx) | _firsts(arc)
     return _ptr(arc[first], lengths.size), idx[first]
-
-
-def _ptr(arc: np.ndarray, arcs: int) -> np.ndarray:
-    """CSR row pointers of entries whose rows, nondecreasing, are ``arc``."""
-    ptr = np.zeros(arcs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(arc, minlength=arcs), out=ptr[1:])
-    return ptr
-
-
-def _firsts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal values starts."""
-    first = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return first
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ from typing import Iterator, NamedTuple, NoReturn
 import numpy as np
 
 from . import _fork
-from .core import (ArcLayout, DirectedHypergraph, _firsts, _positions, _reject_unknown,
-                   _resolved, _side, _take, _weight_column, ensure_valid)
+from .core import (ArcLayout, DirectedHypergraph, _positions, _reject_unknown, _resolved,
+                   _side, _take, _weight_column, ensure_valid)
 from .errors import (BadWeightError, ReactionSyntaxError, SchemaError,
                      TailHeadOverlapError)
+from .sparse import _firsts
 
 SPLIT = "split"
 FORWARD_ONLY = "forward-only"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositivePiError, NotStationaryError
-from .sparse import SparseRealMatrix, packed_unique
+from .sparse import SparseRealMatrix, _ptr, packed_unique
 from .walk import L1, RankVector, TransitionMatrix
 
 STATIONARITY_TOL = 1e-8   # build_laplacians: largest L1 residual |pi·P - pi|
@@ -83,9 +83,7 @@ def _stored(n: int, u, v, raw, transpose) -> tuple[SparseRealMatrix, float]:
     """The matrix of the entries ``raw`` and its symmetry defect, max |raw - rawᵀ|."""
     defect = float(np.abs(raw - raw[transpose]).max(initial=0.0))
     kept = raw != 0.0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u[kept], minlength=n), out=indptr[1:])
-    return SparseRealMatrix(n, n, indptr, v[kept], raw[kept]), defect
+    return SparseRealMatrix(n, n, _ptr(u[kept], n), v[kept], raw[kept]), defect
 
 
 def build_laplacians(P: TransitionMatrix, pi: RankVector) -> LaplacianPair:

@@ -23,6 +23,20 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def _ptr(row: np.ndarray, rows: int) -> np.ndarray:
+    """CSR row pointers of entries whose rows, nondecreasing, are ``row``."""
+    ptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=rows), out=ptr[1:])
+    return ptr
+
+
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts."""
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
 def packed_sort(key: np.ndarray, size: int, low=None) -> tuple[np.ndarray, np.ndarray]:
     """Sort the int64 keys in [0, size) stably, each with its entry of
     ``low``: nondecreasing nonnegative integers, by default the input
@@ -61,9 +75,7 @@ def packed_unique(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, n
     and its input position. ``key`` is overwritten.
     """
     key, pos = packed_sort(key, size)
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = _firsts(key)
     distinct = key[first]
     slot = np.cumsum(first, out=key)
     slot -= 1
@@ -159,9 +171,7 @@ class SparseRealMatrix:
         keys, sums = keys[kept], sums[kept]
         row, col = np.divmod(keys, cols)
         del keys
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=rows), out=indptr[1:])
-        return cls(rows, cols, indptr, col, sums)
+        return cls(rows, cols, _ptr(row, rows), col, sums)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols))

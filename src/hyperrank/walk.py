@@ -16,10 +16,10 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .core import DirectedHypergraph, _ptr, _take, compute_degrees, ensure_valid
+from .core import DirectedHypergraph, _take, compute_degrees, ensure_valid
 from .errors import (DanglingVertexError, DenseLimitExceededError,
                      MultipleSolutionsError, NoConvergenceError)
-from .sparse import SparseRealMatrix, packed_sort, row_blocks
+from .sparse import SparseRealMatrix, _ptr, packed_sort, row_blocks
 
 L1 = "l1"
 L2 = "l2"
@@ -31,6 +31,7 @@ DANGLING_POLICIES = (ON_DANGLING_ERROR, ON_DANGLING_UNIFORM_JUMP)
 
 DENSE_LIMIT = 512
 
+# the chunk of the walk's draw layout (see _Draws)
 _WALK_CHUNK = 1 << 18
 # walks of this many steps or more are walked as lanes (see _lane_walk), in
 # segments of about _SEGMENT steps (longer where that would take more than
@@ -357,9 +358,9 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
 
     Counts the state landed on after each transition (the start state is
     not counted), L1-normalized. Deterministic for a fixed seed: the counts
-    are those of one path reading the draws of `_pieces`, whether that path
-    is walked step by step or, for a walk of `_LANE_WALK` steps or more, as
-    lanes (see `_lane_walk`).
+    are those of one path reading the draws laid out in `_Draws`, whether
+    that path is walked step by step or, for a walk of `_LANE_WALK` steps or
+    more, as lanes (see `_lane_walk`).
     """
     ensure_valid(hg)
     if steps < 1:
@@ -377,47 +378,41 @@ def simulate_walk(hg: DirectedHypergraph, start: str, steps: int,
     return {v: float(freq[i]) for i, v in enumerate(hg.vertices)}
 
 
-def _pieces(seed: int, steps: int, buffer: np.ndarray):
-    """The draws of a walk of `steps` steps from step 0, one chunk at a time
-    in ``buffer``: per chunk of ``size`` steps, ``(r_arc, r_head)``, the next
-    ``size`` outputs of PCG64(seed) as doubles and the ``size`` after them."""
-    rng = np.random.default_rng(seed)
-    for a in range(0, steps, _WALK_CHUNK):
-        size = min(_WALK_CHUNK, steps - a)
-        draws = buffer[:2 * size].reshape(2, size)
-        rng.random(out=draws)
-        yield draws
-
-
 def _one_walk(tables: _WalkTables, start: int, steps: int, seed: int) -> np.ndarray:
     """Visit counts of the seeded walk of `steps` steps from `start`, walked
-    one step after another."""
-    buffer = np.empty(2 * min(_WALK_CHUNK, steps))
+    one step after another, a chunk of draws at a time."""
+    draws = _Draws(seed, steps, [0], min(_WALK_CHUNK, steps))
     counts = np.zeros(tables.arc_ptr.size - 1, dtype=np.int64)
     u = start
-    for r_arc, r_head in _pieces(seed, steps, buffer):
+    for done in range(0, steps, _WALK_CHUNK):
+        (r_arc,), (r_head,) = draws.block(min(_WALK_CHUNK, steps - done))
         u = _kernels.walk_steps(*tables, u, r_arc, r_head, counts)
     return counts
 
 
-class _LaneDraws:
+class _Draws:
     """Block by block, the draws of lanes that walk on from steps
-    ``begins``, exactly as one walk of ``steps`` steps reads them.
+    ``begins`` of one seeded walk of ``steps`` steps, ``width`` steps a
+    block at most.
 
-    Step t of the chunk that starts at step c·chunk and holds ``size`` steps
-    reads its arc draw at output c·chunk + t of PCG64(seed) and its head draw
-    ``size`` outputs later (see `_pieces`). Each lane keeps one stream for
-    each, advanced to its place, and moves both to the next chunk's places
-    whenever it reaches a chunk boundary.
+    This is the one statement of the walk's draw layout. The walk is cut
+    into chunks of ``_WALK_CHUNK`` steps, the last one short, read from
+    PCG64(seed) one after another: per chunk of ``size`` steps,
+    ``rng.random((2, size))``, the arc draws and then the head draws. So
+    step i of the chunk that starts at step c reads its arc draw at output
+    2c + i and its head draw ``size`` outputs later. Each lane keeps one
+    stream for each, advanced to its place, and moves both to the next
+    chunk's places whenever it reaches a chunk boundary.
     """
 
-    def __init__(self, seed: np.random.SeedSequence, steps: int, begins):
-        self._seed, self._steps = seed, steps
+    def __init__(self, seed: int, steps: int, begins, width: int):
+        # hashed once here, not once per stream
+        self._seed, self._steps = np.random.SeedSequence(seed), steps
         self._begins = [int(t) for t in begins]
         self._done = 0  # steps drawn by every lane so far
         self._streams: list = [None] * len(self._begins)
         self._room = [0] * len(self._begins)  # steps each pair of streams has left in its chunk
-        self._buffer = np.empty((2, len(self._begins), _BLOCK))
+        self._buffer = np.empty((2, len(self._begins), width))
 
     def keep(self, lanes: np.ndarray) -> None:
         """Drop every lane not in ``lanes`` (ascending indices)."""
@@ -427,7 +422,7 @@ class _LaneDraws:
         self._room = [self._room[k] for k in lanes]
 
     def block(self, m: int) -> np.ndarray:
-        """The next ``m`` (at most ``_BLOCK``) draws of every lane:
+        """The next ``m`` (at most the width) draws of every lane:
         ``(r_arc, r_head)``, one row per lane."""
         draws = self._buffer[:, :len(self._room), :m]
         arc, head = draws
@@ -494,20 +489,19 @@ def _lane_walk(tables: _WalkTables, start: int, steps: int,
     """
     lanes = _kernels.lane_tables(*tables)
     n = tables.arc_ptr.size - 1
-    seed = np.random.SeedSequence(seed)
     k = min(max(steps // _SEGMENT, 1), _LANES)
     size = steps // k
     spread = np.unique(np.linspace(0, n - 1, min(n, _PROBE)).astype(np.intp))
-    if not _coalesces(lanes, _LaneDraws(seed, steps, [0]), spread[:, None], size // 2):
+    if not _coalesces(lanes, _Draws(seed, steps, [0], _BLOCK), spread[:, None], size // 2):
         return None
     counts = np.zeros(n, dtype=np.int64)
     lead = steps - k * size
-    entry = _walk(lanes, _LaneDraws(seed, steps, [0]), np.array([start]), lead, counts)
+    entry = _walk(lanes, _Draws(seed, steps, [0], _BLOCK), np.array([start]), lead, counts)
     begins = lead + size * np.arange(k)
-    ends = _walk(lanes, _LaneDraws(seed, steps, begins), np.full(k, start), size, counts)
+    ends = _walk(lanes, _Draws(seed, steps, begins, _BLOCK), np.full(k, start), size, counts)
     entries = np.concatenate([entry, ends[:-1]])
     again = np.flatnonzero(entries != start)
-    draws = _LaneDraws(seed, steps, begins[again])
+    draws = _Draws(seed, steps, begins[again], _BLOCK)
     pair = np.stack([entries[again], np.full(again.size, start)])  # true, replay
     for done in range(0, size, _BLOCK):
         if not pair.size:
@@ -524,7 +518,7 @@ def _lane_walk(tables: _WalkTables, start: int, steps: int,
     return None if pair.size else counts
 
 
-def _walk(lanes: _kernels.Lanes, draws: _LaneDraws, u: np.ndarray, length: int,
+def _walk(lanes: _kernels.Lanes, draws: _Draws, u: np.ndarray, length: int,
           counts: np.ndarray) -> np.ndarray:
     """Walk each lane of ``draws`` ``length`` steps from its vertex in
     ``u``, adding every visit to ``counts``; the end vertices."""
@@ -536,7 +530,7 @@ def _walk(lanes: _kernels.Lanes, draws: _LaneDraws, u: np.ndarray, length: int,
     return u
 
 
-def _coalesces(lanes: _kernels.Lanes, draws: _LaneDraws, u: np.ndarray,
+def _coalesces(lanes: _kernels.Lanes, draws: _Draws, u: np.ndarray,
                length: int) -> bool:
     """Whether the walkers in ``u`` (walkers × 1), all reading the one lane
     of ``draws``, stand on one vertex within ``length`` steps."""

@@ -103,6 +103,15 @@ def walk_steps(arc_ptr, arc_cum, arc_of_slot, head_ptr, head_verts,
     return u
 
 
+def walk_draws(seed: int, steps: int, chunk: int):
+    """The draws of a seeded walk of ``steps`` steps, chunk by chunk: per
+    chunk of ``size`` steps, ``(r_arc, r_head)``, the next ``size`` doubles
+    of PCG64(seed) and the ``size`` after them."""
+    rng = np.random.default_rng(seed)
+    for a in range(0, steps, chunk):
+        yield rng.random((2, min(chunk, steps - a)))
+
+
 def csr_bytes(m: SparseRealMatrix):
     """Shape and the raw bytes of the three CSR arrays, for bitwise comparison."""
     return (m.rows, m.cols, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes())

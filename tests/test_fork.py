@@ -1,4 +1,5 @@
-"""``_fork.split``: parts done over forked children, read back in part order."""
+"""``_fork.split``: parts done over forked children, read back in part order;
+and the checks that one module of ``src/`` forks and one class draws."""
 
 import ast
 import os
@@ -116,20 +117,42 @@ def test_a_part_whose_child_fails_otherwise_is_done_again_here(error):
                                                        for part in _PARTS]
 
 
+def test_a_child_leaves_its_parents_cpu():
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("one CPU")
+
+    def mask(write):
+        os.write(write, ",".join(map(str, sorted(os.sched_getaffinity(0)))).encode())
+    with _fork.Children() as children:
+        assert children.fork(1, mask)
+        assert os.sched_getaffinity(0) == cpus
+        left = children._cpu
+        child = set(map(int, children.collect(1).split(b",")))
+    assert child == cpus - {left}
+    assert os.sched_getaffinity(0) == cpus
+    assert left in cpus or left is None
+
+
 _FORKING = {"marshal", "os.fork", "os.pipe"}
 
 
-def _forking_names(path):
-    """The names of ``_FORKING`` that the module at ``path`` imports or reads."""
+def _names(tree):
+    """The names that the syntax tree ``tree`` imports or reads."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             found |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             found.add(f"{node.value.id}.{node.attr}")
-    return found & _FORKING
+    return found
+
+
+def _forking_names(path):
+    """The names of ``_FORKING`` that the module at ``path`` imports or reads."""
+    return _names(ast.parse(path.read_text(encoding="utf-8"))) & _FORKING
 
 
 def test_only_the_fork_module_forks_and_marshals():
@@ -137,3 +160,17 @@ def test_only_the_fork_module_forks_and_marshals():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "_fork.py":
             assert _forking_names(path) == set(), path.name
+
+
+def _random_readers(path):
+    """The top-level definitions of the module at ``path`` that import or
+    read ``numpy.random``, "" for the module's own statements."""
+    return {getattr(top, "name", "") for top in ast.parse(path.read_text(encoding="utf-8")).body
+            if _names(top) & {"np.random", "numpy.random"}}
+
+
+def test_only_the_walks_draws_read_numpy_random():
+    # one source of the walk's random numbers, so seeded walks agree
+    # whichever stepper walks them
+    readers = {path.name: _random_readers(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in readers.items() if found} == {"walk.py": {"_Draws"}}

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperrank
-from hyperrank import _fork, _kernels, prune_to_core, simulate_walk, walk
+from hyperrank import _kernels, prune_to_core, simulate_walk, walk
 from hyperrank.walk import _WALK_CHUNK, _walk_tables
 
 import oracles
@@ -132,13 +132,20 @@ def test_simulate_walk_builds_the_view_once(monkeypatch):
 
     # the loop oracle over the same chunks of draws
     tables = _tables(hg)
-    rng = np.random.default_rng(5)
     counts = np.zeros(hg.n_vertices, dtype=np.int64)
     u = 0
-    for a in range(0, steps, _WALK_CHUNK):
-        draws = rng.random((2, min(_WALK_CHUNK, steps - a)))
-        u = oracles.walk_steps(*tables, u, draws[0], draws[1], counts)
+    for r_arc, r_head in oracles.walk_draws(5, steps, _WALK_CHUNK):
+        u = oracles.walk_steps(*tables, u, r_arc, r_head, counts)
     assert freq == dict(zip(hg.vertices, (counts / float(steps)).tolist()))
+
+
+def test_the_one_path_walk_steps_a_whole_chunk_a_call(parent_calls):
+    # perfbench's kernels.walk_steps spans count the steps of each call
+    hg = random_pruned_hypergraph(np.random.default_rng(73), max_vertices=12,
+                                  max_arcs=25)
+    counts = walk._one_walk(_walk_tables(hg), 0, 2 * _WALK_CHUNK + 1000, 5)
+    assert [m for _, m in parent_calls] == [_WALK_CHUNK, _WALK_CHUNK, 1000]
+    assert counts.sum() == 2 * _WALK_CHUNK + 1000
 
 
 def test_a_new_table_set_is_never_walked_on_a_stale_view():
@@ -358,12 +365,10 @@ def parent_calls(monkeypatch):
 def _one_process_counts(hg, start, steps, seed):
     """The loop oracle over the draws of one process walking every chunk."""
     tables = _tables(hg)
-    rng = np.random.default_rng(seed)
     counts = np.zeros(hg.n_vertices, dtype=np.int64)
     u = start
-    for a in range(0, steps, walk._WALK_CHUNK):
-        draws = rng.random((2, min(walk._WALK_CHUNK, steps - a)))
-        u = oracles.walk_steps(*tables, u, draws[0], draws[1], counts)
+    for r_arc, r_head in oracles.walk_draws(seed, steps, walk._WALK_CHUNK):
+        u = oracles.walk_steps(*tables, u, r_arc, r_head, counts)
     return counts
 
 
@@ -434,15 +439,13 @@ def test_lanes_cross_chunk_boundaries_wherever_they_fall(small_walk, monkeypatch
 
 def test_lane_draws_are_the_draws_one_walk_reads(monkeypatch):
     monkeypatch.setattr(walk, "_WALK_CHUNK", _CHUNK)
-    monkeypatch.setattr(walk, "_BLOCK", 32)
     steps = 3 * _CHUNK + 100  # the last chunk is short
-    buffer = np.empty(2 * _CHUNK)
-    arcs, heads = np.concatenate([d.copy() for d in walk._pieces(9, steps, buffer)], axis=1)
+    arcs, heads = np.concatenate(list(oracles.walk_draws(9, steps, _CHUNK)), axis=1)
     # lanes that start inside a chunk, at a boundary, a block short of one
     # (so a block ends on it), one step short of one, and that cross into
     # the short chunk
     begins = [0, 5, _CHUNK - 32, _CHUNK, 2 * _CHUNK - 1, 3 * _CHUNK - 64]
-    draws = walk._LaneDraws(np.random.SeedSequence(9), steps, begins)
+    draws = walk._Draws(9, steps, begins, 32)
     for done in range(0, 128, 32):
         r_arc, r_head = draws.block(32)
         for k, t in enumerate(begins):
@@ -456,7 +459,7 @@ def test_lane_draws_are_the_draws_one_walk_reads(monkeypatch):
         assert r_head[row].tobytes() == heads[t:t + 16].tobytes()
 
 
-def test_split_walk_on_a_cycle_whose_paths_never_meet(small_walk, lane_calls, parent_calls):
+def test_lane_walk_on_a_cycle_whose_paths_never_meet(small_walk, lane_calls, parent_calls):
     # every walker of the probe moves round the cycle in step with the
     # others, so the probe spends its whole budget and the walk falls back
     small_walk(_CHUNK)
@@ -473,8 +476,8 @@ def test_split_walk_on_a_cycle_whose_paths_never_meet(small_walk, lane_calls, pa
     assert sum(m for _, m in lane_calls) == 2 * _CHUNK // 2
 
 
-def test_split_walk_on_a_chain_whose_paths_meet_partway(small_walk, lane_calls,
-                                                        parent_calls):
+def test_lane_walk_on_a_chain_whose_paths_meet_partway(small_walk, lane_calls,
+                                                       parent_calls):
     segment = 4 * _CHUNK
     small_walk(segment)
     hg = _cycle(7, skip=True)
@@ -503,30 +506,10 @@ def test_a_walk_of_lane_length_forks_nothing(monkeypatch):
 def test_an_advanced_stream_reproduces_each_chunks_draws(monkeypatch, chunk):
     monkeypatch.setattr(walk, "_WALK_CHUNK", chunk)
     for seed in (0, 3, 12345):
-        rng = np.random.default_rng(seed)
-        for k in range(3):
-            expected = rng.random((2, chunk))
+        for k, expected in enumerate(oracles.walk_draws(seed, 3 * chunk, chunk)):
             bits = np.random.PCG64(seed)
             bits.advance(2 * k * chunk)
             assert np.random.Generator(bits).random((2, chunk)).tobytes() == expected.tobytes()
             # a lane from the chunk's first step, one block of the whole chunk
-            monkeypatch.setattr(walk, "_BLOCK", chunk)
-            draws = walk._LaneDraws(np.random.SeedSequence(seed), 3 * chunk, [k * chunk])
+            draws = walk._Draws(seed, 3 * chunk, [k * chunk], chunk)
             assert draws.block(chunk).tobytes() == expected.tobytes()
-
-
-def test_only_a_child_apart_leaves_its_parents_cpu():
-    cpus = os.sched_getaffinity(0)
-    if len(cpus) < 2:
-        pytest.skip("one CPU")
-
-    def mask(write):
-        os.write(write, ",".join(map(str, sorted(os.sched_getaffinity(0)))).encode())
-    with _fork.Children() as children:
-        assert children.fork(1, mask)
-        assert os.sched_getaffinity(0) == cpus
-        left = children._cpu
-        child = set(map(int, children.collect(1).split(b",")))
-    assert child == cpus - {left}
-    assert os.sched_getaffinity(0) == cpus
-    assert left in cpus or left is None
