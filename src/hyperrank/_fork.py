@@ -5,10 +5,12 @@
 (``ingest.parse_reactions_text``) each cut their text into contiguous parts
 and hand ``split`` the parts and a job for one part. The first part is done
 in the calling process and every later one in a child, which sends its
-result back through a pipe as one buffer; the buffers are read in part
-order. A part whose child failed, or was never forked, is done again in
-the calling process, so the result never depends on how many children ran.
-A part that its child's job declines raises ``Declined`` in the caller.
+result back through a pipe as one buffer that states its columns' lengths
+and dtypes; the buffers are read in part order, and a child not yet read
+when ``split`` raises is killed and reaped. A part whose child failed, or
+was never forked, is done again in the calling process, so the result never
+depends on how many children ran. A part that its child's job declines
+raises ``Declined`` in the caller.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import os
 import signal
 import threading
 from functools import partial
-from itertools import chain
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -34,10 +35,10 @@ class Declined(Exception):
 DECLINED = (Declined, ValueError, KeyError, TypeError, RecursionError)
 
 
-def split(parts: Sequence[tuple], job: Callable[..., tuple[object, list]], dtypes: tuple
+def split(parts: Sequence[tuple], job: Callable[..., tuple[object, list]]
           ) -> list[tuple[object, list]]:
     """Per part, in part order, what ``job(*part)`` gives: some strings and
-    a list of slices, each a tuple of one column of each of the ``dtypes``.
+    a list of slices, each a tuple of columns of numbers or bools.
 
     The first part is done here. A forked child does each later one as
     ``job(*part, fresh=False)``, since marshalling copies its strings
@@ -45,48 +46,115 @@ def split(parts: Sequence[tuple], job: Callable[..., tuple[object, list]], dtype
     part whose child failed is done here, as is every part from the first
     that found no process to fork. Where a child's job raised one of
     ``DECLINED``, this raises ``Declined`` without doing that part here.
+    Every child not yet read when this returns or raises is killed and
+    reaped.
+
+    Each child starts by leaving the CPU this process ran on before the
+    first fork: a scheduler may otherwise keep a new child beside its
+    parent for longer than a short part takes. This process's own CPU set
+    is never changed.
     """
-    with Children() as children:
-        for k in range(1, len(parts)):
-            if not children.fork(k, partial(_send, partial(job, *parts[k], fresh=False), dtypes)):
+    children = []  # (pid, pipe) of each part from the second not yet read
+    try:
+        cpu = _cpu_now() if len(parts) > 1 else None
+        for part in parts[1:]:
+            child = _forked(partial(_send, partial(job, *part, fresh=False)), cpu)
+            if child is None:
                 break  # no process to spare: the rest is done here
+            children.append(child)
         done = [job(*parts[0])]
-        for k in range(1, len(parts)):
-            done.append(_received(children.collect(k), dtypes) or job(*parts[k]))
+        for part in parts[1:]:
+            data = _collected(*children[0]) if children else None
+            del children[:1]
+            done.append(_received(data) or job(*part))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return done
 
 
-def _send(job: Callable[[], tuple[object, list]], dtypes: tuple, write: int) -> None:
+def _forked(job: Callable[[int], None], cpu: int | None) -> tuple[int, BinaryIO] | None:
+    """A new child that leaves ``cpu`` and runs ``job(write)``, ``write``
+    being its pipe's write end: its pid and the pipe's read end. The child
+    exits 0 once the job returns and 1 if it raises, writing nothing to
+    stdout or stderr. None, with no child, where the fork fails."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            _leave(cpu)
+            job(write)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _collected(pid: int, pipe: BinaryIO) -> bytes | None:
+    """The buffer the child ``pid`` wrote to ``pipe``, once it exited 0;
+    None where it failed or another waiter took its exit status."""
+    data = pipe.read()
+    pipe.close()
+    try:
+        ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    except ChildProcessError:  # reaped elsewhere: its exit status is lost
+        ok = False
+    return data if ok else None
+
+
+def _send(job: Callable[[], tuple[object, list]], write: int) -> None:
     """In a forked child: write to the pipe ``write`` one buffer of what
-    ``job()`` gives (see ``split``). That is the int64 word 0 and each
-    column's length; each column's slices, one after another; and the
-    strings, marshalled. Where the job declines its part, it is the word 1
-    alone."""
+    ``job()`` gives (see ``split``). That is the int64 words 0, the number
+    of columns and each column's length; each column's dtype code
+    (``dtype.str``, in 8 bytes); each column's slices, one after another,
+    in the dtype that joining them gives; and the strings, marshalled.
+    Where the job declines its part, the first word is 1 and no column
+    follows. A column of other than numbers or bools fails the child."""
+    declined, strings, slices = 0, None, []
     try:
         strings, slices = job()
-        sizes = [sum(len(s[k]) for s in slices) for k in range(len(dtypes))]
-        buffers = [np.array([0, *sizes], dtype=np.int64), *chain.from_iterable(zip(*slices)),
-                   marshal.dumps(strings)]
     except DECLINED:
-        buffers = [np.array([1], dtype=np.int64)]
+        declined = 1
+    columns = list(zip(*slices))
+    dtypes = [np.result_type(*{s.dtype for s in column}) for column in columns]
+    # an object column's bytes are pointers, and a string's code may not fit
+    if any(dtype.kind not in "biufc" for dtype in dtypes):
+        raise NotImplementedError("a column of other than numbers")  # redone in the parent
+    sizes = [sum(map(len, column)) for column in columns]
     with open(write, "wb") as pipe:
-        pipe.writelines(buffers)
+        pipe.writelines([np.array([declined, len(columns), *sizes], dtype=np.int64),
+                         np.array([dtype.str for dtype in dtypes], dtype="S8"),
+                         *(np.asarray(s, dtype) for column, dtype in zip(columns, dtypes)
+                           for s in column), marshal.dumps(strings)])
 
 
-def _received(data: bytes | None, dtypes: tuple) -> tuple[object, list] | None:
+def _received(data: bytes | None) -> tuple[object, list] | None:
     """The strings and the one slice of columns of the buffer a child sent
-    (see ``_send``); None where the child failed. Raises ``Declined`` where
-    its job declined its part."""
+    (see ``_send``), no slice where it sent no column; None where the child
+    failed. Raises ``Declined`` where its job declined its part."""
     if data is None:
         return None
-    if np.frombuffer(data, dtype=np.int64, count=1)[0]:
+    declined, count = np.frombuffer(data, dtype=np.int64, count=2).tolist()
+    if declined:
         raise Declined
-    sizes = np.frombuffer(data, dtype=np.int64, count=len(dtypes), offset=8).tolist()
-    columns, at = [], 8 * (len(dtypes) + 1)
-    for size, dtype in zip(sizes, dtypes):
+    sizes = np.frombuffer(data, dtype=np.int64, count=count, offset=16).tolist()
+    codes = np.frombuffer(data, dtype="S8", count=count, offset=16 + 8 * count).tolist()
+    columns, at = [], 16 + 16 * count
+    for size, dtype in zip(sizes, map(np.dtype, codes)):
         columns.append(np.frombuffer(data, dtype=dtype, count=size, offset=at))
-        at += size * np.dtype(dtype).itemsize
-    return marshal.loads(memoryview(data)[at:]), [tuple(columns)]
+        at += size * dtype.itemsize
+    return marshal.loads(memoryview(data)[at:]), [tuple(columns)] if columns else []
 
 
 def worker_count(parts: int) -> int:
@@ -124,76 +192,3 @@ def _leave(cpu: int | None) -> None:
     if cpus:
         with contextlib.suppress(OSError):
             os.sched_setaffinity(0, cpus)
-
-
-class Children:
-    """Forked children, one per part, each writing one buffer to its pipe.
-
-    Each child starts by leaving the CPU this process ran on at the first
-    fork: a scheduler may otherwise keep a new child beside its parent for
-    longer than a short part takes. This process's own CPU set is never
-    changed. Used as a context: on exit every child not yet collected is
-    killed and reaped, also when the block raises, and a child that reaches
-    the exit leaves through ``os._exit``.
-    """
-
-    def __init__(self):
-        self._parent = os.getpid()
-        self._open: dict[int, tuple[int, BinaryIO]] = {}  # part -> (pid, pipe)
-        self._cpu = None  # the CPU to leave, read at the first fork
-
-    def __enter__(self) -> "Children":
-        return self
-
-    def fork(self, part: int, job: Callable[[int], None]) -> bool:
-        """Run ``job(write)`` in a new child, where ``write`` is the pipe's
-        write end; the child exits 0 once the job returns and 1 if it
-        raises, writing nothing to stdout or stderr. False, with no child,
-        where the fork fails."""
-        if self._cpu is None:
-            self._cpu = _cpu_now()
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare
-            os.close(read)
-            os.close(write)
-            return False
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read)
-                _leave(self._cpu)
-                job(write)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        self._open[part] = (pid, open(read, "rb"))
-        return True
-
-    def collect(self, part: int) -> bytes | None:
-        """The buffer the part's child wrote, once it exited 0; None where no
-        child was forked for the part, it failed, or another waiter took its
-        exit status."""
-        if part not in self._open:
-            return None
-        pid, pipe = self._open[part]
-        data = pipe.read()
-        pipe.close()
-        try:
-            ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        except ChildProcessError:  # reaped elsewhere: its exit status is lost
-            ok = False
-        del self._open[part]
-        return data if ok else None
-
-    def __exit__(self, *exc) -> None:
-        if os.getpid() != self._parent:  # a child that escaped its job
-            os._exit(1)
-        for pid, pipe in self._open.values():
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        self._open.clear()

@@ -214,8 +214,6 @@ def _parse_reaction_line(line: str, *, line_no: int | None = None) -> None:
 
 
 _LINE_BREAK = re.compile("\n")
-# the dtypes of the columns that ``_scan`` gives, in order
-_SCAN_DTYPES = (np.int64, np.int64, np.int64, np.float64, bool)
 
 
 @_collector_paused()
@@ -233,7 +231,7 @@ def parse_reactions_text(text: str) -> ReactionColumns:
     if any(map(text.__contains__, _BREAKS)):
         text = "\n".join(text.splitlines())
     try:
-        scans = _fork.split(_parts(text, 0, _LINE_BREAK), partial(_scan, text), _SCAN_DTYPES)
+        scans = _fork.split(_parts(text, 0, _LINE_BREAK), partial(_scan, text))
     except _fork.Declined:
         for line_no, line in enumerate(text.splitlines(), start=1):
             _parse_reaction_line(line, line_no=line_no)
@@ -478,8 +476,6 @@ def _reject_names(vertices: list[str], index: dict[str, int], ids: list, tails: 
 
 # a cut of the arcs array lies between a '}' and a '{'
 _CUT = re.compile(r"(?<=\})[ \t\n\r]*,[ \t\n\r]*(?=\{)")
-# the dtypes of the columns of ``_part``'s slices, in order
-_PART_DTYPES = (np.int64,) * 4 + (np.float64,)
 _SPACE = json.decoder.WHITESPACE
 _DECODER = json.JSONDecoder()
 
@@ -519,8 +515,7 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
             raise _fork.Declined
         pos = _expect(text, _key(text, _expect(text, pos, ","), "arcs"), "[")
         index = _positions(vertices)
-        (ids, slices), *rest = _fork.split(_parts(text, pos, _CUT), partial(_part, text, index),
-                                           _PART_DTYPES)
+        (ids, slices), *rest = _fork.split(_parts(text, pos, _CUT), partial(_part, text, index))
     except _fork.DECLINED:
         return None
     for part_ids, part_slices in rest:

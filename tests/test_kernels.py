@@ -395,7 +395,7 @@ def _assert_lane_walk_matches(hg, start, steps, seed):
 
 @pytest.mark.parametrize("lanes", [1, 2, 3, 4])
 @pytest.mark.parametrize("steps", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
-def test_split_walk_matches_one_process_bitwise(small_walk, lanes, steps):
+def test_lane_walk_matches_one_process_bitwise(small_walk, lanes, steps):
     # the walk split into `lanes` segments of equal length, after the steps
     # short of whole segments
     small_walk(max(steps // lanes, 1))
