@@ -134,28 +134,38 @@ def _fresh(strings: list[str]) -> list[str]:
 # A text is split over processes only into parts of this many characters
 # or more: below that, a fork costs more than it saves.
 _PART_CHARS = 1 << 19
-# A part is read in slices, each ending at the first cut (a '\n' of a
-# reaction text, a '}, {' of the arcs array) this many characters or more
-# past its start.
+# A part is read in slices of this many characters or more (see _slices).
 _SLICE_CHARS = 1 << 17
 
 
-def _parts(text: str, pos: int, cut: re.Pattern) -> list[tuple[int, int | None]]:
-    """The text from ``pos`` cut into one part per worker process (see
-    ``_fork.worker_count``), each of ``_PART_CHARS`` or more: per part its
-    start and end, None for the last part, which runs to the end. A part
-    ends where the first match of ``cut`` past an equal share of the text
-    starts, and the next part starts where that match ends."""
-    span = len(text) - pos
+def _parts(text: str, pos: int, end: int, cut: re.Pattern) -> list[tuple[int, int]]:
+    """The text from ``pos`` to ``end`` cut into one part per worker process
+    (see ``_fork.worker_count``), each of ``_PART_CHARS`` or more: per part
+    its start and end. A part ends where the first match of ``cut`` past an
+    equal share of the text starts, and the next part starts where that
+    match ends; the last part ends at ``end``."""
+    span = end - pos
     workers = _fork.worker_count(span // _PART_CHARS)
     parts, first = [], pos
     for k in range(1, workers):
-        found = cut.search(text, max(first, pos + k * span // workers))
+        found = cut.search(text, max(first, pos + k * span // workers), end)
         if found is None:
             break
         parts.append((first, found.start()))
         first = found.end()
-    return parts + [(first, None)]
+    return parts + [(first, end)]
+
+
+def _slices(text: str, pos: int, end: int, cut: re.Pattern) -> Iterator[tuple[int, int]]:
+    """The start and end of each slice of the text from ``pos`` to ``end``
+    (a part, see ``_parts``). A slice ends where the first match of ``cut``
+    (a '\n' of a reaction text, a '}, {' of the arcs array)
+    ``_SLICE_CHARS`` or more past its start begins, and the next slice
+    starts where that match ends; the last slice ends at ``end``."""
+    while (found := cut.search(text, pos + _SLICE_CHARS, end)) is not None:
+        yield pos, found.start()
+        pos = found.end()
+    yield pos, end
 
 
 class ReactionColumns(NamedTuple):
@@ -231,7 +241,7 @@ def parse_reactions_text(text: str) -> ReactionColumns:
     if any(map(text.__contains__, _BREAKS)):
         text = "\n".join(text.splitlines())
     try:
-        scans = _fork.split(_parts(text, 0, _LINE_BREAK), partial(_scan, text))
+        scans = _fork.split(_parts(text, 0, len(text), _LINE_BREAK), partial(_scan, text))
     except _fork.Declined:
         for line_no, line in enumerate(text.splitlines(), start=1):
             _parse_reaction_line(line, line_no=line_no)
@@ -251,27 +261,22 @@ def parse_reactions_text(text: str) -> ReactionColumns:
                            code, tail_len, head_len, reversible, weight)
 
 
-def _scan(text: str, pos: int, end: int | None, fresh: bool = True
+def _scan(text: str, pos: int, end: int, fresh: bool = True
           ) -> tuple[tuple[list[str], list[str]], list[tuple[np.ndarray, ...]]]:
-    """The records of the lines from ``pos`` to ``end`` (None: to the end
-    of the text): their ids and the part's distinct species in the order of
-    first mention; and per slice, as columns, the position among those
-    species of each mention, the records' side lengths, weights and arrows.
-    With ``fresh`` the ids and species are copied (see ``_fresh``). Raises
-    ``_fork.Declined`` where a line does not match or a weight is no
-    positive real.
+    """The records of the lines from ``pos`` to ``end``: their ids and the
+    part's distinct species in the order of first mention; and per slice,
+    as columns, the position among those species of each mention, the
+    records' side lengths, weights and arrows. With ``fresh`` the ids and
+    species are copied (see ``_fresh``). Raises ``_fork.Declined`` where a
+    line does not match or a weight is no positive real.
 
-    The lines are matched a slice at a time, each slice ending at the first
-    line break ``_SLICE_CHARS`` or more past its start: a slice's matches
-    are checked, its ids and new species copied out, and its matches and
-    names dropped before the next slice is matched, so no more than one
-    slice of them is held.
+    The lines are matched a slice at a time (see ``_slices``): a slice's
+    matches are checked, its ids and new species copied out, and its
+    matches and names dropped before the next slice is matched, so no more
+    than one slice of them is held.
     """
-    end = len(text) if end is None else end
     ids, index, slices = [], {}, []
-    while True:
-        stop = text.find("\n", pos + _SLICE_CHARS, end)
-        stop = end if stop < 0 else stop
+    for pos, stop in _slices(text, pos, end, _LINE_BREAK):
         lines = _LINE_RE.findall(text, pos, stop)
         columns = list(zip(*lines)) or [()] * 5
         kept = list(map(bool, columns[0]))  # blank and comment-only lines have no ID
@@ -298,9 +303,7 @@ def _scan(text: str, pos: int, end: int | None, fresh: bool = True
               for sides in (substrates, products)),
             weight, np.array(list(map(bool, reversible)), dtype=bool)))
         del named, substrates, reversible, products, weight, names, new
-        if stop == end:
-            return (ids, list(index)), slices
-        pos = stop + 1
+    return (ids, list(index)), slices
 
 
 @dataclass
@@ -502,20 +505,26 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
     """The vertices, arc ids and resolved sides and weights of a document
     laid out as ``{"vertices": [...], "arcs": [...]}``, or None.
 
-    The vertices are decoded first. The arcs array is cut between arcs into
-    parts (see ``_parts``), which are decoded over processes (see
-    ``_fork.split``), each in slices (see ``_part``). Anything else than a
-    valid slice, a resolved name and the two keys in this order with
-    nothing after them gives None, also where a child meets it: the whole
-    document is then decoded again, which alone raises errors.
+    The vertices are decoded first. The arcs array ends at the text's last
+    ']', which only '}' and whitespace may follow; where that ']' is not
+    the array's own, the slice that holds it does not decode. The array is
+    cut between arcs into parts (see ``_parts``), which are decoded over
+    processes (see ``_fork.split``), each in slices (see ``_part``).
+    Anything else than a valid slice, a resolved name and the two keys in
+    this order gives None, also where a child meets it: the whole document
+    is then decoded again, which alone raises errors.
     """
     try:
         vertices, pos = _DECODER.raw_decode(text, _key(text, _expect(text, 0, "{"), "vertices"))
         if type(vertices) is not list or not set(map(type, vertices)) <= {str}:
             raise _fork.Declined
         pos = _expect(text, _key(text, _expect(text, pos, ","), "arcs"), "[")
+        end = text.rfind("]")
+        if _SPACE.match(text, _expect(text, end + 1, "}")).end() != len(text):
+            raise _fork.Declined
         index = _positions(vertices)
-        (ids, slices), *rest = _fork.split(_parts(text, pos, _CUT), partial(_part, text, index))
+        (ids, slices), *rest = _fork.split(_parts(text, pos, end, _CUT),
+                                           partial(_part, text, index))
     except _fork.DECLINED:
         return None
     for part_ids, part_slices in rest:
@@ -524,41 +533,27 @@ def _sliced(text: str) -> tuple[list[str], list[str], tuple[np.ndarray, ...]] | 
     return vertices, ids, tuple(map(np.concatenate, zip(*slices)))
 
 
-def _part(text: str, index: dict[str, int], pos: int, end: int | None, fresh: bool = True
+def _part(text: str, index: dict[str, int], pos: int, end: int, fresh: bool = True
           ) -> tuple[list[str], list[tuple[np.ndarray, ...]]]:
-    """The arc ids, and per slice the resolved sides and weights, of the
-    arcs from ``pos`` to ``end``; with ``end`` None, to the end of the arcs
-    array, and then nothing but the document's closing '}' may follow.
+    """The arc ids, and per slice (see ``_slices``) the resolved sides and
+    weights, of the arcs from ``pos`` to ``end``.
 
-    A slice ends at the first '}' that a ',' and a '{' follow
-    ``_SLICE_CHARS`` or more past its start. Each slice is decoded inside
-    '[' ']', its columns extracted, its names resolved and, with ``fresh``,
-    its ids copied (see ``_fresh``), and dropped before the next one is
-    decoded. A cut inside a string leaves the string unterminated, and one
-    inside an arc leaves it unclosed, so a wrong cut never decodes.
+    Each slice is decoded inside '[' ']', its columns extracted, its names
+    resolved and, with ``fresh``, its ids copied (see ``_fresh``), and
+    dropped before the next one is decoded. A cut inside a string leaves
+    the string unterminated, and one inside an arc leaves it unclosed, so
+    a wrong cut never decodes.
     """
     ids, slices = [], []
-    while True:
-        cut = _CUT.search(text, pos + _SLICE_CHARS, len(text) if end is None else end)
-        if cut is not None:
-            arcs = json.loads("[" + text[pos:cut.start()] + "]")
-        elif end is not None:
-            arcs = json.loads("[" + text[pos:end] + "]")
-        else:  # decoding finds where the array ends
-            arcs, stop = _DECODER.raw_decode("[" + text[pos:])
-            if _SPACE.match(text, _expect(text, pos + stop - 1, "}")).end() != len(text):
-                raise _fork.Declined
-        columns = _arc_columns(arcs)
+    for pos, stop in _slices(text, pos, end, _CUT):
+        columns = _arc_columns(json.loads("[" + text[pos:stop] + "]"))
         if columns is None:
             raise _fork.Declined
-        del arcs
         slices.append((*_resolved(index, columns[1]), *_resolved(index, columns[2]),
                        _weight_column(columns[3])))
         ids += _fresh(columns[0]) if fresh else columns[0]
         del columns
-        if cut is None:
-            return ids, slices
-        pos = cut.end()
+    return ids, slices
 
 
 def load_canonical(text: str) -> DirectedHypergraph:

@@ -184,7 +184,9 @@ def _names(tree):
     """The names that the syntax tree ``tree`` imports or reads."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             found |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
@@ -205,15 +207,22 @@ def test_only_the_fork_module_forks_and_marshals():
             assert _forking_names(path) == set(), path.name
 
 
-def _random_readers(path):
-    """The top-level definitions of the module at ``path`` that import or
-    read ``numpy.random``, "" for the module's own statements."""
-    return {getattr(top, "name", "") for top in ast.parse(path.read_text(encoding="utf-8")).body
-            if _names(top) & {"np.random", "numpy.random"}}
+def _readers(*names):
+    """The top-level definitions of ``src/hyperrank`` that import or read
+    any of ``names``, each as module.definition ("module." for the
+    module's own statements)."""
+    return {f"{path.stem}.{getattr(top, 'name', '')}" for path in sorted(SRC.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body
+            if _names(top) & set(names)}
 
 
 def test_only_the_walks_draws_read_numpy_random():
     # one source of the walk's random numbers, so seeded walks agree
     # whichever stepper walks them
-    readers = {path.name: _random_readers(path) for path in sorted(SRC.glob("*.py"))}
-    assert {name: found for name, found in readers.items() if found} == {"walk.py": {"_Draws"}}
+    assert _readers("np.random", "numpy.random") == {"walk._Draws"}
+
+
+def test_one_slice_rule_and_one_part_rule_read_the_cut_sizes():
+    # both readers cut their text through these two functions alone
+    assert _readers("_SLICE_CHARS", "ingest._SLICE_CHARS") == {"ingest._slices"}
+    assert _readers("_PART_CHARS", "ingest._PART_CHARS") == {"ingest._parts"}

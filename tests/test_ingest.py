@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -659,6 +660,16 @@ SCHEMA_CASES = [
     ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], "head": [null],'
      ' "weight": 1}, {"id": "f", "tail": [false], "head": ["b"], "weight": 1}]}',
      'arcs[0]."head" must be an array of strings'),
+    # the text's last ']' is not the arcs array's end: a key holding an array
+    # after "arcs", no closing '}', and a ']' in a string after the array
+    ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], "head": ["b"],'
+     ' "weight": 1}], "extra": [1]}', "unknown key 'extra'"),
+    ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], "head": ["b"],'
+     ' "weight": 1}, {"id": "f", "tail": ["a"], "head": ["b"], "weight": 2}]',
+     "invalid JSON: Expecting ',' delimiter (line 1, column 146)"),
+    ('{"vertices": ["a", "b"], "arcs": [{"id": "e", "tail": ["a"], "head": ["b"],'
+     ' "weight": 1}, {"id": "f", "tail": ["a"], "head": ["b"], "weight": 2}], "note": "]"}',
+     "unknown key 'note'"),
 ]
 
 
@@ -780,9 +791,11 @@ def test_load_matches_the_oracle_on_mutated_documents(doc):
 
 def test_load_matches_the_oracle_on_the_fixed_cases():
     for text, _ in SCHEMA_CASES:
-        for cpus in (1, 3):
-            with _split_into(cpus):
+        for cpus in (1, 2, 4):
+            with _split_into(cpus) as forks:
                 assert_loads_as_oracle(text)
+                assert ingest._sliced(text) is None
+            assert not forks or _ENDS_ARRAY.search(text), text
     assert_loads_as_oracle(
         '{"vertices": ["a", "b", "a", "c"], "arcs": ['
         '{"id": "e", "tail": ["yy", "c"], "head": ["c", "zz"], "weight": 2},'
@@ -821,6 +834,31 @@ def _split_into(cpus, part_chars=1, fork=os.fork):
         ingest._PART_CHARS, _fork._cpu_count = saved
 
 
+# The end of a document that the sliced decode may split over processes:
+# ']', '}' and JSON whitespace. Any other is declined before a child is forked.
+_ENDS_ARRAY = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*\Z")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(["}", "{", ",", " ", "\t", "\n", "\r", '"', "x", "}\n ,\t{"]),
+                max_size=40).map("".join), st.integers(1, 8),
+       st.sampled_from([ingest._CUT, ingest._LINE_BREAK]), st.data())
+def test_slices_tile_a_part_and_end_at_the_first_cut_far_enough(text, chars, cut, data):
+    pos = data.draw(st.integers(0, len(text)))
+    end = data.draw(st.integers(pos, len(text)))
+    with _slices_of(chars):
+        slices = list(ingest._slices(text, pos, end, cut))
+    assert slices[0][0] == pos and slices[-1][1] == end
+    for k, (start, stop) in enumerate(slices):
+        # where a cut starts, position by position, ``chars`` or more past the start
+        cuts = [q for q in range(start + chars, end) if cut.match(text, q, end)]
+        if k == len(slices) - 1:
+            assert not cuts
+        else:
+            assert stop - start >= chars and stop == cuts[0]
+            assert cut.match(text, stop, end).end() == slices[k + 1][0]
+
+
 # json.dumps layouts: the default, indented, and whitespace around every ','
 # and ':', so that the cuts meet '}\n ,\t{'
 _LAYOUTS = [{}, {"indent": 2}, {"separators": ("\n ,\t", " :\r\n")},
@@ -850,9 +888,9 @@ def test_documents_in_key_order_are_decoded_in_slices(monkeypatch):
                     assert ingest._sliced(text) is not None
                     decoded.clear()
                     assert load_canonical(text) == hg
-                # one slice per arc but the last, which is decoded in place
+                # one slice per arc, the last included, and one for no arcs
                 if chars == 1:
-                    assert len(decoded) == max(hg.n_arcs - 1, 0)
+                    assert len(decoded) == max(hg.n_arcs, 1)
 
 
 _ARC = '{"id": "%s", "tail": ["a"], "head": ["b"], "weight": %s}'
@@ -895,6 +933,13 @@ SLICE_CASES = [
     ('{"vertices": ["a", "b"], "arcs": [%s, %s' % (_ARC % ("e", 1), _ARC % ("f", 1)), False),
     ('{"vertices": ["a", "b"], "arcs": [%s, {"id": "f"' % (_ARC % ("e", 1)), False),
     ('\ufeff{"vertices": [], "arcs": []}', False),
+    # other ends of the arcs array: "arcs" given twice, JSON whitespace
+    # around the closing '}', and an array of whitespace only
+    ('{"vertices": ["a", "b"], "arcs": [%s], "arcs": [%s]}' % (_ARC % ("e", 1), _ARC % ("f", 2)),
+     False),
+    ('{"vertices": ["a", "b"], "arcs": [%s, %s]\r\n\t}\r\n' % (_ARC % ("e", 1), _ARC % ("f", 2)),
+     True),
+    ('{"vertices": ["a"], "arcs": [ \t\r\n ]}', True),
     # errors in a later slice: a schema error, an unknown name, a name that is
     # no string, and objects nested in an arc, which a cut leaves unclosed
     ('{"vertices": ["a", "b"], "arcs": [%s, %s, {"id": 3, "tail": [], "head": [],'
@@ -914,12 +959,13 @@ SLICE_CASES = [
 @pytest.mark.parametrize("text, sliced", SLICE_CASES, ids=range(len(SLICE_CASES)))
 def test_sliced_load_matches_the_oracle_on_the_fixed_cases(text, sliced):
     for chars in (1, 1 << 17):
-        for cpus in (1, 3):
+        for cpus in (1, 2, 4):
             with _slices_of(chars), _split_into(cpus):
                 assert_loads_as_oracle(text)
-    for cpus in (1, 3):
-        with _slices_of(1), _split_into(cpus):
+    for cpus in (1, 2, 4):
+        with _slices_of(1), _split_into(cpus) as forks:
             assert (ingest._sliced(text) is not None) is sliced
+        assert not forks or _ENDS_ARRAY.search(text)
 
 
 # ------------------------------------------------- the arcs split over processes
@@ -942,7 +988,7 @@ def test_documents_in_key_order_are_split_over_processes():
         [("x" * 5000, ["a"], ["b"], 1.0)] + [(f"e{k}", ["b"], ["a"], 1.0) for k in range(20)])
     text = save_canonical(hg)
     with _split_into(4) as forks:
-        parts = ingest._parts(text, text.index('"arcs": [') + 9, ingest._CUT)
+        parts = ingest._parts(text, text.index('"arcs": [') + 9, text.rindex("]"), ingest._CUT)
         assert load_canonical(text) == hg
     assert len(forks) == len(parts) - 1 == 3
     assert all(first < end for first, end in parts[:-1])
@@ -954,7 +1000,8 @@ def _later_part(last):
     return '{"vertices": ["a", "b"], "arcs": [%s]}' % ", ".join(arcs)
 
 
-# documents whose one error lies in the last part of the arcs array
+# documents whose one error lies in the last part of the arcs array; the
+# parent declines the two that do not end in ']', '}' before any fork
 _LATER_PART_ERRORS = [
     _later_part('"id": "z", "tail": ["a"], "head": ["zz"], "weight": 1'),
     _later_part('"id": "z", "tail": ["a", 1], "head": ["b"], "weight": 1'),
@@ -963,18 +1010,21 @@ _LATER_PART_ERRORS = [
     _later_part('"id": "z", "tail": ["a"], "head": ["b"], "weight": 1') + " x",
     _later_part('"id": "z", "tail": ["a"], "head": ' + "[" * 5_000 + "]" * 5_000
                 + ', "weight": 1'),
+    _later_part('"id": "z\\", "tail": ["a"], "head": ["b"], "weight": 1'),
+    _later_part('"id": "z", "tail": ["a"], "head": ["b"], "weight": 1')[:-2] + " x]}",
 ]
 
 
 @pytest.mark.parametrize("text", _LATER_PART_ERRORS,
                          ids=["unknown-name", "name-no-string", "weight-type",
-                              "unterminated-string", "trailing-text", "deep-nesting"])
+                              "unterminated-string", "trailing-text", "deep-nesting",
+                              "escaped-quote", "stray-text"])
 def test_an_error_in_a_later_part_is_reported_as_in_one_process(text):
     for cpus in (1, 2, 4):
         with _split_into(cpus) as forks:
             assert_loads_as_oracle(text)
             assert ingest._sliced(text) is None
-        assert len(forks) == 2 * (cpus - 1)
+        assert len(forks) == (2 * (cpus - 1) if _ENDS_ARRAY.search(text) else 0)
 
 
 def test_ids_with_a_nul_or_a_lone_surrogate_cross_the_pipe(monkeypatch):
